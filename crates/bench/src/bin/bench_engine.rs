@@ -1,8 +1,8 @@
-//! Measures the event-driven engine core against the `naive-step`
-//! oracle and emits `BENCH_engine.json`.
+//! Measures the event-driven engine core against the naive-step oracle
+//! and emits `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out PATH] [--only SUBSTR] [--stats]
-//! [--jobs N]`
+//! [--jobs N] [--help]`
 //!
 //! * `--quick` — shorter simulated window (CI smoke budget). Also skips
 //!   the `city_10k` metrics row (below).
@@ -16,11 +16,15 @@
 //!   lose fidelity and the regression gates are skipped (the JSON is
 //!   still written). Use `--jobs 1` (the default) for gated runs.
 //!
-//! Built with the `parallel` feature, multi-island cases additionally
-//! report the island-parallel stepping leg (`parallel_slots_per_sec`,
-//! `parallel_speedup` vs the sequential event core). These rows are
-//! never gated: the gating host is single-vCPU, where scoped threads
-//! can only add overhead — the honest number there is ≤ 1×.
+//! Command-line errors (an unknown flag, a flag missing its value)
+//! print the usage and exit 2; an `--out` path that cannot be written
+//! also exits 2, after the measurements.
+//!
+//! Multi-island cases additionally report the island-parallel stepping
+//! leg (`parallel_slots_per_sec`, `parallel_speedup` vs the sequential
+//! event core). These columns are never gated: they depend on the host's
+//! core count, and on a single vCPU scoped threads can only add overhead
+//! — the honest number there is ≤ 1×.
 //!
 //! Every case is one declarative [`Experiment`]; the same value builds
 //! the event-core and the oracle network (via
@@ -45,7 +49,7 @@
 //! gate — ≤ 12 bytes per tracked packet — is host-independent: the
 //! footprint is computed from vector capacities, not timings.
 
-use std::io::Write as _;
+use std::process::exit;
 use std::time::Instant;
 
 use gtt_net::{NodeId, Position};
@@ -127,8 +131,8 @@ struct Measurement {
     event_slots_per_sec: f64,
     naive_slots_per_sec: f64,
     speedup: f64,
-    /// Island-parallel leg (`parallel` feature, multi-island cases
-    /// only): slots/s and speedup vs the sequential event core.
+    /// Island-parallel leg (multi-island cases only): slots/s and
+    /// speedup vs the sequential event core.
     parallel: Option<(f64, f64)>,
 }
 
@@ -149,15 +153,39 @@ fn case(
     })
 }
 
-/// Wall-seconds to simulate `sim` of the case on one core.
-fn time_run(case: &Case, sim: SimDuration, naive: bool) -> f64 {
+/// The stepping core a timed run uses.
+#[derive(Clone, Copy)]
+enum Core {
+    /// The sequential event-driven core (what `Experiment::run` uses).
+    Event,
+    /// The exhaustive per-slot oracle.
+    Naive,
+    /// The event core per radio island, islands on scoped threads.
+    Parallel,
+}
+
+impl Core {
+    fn name(self) -> &'static str {
+        match self {
+            Core::Event => "event",
+            Core::Naive => "naive",
+            Core::Parallel => "parallel",
+        }
+    }
+}
+
+/// Wall-seconds to simulate `sim` of the case on one core; with `stats`,
+/// also prints the run's activity diagnostics.
+fn time_run(case: &Case, sim: SimDuration, core: Core, stats: bool) -> f64 {
     let mut exp = case.experiment.clone();
     exp.run.measure_secs = sim.as_micros() / 1_000_000;
-    let mut builder = exp.network_builder();
-    if naive {
-        builder = builder.naive_stepping();
+    let builder = exp.network_builder();
+    let mut net = match core {
+        Core::Event => builder,
+        Core::Naive => builder.naive_stepping(),
+        Core::Parallel => builder.parallel_stepping(),
     }
-    let mut net = builder.build();
+    .build();
     let start = Instant::now();
     if exp.overlays.is_empty() {
         net.run_for(sim);
@@ -167,7 +195,7 @@ fn time_run(case: &Case, sim: SimDuration, naive: bool) -> f64 {
         let _ = exp.run_on(&mut net);
     }
     let secs = start.elapsed().as_secs_f64();
-    if std::env::args().any(|a| a == "--stats") {
+    if stats {
         let (mut awake, mut slots, mut txs, mut idle) = (0u64, 0u64, 0u64, 0u64);
         for node in net.nodes() {
             let c = node.mac.counters();
@@ -179,7 +207,7 @@ fn time_run(case: &Case, sim: SimDuration, naive: bool) -> f64 {
         let total_slots = slots / net.nodes().len() as u64;
         eprintln!(
             "    [{}] {} awake {:.3} tx/slot {:.3} idle/slot {:.2} ns/slot {:.0}",
-            if naive { "naive" } else { "event" },
+            core.name(),
             case.label,
             awake as f64 / slots.max(1) as f64,
             txs as f64 / total_slots.max(1) as f64,
@@ -190,33 +218,17 @@ fn time_run(case: &Case, sim: SimDuration, naive: bool) -> f64 {
     secs
 }
 
-/// Wall-seconds for the island-parallel leg: the same sequential event
-/// core per island, scoped threads across islands.
-#[cfg(feature = "parallel")]
-fn time_run_parallel(case: &Case, sim: SimDuration) -> f64 {
-    let mut exp = case.experiment.clone();
-    exp.run.measure_secs = sim.as_micros() / 1_000_000;
-    let mut net = exp.network_builder().parallel_stepping().build();
-    let start = Instant::now();
-    if exp.overlays.is_empty() {
-        net.run_for(sim);
-    } else {
-        let _ = exp.run_on(&mut net);
-    }
-    start.elapsed().as_secs_f64()
-}
-
 /// Best-of-three island-parallel timing for multi-island cases, as
 /// (slots/s, speedup vs the sequential event core). `None` on
-/// single-island cases (the parallel path falls straight back to the
-/// sequential core — the row would just duplicate `event_slots_per_sec`)
-/// and in builds without the `parallel` feature.
-#[cfg(feature = "parallel")]
+/// single-island cases: the parallel path falls straight back to the
+/// sequential core, so the row would just duplicate
+/// `event_slots_per_sec`.
 fn parallel_leg(
     case: &Case,
     sim: SimDuration,
     sim_slots: u64,
     event_secs: f64,
+    stats: bool,
 ) -> Option<(f64, f64)> {
     let islands = case
         .experiment
@@ -229,17 +241,12 @@ fn parallel_leg(
     }
     let mut secs = f64::INFINITY;
     for _ in 0..3 {
-        secs = secs.min(time_run_parallel(case, sim));
+        secs = secs.min(time_run(case, sim, Core::Parallel, stats));
     }
     Some((sim_slots as f64 / secs, event_secs / secs))
 }
 
-#[cfg(not(feature = "parallel"))]
-fn parallel_leg(_: &Case, _: SimDuration, _: u64, _: f64) -> Option<(f64, f64)> {
-    None
-}
-
-fn measure(case: &Case, sim: SimDuration, slot: SimDuration) -> Measurement {
+fn measure(case: &Case, sim: SimDuration, slot: SimDuration, stats: bool) -> Measurement {
     let sim_slots = sim.as_micros() / slot.as_micros();
     // Best of three per core, with the event and naive repetitions
     // *interleaved*: the first pass faults in code paths, min-of-N
@@ -248,8 +255,8 @@ fn measure(case: &Case, sim: SimDuration, slot: SimDuration) -> Measurement {
     // numbers but not the other's (the ratio is the product).
     let (mut event_secs, mut naive_secs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
-        event_secs = event_secs.min(time_run(case, sim, false));
-        naive_secs = naive_secs.min(time_run(case, sim, true));
+        event_secs = event_secs.min(time_run(case, sim, Core::Event, stats));
+        naive_secs = naive_secs.min(time_run(case, sim, Core::Naive, stats));
     }
     Measurement {
         name: case.label.to_string(),
@@ -261,7 +268,7 @@ fn measure(case: &Case, sim: SimDuration, slot: SimDuration) -> Measurement {
         event_slots_per_sec: sim_slots as f64 / event_secs,
         naive_slots_per_sec: sim_slots as f64 / naive_secs,
         speedup: naive_secs / event_secs,
-        parallel: parallel_leg(case, sim, sim_slots, event_secs),
+        parallel: parallel_leg(case, sim, sim_slots, event_secs, stats),
     }
 }
 
@@ -270,6 +277,11 @@ fn json(measurements: &[Measurement], sim_secs: u64, city_10k: Option<&City10k>)
     out.push_str("  \"bench\": \"engine_slots_per_sec\",\n");
     out.push_str(&format!("  \"sim_secs\": {sim_secs},\n"));
     out.push_str("  \"slot_ms\": 15,\n");
+    // The island-parallel columns depend on how many cores the host has.
+    out.push_str(&format!(
+        "  \"host_parallelism\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    ));
     out.push_str("  \"scenarios\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let parallel = match m.parallel {
@@ -360,26 +372,74 @@ fn city_walk() -> StepMobility {
     m
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    // A flag value may not itself look like a flag: `--out --quick` is
-    // a forgotten value, not a file named --quick.
-    let value_of = |flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Some(v.clone()),
-            _ => {
-                eprintln!("error: {flag} needs a value");
-                std::process::exit(2);
-            }
-        }
+const USAGE: &str =
+    "usage: bench_engine [--quick] [--out PATH] [--only SUBSTR] [--stats] [--jobs N] [--help]";
+
+/// Prints `message` + usage to stderr and exits with status 2.
+fn bad_usage(message: &str) -> ! {
+    eprintln!("error: {message}\n{USAGE}");
+    exit(2);
+}
+
+/// The parsed command line.
+struct Args {
+    quick: bool,
+    out_path: String,
+    only: Option<String>,
+    stats: bool,
+    jobs: usize,
+}
+
+/// Strictly parses argv (see the module docs for the flags).
+fn parse_args() -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args {
+        quick: false,
+        out_path: "BENCH_engine.json".to_string(),
+        only: None,
+        stats: false,
+        // For a timing harness the safe default is sequential.
+        jobs: 1,
     };
-    let out_path = value_of("--out").unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let only = value_of("--only");
-    // For a timing harness the safe default is sequential: 0 (auto)
-    // means 1 here, not one-per-core.
-    let jobs = gtt_bench::jobs_from(&args).max(1);
+    let mut i = 0;
+    while i < argv.len() {
+        // A flag value may not itself look like a flag: `--out --quick`
+        // is a forgotten value, not a file named --quick.
+        let value_of = |i: &mut usize, flag: &str| -> String {
+            *i += 1;
+            match argv.get(*i) {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => bad_usage(&format!("{flag} needs a value")),
+            }
+        };
+        match argv[i].as_str() {
+            "--quick" => args.quick = true,
+            "--stats" => args.stats = true,
+            "--out" => args.out_path = value_of(&mut i, "--out"),
+            "--only" => args.only = Some(value_of(&mut i, "--only")),
+            "--jobs" => match value_of(&mut i, "--jobs").parse::<usize>() {
+                Ok(n) if n > 0 => args.jobs = n,
+                _ => bad_usage("--jobs needs a positive integer"),
+            },
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                exit(0);
+            }
+            other => bad_usage(&format!("unknown argument {other}")),
+        }
+        i += 1;
+    }
+    args
+}
+
+fn main() {
+    let Args {
+        quick,
+        out_path,
+        only,
+        stats,
+        jobs,
+    } = parse_args();
 
     let sim_secs = if quick { 60 } else { 300 };
     let sim = SimDuration::from_secs(sim_secs);
@@ -574,20 +634,19 @@ fn main() {
             .map(|_| std::sync::Mutex::new(None))
             .collect();
         let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..jobs.min(selected.len()) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if j >= selected.len() {
                         break;
                     }
-                    let m = measure(selected[j], sim, slot);
+                    let m = measure(selected[j], sim, slot, stats);
                     report(&m);
                     *slots[j].lock().expect("no poisoned case slot") = Some(m);
                 });
             }
-        })
-        .expect("bench case thread panicked");
+        });
         slots
             .into_iter()
             .map(|s| {
@@ -600,7 +659,7 @@ fn main() {
         selected
             .iter()
             .map(|case| {
-                let m = measure(case, sim, slot);
+                let m = measure(case, sim, slot, stats);
                 report(&m);
                 m
             })
@@ -698,10 +757,10 @@ fn main() {
     };
 
     let body = json(&measurements, sim_secs, city_10k.as_ref());
-    let mut file = std::fs::File::create(&out_path)
-        .unwrap_or_else(|e| panic!("cannot create {out_path}: {e}"));
-    file.write_all(body.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    if let Err(e) = std::fs::write(&out_path, body) {
+        eprintln!("error: cannot write {out_path}: {e}");
+        exit(2);
+    }
     eprintln!("wrote {out_path}");
 
     let mut failed = false;
@@ -740,6 +799,6 @@ fn main() {
     // noisy shared runner is no basis for failing the pipeline, and
     // --jobs > 1 runs contend for cores (reporting-only by design).
     if failed && !quick && jobs == 1 {
-        std::process::exit(1);
+        exit(1);
     }
 }

@@ -1,6 +1,6 @@
 //! City-scale smoke benchmark: proves the 10k-node regime is open.
 //!
-//! Usage: `city [--quick] [--move-bench] [--mem-smoke]`
+//! Usage: `city [--quick] [--move-bench] [--mem-smoke] [--help]`
 //!
 //! * Default / `--quick` — runs the `city-1k` (10 × 100) and `city-10k`
 //!   (100 × 100) scenarios on the event core and prints wall time,
@@ -17,10 +17,12 @@
 //!   12 bytes per tracked packet *and* under a fixed 6 MB budget —
 //!   proving metrics memory is O(live + bitset), not O(packets ever).
 //!
-//! Outside `--mem-smoke`, exit is always 0: smoke modes are
-//! reporting-only, the budget gate is the CI step timeout wrapped around
-//! the binary.
+//! Outside `--mem-smoke`, exit is 0: smoke modes are reporting-only,
+//! the budget gate is the CI step timeout wrapped around the binary.
+//! Unknown arguments print the usage and exit 2, so a mistyped gate flag
+//! can never fall through to a report-only run.
 
+use std::process::exit;
 use std::time::Instant;
 
 use gtt_metrics::TrackerFootprint;
@@ -165,24 +167,37 @@ fn mem_smoke() -> bool {
     ok
 }
 
+const USAGE: &str = "usage: city [--quick] [--move-bench] [--mem-smoke] [--help]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--move-bench") {
+    let (mut quick, mut move_bench_mode, mut mem_smoke_mode) = (false, false, false);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--move-bench" => move_bench_mode = true,
+            "--mem-smoke" => mem_smoke_mode = true,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => {
+                eprintln!("error: unknown argument {other}\n{USAGE}");
+                exit(2);
+            }
+        }
+    }
+    if move_bench_mode {
         println!("city move bench (10k nodes, incremental vs pre-index per-hop cost):");
         move_bench();
         return;
     }
-    if args.iter().any(|a| a == "--mem-smoke") {
+    if mem_smoke_mode {
         if !mem_smoke() {
-            std::process::exit(1);
+            exit(1);
         }
         return;
     }
-    let sim_secs = if args.iter().any(|a| a == "--quick") {
-        60
-    } else {
-        300
-    };
+    let sim_secs = if quick { 60 } else { 300 };
     println!("city smoke ({sim_secs} s simulated per scenario, event core):");
     smoke(10, 100, sim_secs, 1.0);
     smoke(100, 100, sim_secs, 1.0);

@@ -50,7 +50,8 @@
 //! overlapping work at worst duplicates a deterministic computation
 //! (identical bytes, last atomic rename wins) and never poisons the
 //! cache. Exit status: 0 on a clean drain, 1 if any cell ended in
-//! `failed/` or leaked, 2 on a command-line error.
+//! `failed/` or leaked, 2 on a command-line error or an unreadable or
+//! undecodable shard file.
 //!
 //! [`Experiment`]: gtt_workload::Experiment
 
@@ -193,8 +194,9 @@ fn run_queue_mode(args: &Args, queue: PathBuf) -> ! {
     exit(i32::from(stats.failed_total + stats.lost > 0));
 }
 
-/// Shard mode: decode every line up front (a torn line aborts before
-/// any simulation time is spent), then drain the cells over threads.
+/// Shard mode: decode every line up front (a torn line exits 2 with its
+/// `file:line` before any simulation time is spent), then drain the
+/// cells over threads.
 fn run_shard_mode(args: &Args) {
     let mut cells: Vec<Experiment> = Vec::new();
     for file in &args.shard_files {
@@ -209,11 +211,12 @@ fn run_shard_mode(args: &Args) {
             }
             let hex = line.split_whitespace().next_back().expect("non-empty line");
             cells.push(Experiment::decode_hex(hex).unwrap_or_else(|e| {
-                panic!(
-                    "{}:{}: bad experiment encoding: {e}",
+                eprintln!(
+                    "error: {}:{}: bad experiment encoding: {e}",
                     file.display(),
                     lineno + 1
-                )
+                );
+                exit(2);
             }));
         }
     }
@@ -230,9 +233,9 @@ fn run_shard_mode(args: &Args) {
     let next = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);
     let computed = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let j = next.fetch_add(1, Ordering::Relaxed);
                 if j >= cells.len() {
                     break;
@@ -251,8 +254,7 @@ fn run_shard_mode(args: &Args) {
                 }
             });
         }
-    })
-    .expect("sweep_worker thread panicked");
+    });
 
     let (hits, computed) = (hits.into_inner(), computed.into_inner());
     println!(

@@ -34,25 +34,6 @@ pub struct FigureSweep {
     pub points: Vec<SweepPoint>,
 }
 
-/// Parses `--jobs N` from an argv slice: `0` (auto — one worker per
-/// available core) when the flag is absent. Shared by every binary that
-/// fans simulation out over threads (`fig*`, `bench_engine`,
-/// `sweep_worker`). A missing or non-positive value prints an error to
-/// stderr and exits with status 2 — a silently defaulted job count
-/// would hide a typo in a benchmark command line.
-pub fn jobs_from(args: &[String]) -> usize {
-    match args.iter().position(|a| a == "--jobs") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: --jobs needs a positive integer");
-                exit(2);
-            }
-        },
-        None => 0,
-    }
-}
-
 /// What a figure binary was asked to do.
 enum Mode {
     /// Simulate (or serve from cache) and print the tables.

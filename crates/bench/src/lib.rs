@@ -30,7 +30,7 @@ pub mod queue;
 pub mod sweep;
 pub mod table;
 
-pub use cli::{figure_main, jobs_from, FigureSweep};
+pub use cli::{figure_main, FigureSweep};
 pub use figures::{
     ablation_channel, ablation_channel_points, ablation_weights, ablation_weights_points, fig10,
     fig10_points, fig10_sweeps, fig8, fig8_points, fig8_sweeps, fig9, fig9_points, fig9_sweeps,

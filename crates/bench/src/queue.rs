@@ -67,7 +67,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam::thread;
 use gtt_workload::Experiment;
 
 use crate::sweep::{
@@ -534,10 +533,10 @@ pub fn run_queue_worker(config: &QueueWorkerConfig) -> std::io::Result<QueueWork
     ];
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Heartbeat: re-stamp held leases, forever, until every worker
         // thread is done.
-        scope.spawn(|_| {
+        scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
                 {
                     let held = held.lock().expect("heartbeat lock");
@@ -560,7 +559,7 @@ pub fn run_queue_worker(config: &QueueWorkerConfig) -> std::io::Result<QueueWork
                 let q = &q;
                 let held = &held;
                 let io_error = &io_error;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let run = drain_queue(
                         q,
                         config,
@@ -586,8 +585,7 @@ pub fn run_queue_worker(config: &QueueWorkerConfig) -> std::io::Result<QueueWork
             let _ = handle.join();
         }
         stop.store(true, Ordering::Relaxed);
-    })
-    .expect("queue worker thread panicked");
+    });
 
     if let Some(e) = io_error.into_inner().expect("error slot") {
         return Err(e);

@@ -12,8 +12,8 @@
 //! so a schema bump invalidates every old key by construction. Values
 //! are stored as exact `f64` bit patterns, so cached and fresh runs
 //! average to byte-identical rows. The serialization is hand-rolled
-//! hex-on-text because the vendored `serde` stand-in is marker-only
-//! (see `crates/compat`).
+//! hex-on-text: the workspace has no serialization framework (see
+//! `crates/compat`).
 //!
 //! Cell files end in a 128-bit FNV content checksum, so the loader can
 //! tell three states apart: a *hit* (schema + checksum verify), a
@@ -42,7 +42,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crossbeam::thread;
 use gtt_metrics::{FigureRow, Summary};
 use gtt_workload::Experiment;
 
@@ -508,9 +507,9 @@ pub fn run_sweep(x_axis: &str, points: Vec<SweepPoint>, config: &SweepConfig) ->
     let missing: Vec<AtomicUsize> = (0..points.len()).map(|_| AtomicUsize::new(0)).collect();
     let results: Vec<Mutex<SeedRuns>> = (0..points.len()).map(|_| Mutex::new(Vec::new())).collect();
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let j = next.fetch_add(1, Ordering::Relaxed);
                 if j >= jobs.len() {
                     break;
@@ -563,8 +562,7 @@ pub fn run_sweep(x_axis: &str, points: Vec<SweepPoint>, config: &SweepConfig) ->
                     .push((seed, cell));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     let point_results: Vec<PointResult> = points
         .iter()

@@ -1,12 +1,12 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! The build environment has no registry access, so the workspace vendors
-//! a minimal substitute (see `crates/compat/README.md`). Unlike the
-//! `serde` stand-in this one is *functional*: the 6P codec really encodes
-//! and decodes through it. [`Bytes`]/[`BytesMut`] are thin wrappers over
-//! `Vec<u8>` (no refcounted zero-copy slicing — the one semantic the real
-//! crate adds that nothing here needs), and [`Buf`]/[`BufMut`] cover the
-//! big-endian cursor operations the codec uses.
+//! a minimal substitute (see `crates/compat/README.md`). It is
+//! *functional*: the 6P codec really encodes and decodes through it.
+//! [`Bytes`]/[`BytesMut`] are thin wrappers over `Vec<u8>` (no
+//! refcounted zero-copy slicing — the one semantic the real crate adds
+//! that nothing here needs), and [`Buf`]/[`BufMut`] cover the big-endian
+//! cursor operations the codec uses.
 
 use std::ops::Deref;
 

@@ -41,7 +41,6 @@ pub mod config;
 pub mod minimal;
 pub mod network;
 pub mod node;
-#[cfg(feature = "parallel")]
 mod parallel;
 pub mod payload;
 pub mod report;

@@ -22,9 +22,9 @@
 //! slots just like single-slotframe nodes. The control plane is fully
 //! deadline-driven — there is no periodic RPL poll; wake-ups are
 //! exclusively tx opportunities, audible listens and exact layer
-//! deadlines. The pre-refactor exhaustive loop survives behind the
-//! `naive-step` feature (and in unit tests) as an oracle: both cores
-//! must produce byte-identical [`NetworkReport`]s for the same seed.
+//! deadlines. The pre-refactor exhaustive loop survives as an oracle
+//! behind [`NetworkBuilder::naive_stepping`]: both cores must produce
+//! byte-identical [`NetworkReport`]s for the same seed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -187,14 +187,12 @@ pub struct Network {
     /// Resolve radio-disjoint partition islands on scoped threads inside
     /// [`Network::run_until`] (see `parallel.rs`); reports are
     /// byte-identical either way.
-    #[cfg(feature = "parallel")]
     pub(crate) parallel: bool,
     /// Retained island sub-network shells, keyed by island membership,
     /// so consecutive stepping windows over a stable partition reuse
     /// their allocations instead of rebuilding n placeholders per island
     /// per window (see `parallel.rs`). Pure scratch: never observable in
     /// reports.
-    #[cfg(feature = "parallel")]
     pub(crate) island_pool: crate::parallel::IslandPool,
 }
 
@@ -214,7 +212,6 @@ pub struct NetworkBuilder {
     traffic_ppm: Option<f64>,
     factory: Option<SchedulerFactory>,
     naive: bool,
-    #[cfg(feature = "parallel")]
     parallel: bool,
 }
 
@@ -232,7 +229,6 @@ impl Network {
             traffic_ppm: None,
             factory: None,
             naive: false,
-            #[cfg(feature = "parallel")]
             parallel: false,
         }
     }
@@ -317,7 +313,7 @@ impl Network {
     ///
     /// In the event-driven core this processes only the nodes whose
     /// wake-up is due in the current slot (every other node provably
-    /// sleeps); under the `naive-step` oracle it runs the exhaustive
+    /// sleeps); under the naive-step oracle it runs the exhaustive
     /// per-node loop. Either way the ASN advances by exactly one.
     pub fn step(&mut self) {
         if self.naive {
@@ -362,7 +358,6 @@ impl Network {
         // threads would interleave it. Reports are byte-identical on
         // either core (see DETERMINISM.md), so tracing simply takes the
         // sequential path while installed.
-        #[cfg(feature = "parallel")]
         if self.parallel && self.tap.is_none() {
             self.run_until_parallel(end);
             return;
@@ -420,8 +415,8 @@ impl Network {
     }
 
     /// The event-driven sequential core of [`Network::run_until`]; also
-    /// what each partition island runs on its own thread under the
-    /// `parallel` feature.
+    /// what each partition island runs on its own thread under
+    /// island-parallel stepping.
     pub(crate) fn run_until_event(&mut self, end: SimTime) {
         self.ensure_wake_queue();
         let slot = self.config.mac.slot_duration;
@@ -1005,8 +1000,8 @@ impl Network {
     /// listener-probe index cache *schedule* facts (when a node listens),
     /// never audibility — every per-slot audibility decision reads the
     /// topology fresh, so a relocated passive listener is picked up by
-    /// the very next audible transmission. The `naive-step` equivalence
-    /// suite pins mobile runs against the exhaustive oracle.
+    /// the very next audible transmission. The step-equivalence suite
+    /// pins mobile runs against the exhaustive oracle.
     ///
     /// # Panics
     ///
@@ -1026,25 +1021,6 @@ impl Network {
     /// Panics if `node` is out of range.
     pub fn set_app_throttled(&mut self, node: NodeId, throttled: bool) {
         self.nodes[node.index()].app_throttled = throttled;
-    }
-
-    /// Enables or disables island-parallel stepping at runtime.
-    ///
-    /// When enabled, [`Network::run_until`] (and everything built on it:
-    /// `run_for`, `run_slots`) resolves radio-disjoint partition islands
-    /// on scoped threads. Reports are byte-identical either way — this
-    /// is purely a wall-clock switch, which is why it is *not* part of
-    /// an experiment's canonical encoding. Single-slot [`Network::step`]
-    /// always runs sequentially.
-    #[cfg(feature = "parallel")]
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
-    /// True when island-parallel stepping is enabled.
-    #[cfg(feature = "parallel")]
-    pub fn parallel_enabled(&self) -> bool {
-        self.parallel
     }
 
     fn apply_upkeep(&mut self, i: usize, output: UpkeepOutput, now: SimTime) {
@@ -1150,18 +1126,20 @@ impl NetworkBuilder {
     /// event-driven core.
     ///
     /// Only for equivalence testing and benchmarking: both cores must
-    /// produce byte-identical [`NetworkReport`]s for the same seed. Gated
-    /// behind the `naive-step` feature so the oracle cannot leak into
-    /// production use.
-    #[cfg(any(test, feature = "naive-step"))]
+    /// produce byte-identical [`NetworkReport`]s for the same seed, and
+    /// the oracle costs O(nodes) per slot, slept or not.
     pub fn naive_stepping(mut self) -> Self {
         self.naive = true;
         self
     }
 
-    /// Builds the network with island-parallel stepping enabled (same
-    /// switch as [`Network::set_parallel`]).
-    #[cfg(feature = "parallel")]
+    /// Builds the network with island-parallel stepping enabled:
+    /// [`Network::run_until`] (and everything built on it: `run_for`,
+    /// `run_slots`) resolves radio-disjoint partition islands on scoped
+    /// threads. Reports are byte-identical either way — this is purely a
+    /// wall-clock switch, which is why it is *not* part of an
+    /// experiment's canonical encoding. Single-slot [`Network::step`]
+    /// always runs sequentially.
     pub fn parallel_stepping(mut self) -> Self {
         self.parallel = true;
         self
@@ -1268,9 +1246,7 @@ impl NetworkBuilder {
             scratch: SlotScratch::default(),
             tap: None,
             naive: self.naive,
-            #[cfg(feature = "parallel")]
             parallel: self.parallel,
-            #[cfg(feature = "parallel")]
             island_pool: crate::parallel::IslandPool::default(),
         };
         for i in 0..net.nodes.len() {

@@ -178,7 +178,6 @@ impl Node {
     /// non-member slot holds one of these. `alive` is `false` and no
     /// timer is armed, so the engine provably never wakes, probes or
     /// accounts it; its state is discarded at merge.
-    #[cfg(feature = "parallel")]
     pub(crate) fn placeholder(id: NodeId, config: &crate::config::EngineConfig) -> Self {
         let mac = TschMac::new(
             id,

@@ -66,9 +66,9 @@ impl SfContext<'_> {
 /// schedulers like Orchestra need only react to parent changes.
 ///
 /// `Send` is a supertrait so whole nodes can move across threads: the
-/// island-parallel step path (the `parallel` feature) runs each radio
-/// partition island on its own scoped thread. Schedulers are plain
-/// owned state machines, so this costs implementations nothing.
+/// island-parallel step path (`NetworkBuilder::parallel_stepping`) runs
+/// each radio partition island on its own scoped thread. Schedulers are
+/// plain owned state machines, so this costs implementations nothing.
 pub trait SchedulingFunction: Send {
     /// Short name used in reports ("gt-tsch", "orchestra", …).
     fn name(&self) -> &'static str;

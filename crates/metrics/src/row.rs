@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The six metrics every figure of §VIII reports, measured for one
 /// (scheduler, sweep-point, seed) run or averaged across seeds.
 ///
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let avg = FigureRow::mean([a, b].iter());
 /// assert!((avg.pdr_percent - 98.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FigureRow {
     /// Packet delivery ratio, % (Figs. 8a/9a/10a).
     pub pdr_percent: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE 802.15.4 physical channel number (11–26 in the 2.4 GHz band).
 ///
 /// This is the channel a radio is actually tuned to in a given timeslot,
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ch.number(), 17);
 /// assert_eq!(ch.to_string(), "ch17");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysicalChannel(u8);
 
 impl PhysicalChannel {

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use gtt_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::id::NodeId;
 
@@ -12,9 +11,7 @@ use crate::id::NodeId;
 /// The metrics layer keys end-to-end bookkeeping (delay, delivery,
 /// duplicates) on packet ids, so ids stay stable while a packet is
 /// forwarded hop by hop.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PacketId(u64);
 
 impl PacketId {
@@ -36,7 +33,7 @@ impl fmt::Display for PacketId {
 }
 
 /// Link-layer destination of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dest {
     /// A single neighbor; the receiver acknowledges in the same slot.
     Unicast(NodeId),

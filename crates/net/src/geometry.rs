@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A node position in metres on a 2-D plane.
 ///
 /// The paper's testbed places motes on building floors; a plane is
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Position::new(3.0, 4.0);
 /// assert_eq!(a.distance_to(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate in metres.
     pub x: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a simulated IoT node.
 ///
 /// Ids are dense indices assigned by [`TopologyBuilder`](crate::TopologyBuilder)
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(root.index(), 0);
 /// assert_eq!(root.to_string(), "n0");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(u16);
 
 impl NodeId {

@@ -2,14 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Position;
 use crate::id::NodeId;
 use crate::spatial::SpatialGrid;
 
 /// How per-link packet reception ratio (PRR) is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkModel {
     /// Every in-range link delivers with PRR 1.0.
     Perfect,
@@ -63,7 +61,7 @@ impl LinkModel {
 /// Built with [`TopologyBuilder`]; consumed by the
 /// [`RadioMedium`](crate::RadioMedium) for per-slot resolution and by
 /// scenario builders for sanity checks.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Topology {
     positions: Vec<Position>,
     range: f64,

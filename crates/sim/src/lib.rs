@@ -8,35 +8,33 @@
 //!   whose streams never change between releases (unlike `rand`'s
 //!   `SmallRng`), so every experiment in the paper reproduction is exactly
 //!   replayable from a seed,
-//! * [`EventQueue`] — a stable-ordered future event list,
-//! * [`Timer`] / [`TimerWheel`] — periodic and one-shot timers checked at
-//!   slot boundaries,
-//! * [`trace`] — lightweight structured trace hooks used by the engine and
-//!   the test suite.
+//! * [`Timer`] / [`TimerWheel`] — periodic and one-shot timers whose
+//!   earliest deadline tells the engine which slot to wake next.
 //!
 //! # Example
 //!
 //! ```
-//! use gtt_sim::{EventQueue, SimTime, SimDuration};
+//! use gtt_sim::{Pcg32, SimDuration, SimTime, TimerWheel};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(15), "slot 1");
-//! q.schedule(SimTime::ZERO, "slot 0");
-//! let (t0, e0) = q.pop().unwrap();
-//! assert_eq!(t0, SimTime::ZERO);
-//! assert_eq!(e0, "slot 0");
+//! let mut timers: TimerWheel<&'static str> = TimerWheel::new();
+//! timers.arm_periodic("eb", SimTime::ZERO, SimDuration::from_secs(2));
+//! timers.arm_one_shot("dio", SimTime::ZERO + SimDuration::from_millis(15));
+//! // The engine sleeps until the earliest deadline, then fires it.
+//! assert_eq!(timers.next_deadline(), Some(SimTime::from_millis(15)));
+//! assert_eq!(timers.fire_due(SimTime::from_millis(15)), vec!["dio"]);
+//!
+//! // Same seed, same stream: runs replay exactly.
+//! let (mut a, mut b) = (Pcg32::new(7), Pcg32::new(7));
+//! assert_eq!(a.gen_range_u32(0, 100), b.gen_range_u32(0, 100));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod rng;
 pub mod time;
 pub mod timer;
-pub mod trace;
 
-pub use events::EventQueue;
 pub use rng::{Pcg32, SplitMix64};
 pub use time::{SimDuration, SimTime};
 pub use timer::{Timer, TimerWheel};

@@ -1,6 +1,6 @@
 //! Canonical byte encoding of [`Experiment`] values.
 //!
-//! The vendored `serde` stand-in is marker-only (see `crates/compat`),
+//! The workspace has no serialization framework (see `crates/compat`),
 //! so the wire format is hand-rolled: a fixed-layout, little-endian,
 //! tag-discriminated encoding with a schema version up front. It is
 //! *canonical* — equal experiments encode to identical bytes, floats

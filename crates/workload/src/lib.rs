@@ -55,12 +55,11 @@ pub use spec::{ScenarioSpec, TopologySpec};
 
 use gtt_engine::{EngineConfig, Network, NetworkBuilder, NetworkReport};
 use gtt_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one measured run: the traffic model (per-node CBR
 /// rate), the timing of the measurement, the seed, and the engine
 /// cadence preset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
     /// Application rate per non-root node (packets/minute).
     pub traffic_ppm: f64,
@@ -206,7 +205,7 @@ impl Experiment {
 
     /// A fully-wired [`NetworkBuilder`] for this experiment — the
     /// escape hatch for callers that need builder-level switches (the
-    /// `naive-step` oracle) before building.
+    /// naive-step oracle, island-parallel stepping) before building.
     pub fn network_builder(&self) -> NetworkBuilder {
         let scenario = self.scenario.build();
         let sk = self.scheduler.clone();
@@ -227,20 +226,8 @@ impl Experiment {
         self.run_on(&mut self.build_network())
     }
 
-    /// [`Experiment::run`] with island-parallel stepping enabled (the
-    /// `parallel` feature): radio-disjoint partition islands step on
-    /// scoped threads. The report is byte-identical to
-    /// [`Experiment::run`]'s — which is why the switch is *not* part of
-    /// the canonical encoding — so cached sweep cells can be shared
-    /// freely between parallel and sequential runs.
-    #[cfg(feature = "parallel")]
-    pub fn run_parallel(&self) -> NetworkReport {
-        let mut net = self.network_builder().parallel_stepping().build();
-        self.run_on(&mut net)
-    }
-
     /// [`Experiment::run`] on an already-built network (one produced by
-    /// [`Experiment::network_builder`] — e.g. with the `naive-step`
+    /// [`Experiment::network_builder`] — e.g. with the naive-step
     /// oracle enabled, so equivalence tests drive both cores through
     /// the identical warm-up/overlay/measure sequence).
     ///

@@ -12,7 +12,7 @@ use gtt_net::{
     Dest, DrawStreams, Frame, LinkModel, Listener, NodeId, PacketId, PacketQueue, PhysicalChannel,
     Position, RadioMedium, RxOutcome, SlotOutcomes, Topology, TopologyBuilder, Transmission,
 };
-use gtt_sim::{EventQueue, Pcg32, SimTime};
+use gtt_sim::{Pcg32, SimTime};
 use gtt_sixtop::{CellSpec, ReturnCode, SixpBody, SixpCellKind, SixpMessage};
 
 // ---------------------------------------------------------------- game
@@ -410,26 +410,6 @@ proptest! {
 // ----------------------------------------------------------------- sim
 
 proptest! {
-    /// The event queue is a stable priority queue: pops come out in
-    /// non-decreasing time order, FIFO within a timestamp.
-    #[test]
-    fn event_queue_ordering(times in prop::collection::vec(0u64..1000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_millis(*t), (i, *t));
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut last_seq_at_time = std::collections::BTreeMap::new();
-        while let Some((t, (seq, _))) = q.pop() {
-            prop_assert!(t >= last_time);
-            if let Some(&prev) = last_seq_at_time.get(&t) {
-                prop_assert!(seq > prev, "FIFO within equal timestamps");
-            }
-            last_seq_at_time.insert(t, seq);
-            last_time = t;
-        }
-    }
-
     /// PCG outputs respect requested ranges for arbitrary bounds.
     #[test]
     fn pcg_range_respected(seed in any::<u64>(), lo in 0u32..1000, span in 1u32..1000) {

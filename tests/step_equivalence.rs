@@ -1,4 +1,4 @@
-//! Event-driven core vs `naive-step` oracle equivalence.
+//! Event-driven core vs naive-step oracle equivalence.
 //!
 //! The engine's slot-skipping refactor is only sound if it is
 //! *observationally identical* to the exhaustive per-slot loop it
@@ -9,10 +9,10 @@
 //! performs the identical mutation sequence on both cores — and the
 //! 120-node sparse-traffic grid the refactor was built to unlock.
 //!
-//! Requires the `naive-step` feature (CI runs
-//! `cargo test -p gtt-tests --features naive-step`): the oracle switch is
-//! not exposed in default builds. With `parallel` also on, a third leg
-//! pins the island-parallel stepping path against both cores.
+//! The oracle is [`gtt_engine::NetworkBuilder::naive_stepping`]; the
+//! `parallel_*` legs add a third core,
+//! [`gtt_engine::NetworkBuilder::parallel_stepping`], and pin it
+//! against both.
 
 use gtt_engine::{Network, NetworkReport};
 use gtt_net::{NodeId, Position};
@@ -337,11 +337,10 @@ fn composed_overlays_stay_equivalent() {
     assert_equivalent(&exp);
 }
 
-/// Island-parallel leg (the `parallel` feature, CI's parallel smoke
-/// job): the scoped-thread island path must be byte-identical to *both*
-/// the sequential event core and the naive-step oracle. Three-way
-/// comparison so a shared bug in the two fast cores can't hide.
-#[cfg(feature = "parallel")]
+/// Island-parallel leg: the scoped-thread island path must be
+/// byte-identical to *both* the sequential event core and the
+/// naive-step oracle. Three-way comparison so a shared bug in the two
+/// fast cores can't hide.
 fn assert_parallel_equivalent(experiment: &Experiment) {
     let mut reports: Vec<(NetworkReport, gtt_mac::Asn)> = Vec::new();
     // naive oracle, sequential event core, island-parallel event core.
@@ -376,7 +375,6 @@ fn assert_parallel_equivalent(experiment: &Experiment) {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_two_dodag_equivalent() {
     // Two radio-disjoint DODAGs: the genuine two-island case where the
     // parallel path actually splits, steps on two threads, and merges.
@@ -388,7 +386,6 @@ fn parallel_two_dodag_equivalent() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_large_grid_equivalent() {
     // The 120-node grid is one connected island: the parallel switch
     // must fall back to the sequential core without perturbing anything.
@@ -404,7 +401,6 @@ fn parallel_large_grid_equivalent() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_island_split_and_merge_equivalent() {
     // The mobility case from `mobility_overlay_stays_equivalent`: node 5
     // walks out of its DODAG (briefly its own third island), into the
@@ -456,7 +452,6 @@ fn city_reduced_equivalent() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_city_equivalent() {
     // Three genuine radio islands stepped on scoped threads (with the
     // retained island-shell pool active across `run_until` windows) must
@@ -473,7 +468,6 @@ fn parallel_city_equivalent() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_city_mobility_island_churn_equivalent() {
     // Pool-keying stress: a leaf of cluster 0 walks to open ground (its
     // own fourth island), into cluster 1's radio space (3 islands with

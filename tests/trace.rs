@@ -2,7 +2,7 @@
 //!
 //! The pcap capture a traced run produces must be (a) **inert** — the
 //! [`gtt_engine::NetworkReport`] is identical with and without the tap
-//! installed, on the event core and on the `naive-step` oracle — and
+//! installed, on the event core and on the naive-step oracle — and
 //! (b) **pure** — the capture bytes are a deterministic function of the
 //! [`Experiment`] alone: two runs, two processes, two machines, same
 //! bytes. A committed FNV-1a hash pins the whole wire codec + tap +
@@ -104,10 +104,9 @@ fn golden_trace_fingerprint() {
     );
 }
 
-/// With the `naive-step` oracle enabled, the exhaustive per-slot loop
-/// must emit the byte-identical capture: both cores share the same
-/// `process_slot` tap seam, and this pins that they keep doing so.
-#[cfg(feature = "naive-step")]
+/// On the naive-step oracle, the exhaustive per-slot loop must emit the
+/// byte-identical capture: both cores share the same `process_slot` tap
+/// seam, and this pins that they keep doing so.
 #[test]
 fn oracle_core_emits_the_identical_trace() {
     let exp = traced_experiment();
