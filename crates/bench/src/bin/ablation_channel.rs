@@ -1,19 +1,11 @@
 //! Ablation of Algorithm 1's channel allocation vs. hash-based channels
 //! (paper §III strategies).
+//!
+//! Takes the figure binaries' flags (`--quick`, the sweep cache,
+//! `--enqueue`, …); see `--help`.
 
-use gtt_bench::{ablation_channel, render_figure_tables, SweepConfig};
+use gtt_bench::{ablation_channel_sweeps, figure_main};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let config = if quick {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::default()
-    };
-    eprintln!(
-        "running channel ablation ({} seeds/point)…",
-        config.seeds.len()
-    );
-    let results = ablation_channel(&config);
-    print!("{}", render_figure_tables("C", &results));
+    figure_main("ablation_channel", ablation_channel_sweeps());
 }

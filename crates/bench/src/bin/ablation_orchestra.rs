@@ -5,51 +5,12 @@
 //! every sender its own slot at the cost of the receiver listening in
 //! every sender's slot; this ablation quantifies that trade-off on the
 //! Fig. 8 network.
+//!
+//! Takes the figure binaries' flags (`--quick`, the sweep cache,
+//! `--enqueue`, …); see `--help`.
 
-use gtt_bench::{render_figure_tables, SweepConfig, SweepPoint};
-use gtt_orchestra::OrchestraConfig;
-use gtt_workload::{Experiment, RunSpec, ScenarioSpec, SchedulerKind};
+use gtt_bench::{ablation_orchestra_sweeps, figure_main};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let config = if quick {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::default()
-    };
-    let mut points = Vec::new();
-    for &ppm in &[30.0, 75.0, 120.0, 165.0] {
-        for sender_based in [false, true] {
-            points.push(SweepPoint {
-                x_label: format!("{ppm:.0}"),
-                experiment: Experiment::new(
-                    ScenarioSpec::two_dodag(7),
-                    SchedulerKind::Orchestra(OrchestraConfig {
-                        sender_based,
-                        ..OrchestraConfig::paper_default()
-                    }),
-                )
-                .with_run(RunSpec {
-                    traffic_ppm: ppm,
-                    warmup_secs: 120,
-                    measure_secs: 300,
-                    seed: 0,
-                    ..RunSpec::default()
-                }),
-            });
-        }
-    }
-    eprintln!(
-        "running orchestra RB-vs-SB ablation ({} seeds/point)…",
-        config.seeds.len()
-    );
-    let mut results = gtt_bench::sweep::run_sweep("ppm/node", points, &config);
-    // Points alternate RB / SB per x; rename the second of each pair.
-    let mut seen = std::collections::BTreeSet::new();
-    for p in &mut results.points {
-        if !seen.insert(p.x_label.clone()) {
-            p.scheduler = "orchestra-sb";
-        }
-    }
-    print!("{}", render_figure_tables("O", &results));
+    figure_main("ablation_orchestra", ablation_orchestra_sweeps());
 }

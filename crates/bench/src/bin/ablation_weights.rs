@@ -1,18 +1,10 @@
 //! Ablation of the payoff weights α/β/γ (paper §VII-D) at 120 ppm.
+//!
+//! Takes the figure binaries' flags (`--quick`, the sweep cache,
+//! `--enqueue`, …); see `--help`.
 
-use gtt_bench::{ablation_weights, render_figure_tables, SweepConfig};
+use gtt_bench::{ablation_weights_sweeps, figure_main};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let config = if quick {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::default()
-    };
-    eprintln!(
-        "running weight ablation ({} seeds/point)…",
-        config.seeds.len()
-    );
-    let results = ablation_weights(&config);
-    print!("{}", render_figure_tables("W", &results));
+    figure_main("ablation_weights", ablation_weights_sweeps());
 }

@@ -2,19 +2,17 @@
 //! and emits `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out PATH] [--only SUBSTR] [--stats]
-//! [--jobs N] [--help]`
+//! [--help]`
 //!
-//! * `--quick` — shorter simulated window (CI smoke budget). Also skips
-//!   the `city_10k` metrics row (below).
+//! * `--quick` — shorter simulated window for the speedup matrix (CI
+//!   smoke budget). The `city_10k` metrics row (below) has a fixed
+//!   window and runs either way.
 //! * `--out PATH` — where to write the JSON (default `BENCH_engine.json`
 //!   in the current directory).
 //! * `--only SUBSTR` — run only the cases whose `name/scheduler/ppm`
-//!   label contains `SUBSTR` (profiling aid; gates are skipped).
+//!   label contains `SUBSTR` (profiling aid; no JSON, no `city_10k`
+//!   row, no gates).
 //! * `--stats` — per-run activity diagnostics (awake and tx per slot).
-//! * `--jobs N` — measure up to N cases concurrently. Reporting-only
-//!   mode: concurrent cases contend for cores, so wall-clock timings
-//!   lose fidelity and the regression gates are skipped (the JSON is
-//!   still written). Use `--jobs 1` (the default) for gated runs.
 //!
 //! Command-line errors (an unknown flag, a flag missing its value)
 //! print the usage and exit 2; an `--out` path that cannot be written
@@ -42,12 +40,15 @@
 //! duty-cycle overlay rows are reporting-only (no gate): they track how
 //! the overlay timeline costs scale, not an optimization target.
 //!
-//! Full runs additionally measure the `city_10k` metrics row: 60 s of
-//! the 100 × 100 city at 30 ppm on the event core alone (the naive
-//! oracle is infeasible at 10k nodes), reporting slots/s plus the
-//! packet-tracker footprint. Unlike the wall-clock speedup gates, its
-//! gate — ≤ 12 bytes per tracked packet — is host-independent: the
-//! footprint is computed from vector capacities, not timings.
+//! Every run also measures the `city_10k` metrics row: 60 s of the
+//! 100 × 100 city at 30 ppm on the event core alone (the naive oracle
+//! is infeasible at 10k nodes), reporting slots/s plus the
+//! packet-tracker footprint. The speedup and retention gates fail full
+//! runs only, since short windows on a shared runner are too noisy to
+//! fail on. The row's two memory gates — ≤ 12 bytes per tracked packet
+//! and ≤ 6 MiB in total — exit 1 in every mode, `--quick` included:
+//! they are host-independent, because the footprint is computed from
+//! vector capacities, not timings.
 
 use std::process::exit;
 use std::time::Instant;
@@ -71,6 +72,11 @@ const CITY_MOBILITY_RETENTION: f64 = 0.5;
 /// tracked packet (8-byte generation time + 1 delivered bit per packet
 /// plus lane headers). Host-independent — measured from capacities.
 const CITY_10K_BYTES_PER_PACKET: f64 = 12.0;
+
+/// Absolute tracker budget for the `city_10k` row: ~300k tracked
+/// packets at ≤ 12 B each plus slack for lane headers. Keeps metrics
+/// memory O(live + bitset), not O(packets ever).
+const CITY_10K_TOTAL_BYTES: usize = 6 << 20;
 
 /// Simulated window of the `city_10k` row. Fixed (not tied to
 /// `sim_secs`): 60 s at 30 ppm is enough traffic to amortize the
@@ -272,7 +278,7 @@ fn measure(case: &Case, sim: SimDuration, slot: SimDuration, stats: bool) -> Mea
     }
 }
 
-fn json(measurements: &[Measurement], sim_secs: u64, city_10k: Option<&City10k>) -> String {
+fn json(measurements: &[Measurement], sim_secs: u64, c: &City10k) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"engine_slots_per_sec\",\n");
     out.push_str(&format!("  \"sim_secs\": {sim_secs},\n"));
@@ -309,22 +315,20 @@ fn json(measurements: &[Measurement], sim_secs: u64, city_10k: Option<&City10k>)
         ));
     }
     out.push_str("  ]");
-    if let Some(c) = city_10k {
-        out.push_str(&format!(
-            ",\n  \"city_10k\": {{\"nodes\": {}, \"sim_secs\": {CITY_10K_SIM_SECS}, \
-             \"traffic_ppm\": {CITY_10K_TRAFFIC_PPM}, \"sim_slots\": {}, \
-             \"event_slots_per_sec\": {:.0}, \"tracker_bytes\": {}, \
-             \"tracker_lanes\": {}, \"tracked_packets\": {}, \
-             \"bytes_per_tracked_packet\": {:.2}}}",
-            c.nodes,
-            c.sim_slots,
-            c.event_slots_per_sec,
-            c.footprint.bytes,
-            c.footprint.lanes,
-            c.footprint.tracked,
-            c.footprint.bytes_per_tracked()
-        ));
-    }
+    out.push_str(&format!(
+        ",\n  \"city_10k\": {{\"nodes\": {}, \"sim_secs\": {CITY_10K_SIM_SECS}, \
+         \"traffic_ppm\": {CITY_10K_TRAFFIC_PPM}, \"sim_slots\": {}, \
+         \"event_slots_per_sec\": {:.0}, \"tracker_bytes\": {}, \
+         \"tracker_lanes\": {}, \"tracked_packets\": {}, \
+         \"bytes_per_tracked_packet\": {:.2}}}",
+        c.nodes,
+        c.sim_slots,
+        c.event_slots_per_sec,
+        c.footprint.bytes,
+        c.footprint.lanes,
+        c.footprint.tracked,
+        c.footprint.bytes_per_tracked()
+    ));
     out.push_str("\n}\n");
     out
 }
@@ -372,8 +376,7 @@ fn city_walk() -> StepMobility {
     m
 }
 
-const USAGE: &str =
-    "usage: bench_engine [--quick] [--out PATH] [--only SUBSTR] [--stats] [--jobs N] [--help]";
+const USAGE: &str = "usage: bench_engine [--quick] [--out PATH] [--only SUBSTR] [--stats] [--help]";
 
 /// Prints `message` + usage to stderr and exits with status 2.
 fn bad_usage(message: &str) -> ! {
@@ -387,7 +390,6 @@ struct Args {
     out_path: String,
     only: Option<String>,
     stats: bool,
-    jobs: usize,
 }
 
 /// Strictly parses argv (see the module docs for the flags).
@@ -398,8 +400,6 @@ fn parse_args() -> Args {
         out_path: "BENCH_engine.json".to_string(),
         only: None,
         stats: false,
-        // For a timing harness the safe default is sequential.
-        jobs: 1,
     };
     let mut i = 0;
     while i < argv.len() {
@@ -417,10 +417,6 @@ fn parse_args() -> Args {
             "--stats" => args.stats = true,
             "--out" => args.out_path = value_of(&mut i, "--out"),
             "--only" => args.only = Some(value_of(&mut i, "--only")),
-            "--jobs" => match value_of(&mut i, "--jobs").parse::<usize>() {
-                Ok(n) if n > 0 => args.jobs = n,
-                _ => bad_usage("--jobs needs a positive integer"),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 exit(0);
@@ -438,7 +434,6 @@ fn main() {
         out_path,
         only,
         stats,
-        jobs,
     } = parse_args();
 
     let sim_secs = if quick { 60 } else { 300 };
@@ -596,7 +591,7 @@ fn main() {
     ];
 
     eprintln!("bench_engine: {sim_secs} s simulated per core per scenario…");
-    let selected: Vec<&Case> = cases
+    let measurements: Vec<Measurement> = cases
         .iter()
         .filter(|case| match &only {
             None => true,
@@ -608,63 +603,25 @@ fn main() {
             )
             .contains(filter.as_str()),
         })
+        .map(|case| {
+            let m = measure(case, sim, slot, stats);
+            let parallel = match m.parallel {
+                Some((sps, speedup)) => format!("  parallel {sps:>9.0} slots/s ({speedup:.2}x)"),
+                None => String::new(),
+            };
+            eprintln!(
+                "  {:<17} {:<10} {:>4} nodes  event {:>9.0} slots/s  naive {:>9.0} slots/s  speedup {:>5.2}x{}",
+                m.name,
+                m.scheduler,
+                m.nodes,
+                m.event_slots_per_sec,
+                m.naive_slots_per_sec,
+                m.speedup,
+                parallel
+            );
+            m
+        })
         .collect();
-    let report = |m: &Measurement| {
-        let parallel = match m.parallel {
-            Some((sps, speedup)) => format!("  parallel {sps:>9.0} slots/s ({speedup:.2}x)"),
-            None => String::new(),
-        };
-        eprintln!(
-            "  {:<17} {:<10} {:>4} nodes  event {:>9.0} slots/s  naive {:>9.0} slots/s  speedup {:>5.2}x{}",
-            m.name,
-            m.scheduler,
-            m.nodes,
-            m.event_slots_per_sec,
-            m.naive_slots_per_sec,
-            m.speedup,
-            parallel
-        );
-    };
-    let measurements: Vec<Measurement> = if jobs > 1 {
-        // Reporting-only: concurrent cases contend for cores, so the
-        // wall-clock timings (and thus the gates) are not trustworthy.
-        eprintln!("  --jobs {jobs}: cases measured concurrently, timing gates skipped");
-        let slots: Vec<std::sync::Mutex<Option<Measurement>>> = selected
-            .iter()
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(selected.len()) {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if j >= selected.len() {
-                        break;
-                    }
-                    let m = measure(selected[j], sim, slot, stats);
-                    report(&m);
-                    *slots[j].lock().expect("no poisoned case slot") = Some(m);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("no poisoned case slot")
-                    .expect("every case measured")
-            })
-            .collect()
-    } else {
-        selected
-            .iter()
-            .map(|case| {
-                let m = measure(case, sim, slot, stats);
-                report(&m);
-                m
-            })
-            .collect()
-    };
 
     if only.is_some() {
         // Profiling mode: no JSON, no gates.
@@ -734,29 +691,28 @@ fn main() {
         city_mob.event_slots_per_sec, city_static.event_slots_per_sec
     );
 
-    // The city-10k metrics row: full runs only — 10k nodes for 60 s is
-    // beyond the --quick CI budget (the `city --mem-smoke` CI step gates
-    // the same quantity there).
-    let city_10k = if quick {
-        None
-    } else {
-        eprintln!("bench_engine: city-10k metrics row ({CITY_10K_SIM_SECS} s, event core)…");
-        let c = city_10k_row();
-        eprintln!(
-            "  {:<17} {:<10} {:>4} nodes  event {:>9.0} slots/s  tracker {} B / {} packets ({:.2} B/packet, {} lanes)",
-            "city-10k",
-            "gt-tsch",
-            c.nodes,
-            c.event_slots_per_sec,
-            c.footprint.bytes,
-            c.footprint.tracked,
-            c.footprint.bytes_per_tracked(),
-            c.footprint.lanes
-        );
-        Some(c)
-    };
+    // The city-10k metrics row: its window is fixed, so it runs (and
+    // gates memory) under --quick too.
+    eprintln!("bench_engine: city-10k metrics row ({CITY_10K_SIM_SECS} s, event core)…");
+    let city_10k = city_10k_row();
+    eprintln!(
+        "  {:<17} {:<10} {:>4} nodes  event {:>9.0} slots/s  ({} lanes)",
+        "city-10k",
+        "gt-tsch",
+        city_10k.nodes,
+        city_10k.event_slots_per_sec,
+        city_10k.footprint.lanes
+    );
+    let fp = &city_10k.footprint;
+    println!(
+        "city-10k tracker: {} B over {} packets ({:.2} B/packet; budget <= \
+         {CITY_10K_BYTES_PER_PACKET} B/packet and <= {CITY_10K_TOTAL_BYTES} B)",
+        fp.bytes,
+        fp.tracked,
+        fp.bytes_per_tracked()
+    );
 
-    let body = json(&measurements, sim_secs, city_10k.as_ref());
+    let body = json(&measurements, sim_secs, &city_10k);
     if let Err(e) = std::fs::write(&out_path, body) {
         eprintln!("error: cannot write {out_path}: {e}");
         exit(2);
@@ -784,21 +740,27 @@ fn main() {
         eprintln!("WARNING: city mobility retention below the {CITY_MOBILITY_RETENTION} floor");
         failed = true;
     }
-    if let Some(c) = &city_10k {
-        if c.footprint.bytes_per_tracked() > CITY_10K_BYTES_PER_PACKET {
-            eprintln!(
-                "WARNING: city-10k tracker footprint {:.2} B/packet above the \
-                 {CITY_10K_BYTES_PER_PACKET} B budget",
-                c.footprint.bytes_per_tracked()
-            );
-            failed = true;
-        }
+    // Only full runs gate on wall-clock ratios: --quick (60 s sim, used
+    // by the CI smoke job) is there for the wall-clock budget, and a
+    // short window on a noisy shared runner is no basis for failing the
+    // pipeline.
+    let mut memory_failed = false;
+    if fp.bytes_per_tracked() > CITY_10K_BYTES_PER_PACKET {
+        eprintln!(
+            "GATE FAIL: city-10k tracker footprint {:.2} B/packet above the \
+             {CITY_10K_BYTES_PER_PACKET} B budget",
+            fp.bytes_per_tracked()
+        );
+        memory_failed = true;
     }
-    // Only full sequential runs gate: --quick (60 s sim, used by the CI
-    // smoke job) is there for the wall-clock budget, a short window on a
-    // noisy shared runner is no basis for failing the pipeline, and
-    // --jobs > 1 runs contend for cores (reporting-only by design).
-    if failed && !quick && jobs == 1 {
+    if fp.bytes > CITY_10K_TOTAL_BYTES {
+        eprintln!(
+            "GATE FAIL: city-10k tracker footprint {} B above the {CITY_10K_TOTAL_BYTES} B budget",
+            fp.bytes
+        );
+        memory_failed = true;
+    }
+    if memory_failed || (failed && !quick) {
         exit(1);
     }
 }

@@ -1,23 +1,51 @@
 //! One verbose run with a per-node breakdown — the debugging lens used
 //! while reproducing the paper (kept because it is genuinely useful).
 //!
-//! Usage: `diagnose [ppm] [gt|orch|min]`
+//! Usage: `diagnose [PPM] [gt|orch|min]` — traffic per node (default
+//! 30 ppm) and scheduler (default GT-TSCH) on the Fig. 8 network. An
+//! unparsable or non-positive rate, an unknown scheduler, an extra
+//! argument or any flag but `--help` prints the usage and exits 2.
+
+use std::process::exit;
 
 use gtt_workload::{Experiment, RunSpec, ScenarioSpec, SchedulerKind};
 
-fn main() {
-    let ppm: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30.0);
-    let sched_name = std::env::args().nth(2).unwrap_or_else(|| "gt".into());
-    let sched = if sched_name.starts_with("orch") {
-        SchedulerKind::orchestra_default()
-    } else if sched_name.starts_with("min") {
-        SchedulerKind::minimal(32)
-    } else {
-        SchedulerKind::gt_tsch_default()
+const USAGE: &str = "usage: diagnose [PPM] [gt|orch|min]";
+
+fn bad_usage(message: &str) -> ! {
+    eprintln!("error: {message}\n{USAGE}");
+    exit(2);
+}
+
+/// Strictly parses `[PPM] [gt|orch|min]`.
+fn parse_args() -> (f64, SchedulerKind) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") || *a == "-h") {
+        if flag == "--help" || flag == "-h" {
+            println!("{USAGE}\n\nOne verbose Fig. 8-network run with a per-node breakdown.");
+            exit(0);
+        }
+        bad_usage(&format!("unknown flag {flag}"));
+    }
+    if args.len() > 2 {
+        bad_usage(&format!("unexpected argument {}", args[2]));
+    }
+    let ppm = match args.first().map(|s| s.parse::<f64>()) {
+        None => 30.0,
+        Some(Ok(ppm)) if ppm.is_finite() && ppm > 0.0 => ppm,
+        Some(_) => bad_usage(&format!("PPM must be a positive number, got {}", args[0])),
     };
+    let sched = match args.get(1).map_or("gt", String::as_str) {
+        "gt" => SchedulerKind::gt_tsch_default(),
+        "orch" => SchedulerKind::orchestra_default(),
+        "min" => SchedulerKind::minimal(32),
+        other => bad_usage(&format!("unknown scheduler {other}")),
+    };
+    (ppm, sched)
+}
+
+fn main() {
+    let (ppm, sched) = parse_args();
     let exp = Experiment::new(ScenarioSpec::two_dodag(7), sched.clone()).with_run(RunSpec {
         traffic_ppm: ppm,
         warmup_secs: 120,

@@ -1,15 +1,13 @@
 //! Regenerates the paper's Fig. 9 (all six sub-figures).
 //!
 //! Usage: `fig9 [--quick] [--no-cache | --cache-only] [--cache-dir DIR]
-//! [--jobs N] [--list | --enqueue QUEUE_DIR]` — `--quick` averages 2
-//! seeds instead of 5; cells are served from / into the persistent
+//! [--jobs N] [--pcap PATH] [--enqueue QUEUE_DIR]` — `--quick` averages
+//! 2 seeds instead of 5; cells are served from / into the persistent
 //! sweep cache (default `target/sweep-cache`) unless `--no-cache` is
-//! given. `--list` prints one `<key> <hit|miss> <encoded experiment>`
-//! line per cell without simulating (the dry-run that feeds
-//! `sweep_worker` shard files); `--enqueue` adds uncached cells to a
-//! fault-tolerant work-stealing queue (`sweep_worker --queue`);
-//! `--cache-only` renders from whatever the cache holds, reporting
-//! absent cells per point as `n/a`. See `--help`.
+//! given. `--enqueue` adds uncached cells to a fault-tolerant
+//! work-stealing queue (`sweep_worker --queue`); `--cache-only` renders
+//! from whatever the cache holds, reporting absent cells per point as
+//! `n/a`. See `--help`.
 
 use gtt_bench::{fig9_sweeps, figure_main};
 

@@ -6,14 +6,25 @@
 //! record framing (`incl_len == orig_len ≤ 65535`, no trailing bytes),
 //! monotone timestamps, and every frame body parsing as a well-formed
 //! GT-TSCH wire frame with a valid FCS. Prints one summary line per
-//! file and exits 0 only if every file validates.
+//! file and exits 0 only if every file validates. `--help` prints the
+//! usage; no files, or any other flag, prints it and exits 2.
 
 use std::process::exit;
 
+const USAGE: &str = "usage: pcapcheck FILE…";
+
 fn main() {
     let files: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = files.iter().find(|a| a.starts_with("--") || *a == "-h") {
+        if flag == "--help" || flag == "-h" {
+            println!("{USAGE}\n\nValidates pcap traces written by --pcap.");
+            exit(0);
+        }
+        eprintln!("error: unknown flag {flag}\n{USAGE}");
+        exit(2);
+    }
     if files.is_empty() {
-        eprintln!("usage: pcapcheck FILE…");
+        eprintln!("{USAGE}");
         exit(2);
     }
     let mut failed = false;

@@ -1,13 +1,13 @@
 //! Shared command-line front end of the figure binaries.
 //!
-//! Every figure binary (`fig8`, `fig9`, `fig10`, `fig_noise`) is a thin
-//! wrapper over [`figure_main`]: it contributes its [`FigureSweep`]s
-//! (table name, x axis, declarative cell list) and this module supplies
-//! one strict, uniform flag surface:
+//! Every figure binary (`fig8`, `fig9`, `fig10`, `fig_noise`) and every
+//! ablation binary is a thin wrapper over [`figure_main`]: it contributes
+//! its [`FigureSweep`]s (table name, x axis, declarative cell list) and
+//! this module supplies one strict, uniform flag surface:
 //!
 //! ```text
 //! fig8 [--quick] [--no-cache | --cache-only] [--cache-dir DIR]
-//!      [--jobs N] [--pcap PATH] [--list | --enqueue QUEUE_DIR] [--help]
+//!      [--jobs N] [--pcap PATH] [--enqueue QUEUE_DIR] [--help]
 //! ```
 //!
 //! Unknown flags, missing values and conflicting modes print the usage
@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use crate::queue::{enqueue_points, QueueDir};
-use crate::sweep::{render_shard_list, run_sweep, SweepConfig, SweepPoint};
+use crate::sweep::{run_sweep, SweepConfig, SweepPoint};
 use crate::table::render_figure_tables;
 
 /// One sub-figure sweep a binary renders: its table label, x-axis name
@@ -34,20 +34,12 @@ pub struct FigureSweep {
     pub points: Vec<SweepPoint>,
 }
 
-/// What a figure binary was asked to do.
-enum Mode {
-    /// Simulate (or serve from cache) and print the tables.
-    Run,
-    /// Print `<key> <hit|miss> <hex>` shard lines; simulate nothing.
-    List,
-    /// Populate a work-stealing queue directory with the cells.
-    Enqueue(PathBuf),
-}
-
 /// Parsed figure command line.
 struct FigureArgs {
     config: SweepConfig,
-    mode: Mode,
+    /// `--enqueue QUEUE_DIR`: populate this work-stealing queue with the
+    /// cells instead of simulating and printing the tables.
+    enqueue: Option<PathBuf>,
     /// `--pcap PATH`: after the tables, re-run the figure's first cell
     /// (first sweep, first point, first configured seed) with a frame
     /// tap and write the capture here.
@@ -57,7 +49,7 @@ struct FigureArgs {
 fn usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--quick] [--no-cache | --cache-only] [--cache-dir DIR] \
-         [--jobs N] [--pcap PATH] [--list | --enqueue QUEUE_DIR] [--help]"
+         [--jobs N] [--pcap PATH] [--enqueue QUEUE_DIR] [--help]"
     )
 }
 
@@ -76,8 +68,6 @@ fn help(bin: &str) -> String {
          --pcap PATH          also write an IEEE 802.15.4 pcap trace of the\n                       \
          figure's first cell (first point, first seed) to PATH;\n                       \
          deterministic — same binary and flags, same bytes\n  \
-         --list               print one '<key> <hit|miss> <hex experiment>' line\n                       \
-         per cell, without simulating (sweep_worker shard input)\n  \
          --enqueue QUEUE_DIR  add every cell not already cached to a\n                       \
          work-stealing queue directory (see sweep_worker --queue)\n  \
          --help               this text\n",
@@ -97,7 +87,6 @@ fn parse_figure_args(bin: &str) -> FigureArgs {
     let mut quick = false;
     let mut no_cache = false;
     let mut cache_only = false;
-    let mut list = false;
     let mut enqueue: Option<PathBuf> = None;
     let mut cache_dir = String::from("target/sweep-cache");
     let mut jobs = 0usize;
@@ -118,7 +107,6 @@ fn parse_figure_args(bin: &str) -> FigureArgs {
             "--quick" => quick = true,
             "--no-cache" => no_cache = true,
             "--cache-only" => cache_only = true,
-            "--list" => list = true,
             "--help" | "-h" => {
                 print!("{}", help(bin));
                 exit(0);
@@ -139,13 +127,10 @@ fn parse_figure_args(bin: &str) -> FigureArgs {
     if no_cache && cache_only {
         bad_usage(bin, "--no-cache and --cache-only contradict each other");
     }
-    if list && enqueue.is_some() {
-        bad_usage(bin, "--list and --enqueue are mutually exclusive");
-    }
     if no_cache && enqueue.is_some() {
         bad_usage(bin, "--enqueue needs the cache (drop --no-cache)");
     }
-    if pcap.is_some() && (list || enqueue.is_some()) {
+    if pcap.is_some() && enqueue.is_some() {
         bad_usage(bin, "--pcap only applies when the figure actually runs");
     }
     if pcap.is_some() && cache_only {
@@ -164,23 +149,26 @@ fn parse_figure_args(bin: &str) -> FigureArgs {
     if !no_cache {
         config = config.cached(cache_dir);
     }
-    let mode = match enqueue {
-        Some(dir) => Mode::Enqueue(dir),
-        None if list => Mode::List,
-        None => Mode::Run,
-    };
-    FigureArgs { config, mode, pcap }
+    FigureArgs {
+        config,
+        enqueue,
+        pcap,
+    }
 }
 
 /// The whole `main` of a figure binary: parses the uniform flag set,
-/// then lists, enqueues, or runs + renders the given sweeps.
+/// then enqueues, or runs + renders the given sweeps.
 ///
 /// In run mode the tables go to stdout and a cache summary to stderr.
 /// With `--cache-only`, cells absent from the cache are reported per
 /// point on stderr, rendered as `n/a`, and make the process exit 1 —
 /// a partially-warm cache yields a partial figure, never a panic.
 pub fn figure_main(bin: &str, sweeps: Vec<FigureSweep>) {
-    let FigureArgs { config, mode, pcap } = parse_figure_args(bin);
+    let FigureArgs {
+        config,
+        enqueue,
+        pcap,
+    } = parse_figure_args(bin);
 
     // `--pcap` traces the figure's first cell: first sweep, first
     // point, first configured seed. Captured up front because run mode
@@ -194,13 +182,8 @@ pub fn figure_main(bin: &str, sweeps: Vec<FigureSweep>) {
         (point.experiment.with_seed(seed), path)
     });
 
-    match mode {
-        Mode::List => {
-            let points: Vec<SweepPoint> =
-                sweeps.into_iter().flat_map(|sweep| sweep.points).collect();
-            print!("{}", render_shard_list(&points, &config));
-        }
-        Mode::Enqueue(dir) => {
+    match enqueue {
+        Some(dir) => {
             let points: Vec<SweepPoint> =
                 sweeps.into_iter().flat_map(|sweep| sweep.points).collect();
             let queue = QueueDir::open(&dir).unwrap_or_else(|e| {
@@ -221,7 +204,7 @@ pub fn figure_main(bin: &str, sweeps: Vec<FigureSweep>) {
                 summary.corrupt
             );
         }
-        Mode::Run => {
+        None => {
             let seeds = config.seeds.len();
             let mut hits = 0;
             let mut misses = 0;

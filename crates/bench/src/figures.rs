@@ -1,11 +1,11 @@
-//! The figure sweeps of the paper's evaluation (§VIII).
+//! The figure sweeps of the paper's evaluation (§VIII) and its
+//! ablations.
 //!
-//! Every sweep exists twice: a `*_points()` constructor returning the
-//! declarative [`SweepPoint`] list (what `--list` renders into
-//! `sweep_worker` shard files) and a runner returning the raw
-//! [`SweepResults`], so the binaries (printing tables), the sharding
-//! dry-run and the integration tests all share one description of each
-//! figure.
+//! Each sweep is one declarative [`SweepPoint`] list built by a
+//! `*_points()` constructor; the matching `*_sweeps()` function labels
+//! it (table name, x axis) for [`crate::figure_main`]. The binaries
+//! (printing tables or enqueueing cells), the benchmark and the
+//! integration tests all share this one description of each figure.
 
 use gt_tsch::{GameWeights, GtTschConfig};
 use gtt_orchestra::OrchestraConfig;
@@ -13,7 +13,7 @@ use gtt_sim::SimDuration;
 use gtt_workload::{Experiment, NoiseBurst, Overlay, RunSpec, ScenarioSpec, SchedulerKind};
 
 use crate::cli::FigureSweep;
-use crate::sweep::{run_sweep, SweepConfig, SweepPoint, SweepResults};
+use crate::sweep::SweepPoint;
 
 /// Warm-up before measurement (network formation + schedule
 /// convergence), seconds.
@@ -55,11 +55,6 @@ pub fn fig8_points() -> Vec<SweepPoint> {
     points
 }
 
-/// Runs the **Fig. 8** sweep.
-pub fn fig8(config: &SweepConfig) -> SweepResults {
-    run_sweep("ppm/node", fig8_points(), config)
-}
-
 /// The `fig8` binary's sweeps (for [`crate::figure_main`]).
 pub fn fig8_sweeps() -> Vec<FigureSweep> {
     vec![FigureSweep {
@@ -83,11 +78,6 @@ pub fn fig9_points() -> Vec<SweepPoint> {
         }
     }
     points
-}
-
-/// Runs the **Fig. 9** sweep.
-pub fn fig9(config: &SweepConfig) -> SweepResults {
-    run_sweep("nodes/DODAG", fig9_points(), config)
 }
 
 /// The `fig9` binary's sweeps (for [`crate::figure_main`]).
@@ -124,11 +114,6 @@ pub fn fig10_points() -> Vec<SweepPoint> {
         });
     }
     points
-}
-
-/// Runs the **Fig. 10** sweep.
-pub fn fig10(config: &SweepConfig) -> SweepResults {
-    run_sweep("unicast slotframe", fig10_points(), config)
 }
 
 /// The `fig10` binary's sweeps (for [`crate::figure_main`]).
@@ -176,11 +161,6 @@ pub fn fig_noise_depth_points() -> Vec<SweepPoint> {
     points
 }
 
-/// Runs the noise **depth** sweep.
-pub fn fig_noise_depth(config: &SweepConfig) -> SweepResults {
-    run_sweep("burst PRR factor", fig_noise_depth_points(), config)
-}
-
 /// **Noise figure** points — interference-burst period sweep: fixed 20%
 /// PRR bursts of 2 s arriving every `quiet + 2` seconds, from rare to
 /// near-continuous.
@@ -201,11 +181,6 @@ pub fn fig_noise_period_points() -> Vec<SweepPoint> {
         }
     }
     points
-}
-
-/// Runs the noise **period** sweep.
-pub fn fig_noise_period(config: &SweepConfig) -> SweepResults {
-    run_sweep("burst period", fig_noise_period_points(), config)
 }
 
 /// The `fig_noise` binary's two sweeps (for [`crate::figure_main`]).
@@ -277,9 +252,13 @@ pub fn ablation_weights_points() -> Vec<SweepPoint> {
     points
 }
 
-/// Runs the weight ablation.
-pub fn ablation_weights(config: &SweepConfig) -> SweepResults {
-    run_sweep("weights", ablation_weights_points(), config)
+/// The `ablation_weights` binary's sweep (for [`crate::figure_main`]).
+pub fn ablation_weights_sweeps() -> Vec<FigureSweep> {
+    vec![FigureSweep {
+        table: "W",
+        x_axis: "weights",
+        points: ablation_weights_points(),
+    }]
 }
 
 /// **Ablation (§III)** points — Algorithm 1's coordinated channel
@@ -311,24 +290,53 @@ pub fn ablation_channel_points() -> Vec<SweepPoint> {
     points
 }
 
-/// Runs the channel ablation.
-pub fn ablation_channel(config: &SweepConfig) -> SweepResults {
-    // Distinguish the two variants by name for the table.
-    let mut results = run_sweep("ppm/node", ablation_channel_points(), config);
-    let mut algo1_seen = std::collections::BTreeSet::new();
-    for p in &mut results.points {
-        // Points alternate algorithm-1 / hash per x; rename the second.
-        if !algo1_seen.insert(p.x_label.clone()) {
-            p.scheduler = "gt-tsch-hash";
+/// The `ablation_channel` binary's sweep (for [`crate::figure_main`]).
+pub fn ablation_channel_sweeps() -> Vec<FigureSweep> {
+    vec![FigureSweep {
+        table: "C",
+        x_axis: "ppm/node",
+        points: ablation_channel_points(),
+    }]
+}
+
+/// **Ablation** points — Orchestra's receiver-based unicast cells (the
+/// mode the paper evaluates: all children share the parent's Rx slot,
+/// the §VIII bottleneck) vs sender-based cells (every sender gets its
+/// own slot, at the cost of the receiver listening in every sender's
+/// slot), on the Fig. 8 network across loads.
+pub fn ablation_orchestra_points() -> Vec<SweepPoint> {
+    let mut points = Vec::new();
+    for &ppm in &[30.0, 75.0, 120.0, 165.0] {
+        for sender_based in [false, true] {
+            points.push(SweepPoint {
+                x_label: format!("{ppm:.0}"),
+                experiment: Experiment::new(
+                    ScenarioSpec::two_dodag(7),
+                    SchedulerKind::Orchestra(OrchestraConfig {
+                        sender_based,
+                        ..OrchestraConfig::paper_default()
+                    }),
+                )
+                .with_run(spec(ppm)),
+            });
         }
     }
-    results
+    points
+}
+
+/// The `ablation_orchestra` binary's sweep (for [`crate::figure_main`]).
+pub fn ablation_orchestra_sweeps() -> Vec<FigureSweep> {
+    vec![FigureSweep {
+        table: "O",
+        x_axis: "ppm/node",
+        points: ablation_orchestra_points(),
+    }]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::cell_key;
+    use crate::sweep::{cell_key, run_sweep, SweepConfig};
 
     /// One fast end-to-end pass of the fig8 machinery (1 seed, light
     /// load only) — the full run is exercised by the `fig8` binary.

@@ -10,16 +10,17 @@
 //! | `fig_noise` | — (robustness) | interference-burst depth and period |
 //! | `ablation_weights` | §VII-D discussion | α/β/γ settings of the payoff |
 //! | `ablation_channel` | §III strategies | Algorithm 1 vs hash-based channels |
+//! | `ablation_orchestra` | §VIII bottleneck | Orchestra receiver- vs sender-based cells |
 //! | `diagnose` | — | one verbose run with per-node breakdown |
-//! | `sweep_worker` | — | fills the sweep cache from shard files or a work-stealing queue |
+//! | `pcapcheck` | — | validates the pcap traces `--pcap` writes |
+//! | `sweep_worker` | — | drains a work-stealing queue into the sweep cache |
+//! | `bench_engine` | — | the perf harness: event core vs oracle, city-10k memory gate |
 //!
-//! Each figure binary prints the paper's six series (PDR, end-to-end
-//! delay, packet loss, radio duty cycle, queue loss, received
-//! packets/minute) as one table per sub-figure, averaged over seeds,
-//! ready to paste into `EXPERIMENTS.md` — or, with `--list`, dumps its
-//! cells as canonical-key / cache-status / encoded-experiment lines for
-//! cross-process sharding via `sweep_worker`, or, with `--enqueue`,
-//! feeds them to the fault-tolerant queue fabric of [`queue`].
+//! Each figure and ablation binary prints the paper's six series (PDR,
+//! end-to-end delay, packet loss, radio duty cycle, queue loss,
+//! received packets/minute) as one table per sub-figure, averaged over
+//! seeds, ready to paste into `EXPERIMENTS.md` — or, with `--enqueue`,
+//! feeds its cells to the fault-tolerant queue fabric of [`queue`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,17 +33,14 @@ pub mod table;
 
 pub use cli::{figure_main, FigureSweep};
 pub use figures::{
-    ablation_channel, ablation_channel_points, ablation_weights, ablation_weights_points, fig10,
-    fig10_points, fig10_sweeps, fig8, fig8_points, fig8_sweeps, fig9, fig9_points, fig9_sweeps,
-    fig_noise_depth, fig_noise_depth_points, fig_noise_period, fig_noise_period_points,
-    fig_noise_sweeps,
+    ablation_channel_points, ablation_channel_sweeps, ablation_orchestra_points,
+    ablation_orchestra_sweeps, ablation_weights_points, ablation_weights_sweeps, fig10_points,
+    fig10_sweeps, fig8_points, fig8_sweeps, fig9_points, fig9_sweeps, fig_noise_depth_points,
+    fig_noise_period_points, fig_noise_sweeps,
 };
 pub use queue::{
     enqueue_points, run_queue_worker, EnqueueSummary, QueueCell, QueueDir, QueueWorkerConfig,
     QueueWorkerStats, Requeue, StaleTracker,
 };
-pub use sweep::{
-    cell_key, ensure_cached, probe_cached, render_shard_list, PointResult, SweepConfig, SweepPoint,
-    SweepResults,
-};
+pub use sweep::{cell_key, probe_cached, PointResult, SweepConfig, SweepPoint, SweepResults};
 pub use table::render_figure_tables;

@@ -1,20 +1,26 @@
 //! Fault-tolerant work-stealing sweep queue.
 //!
-//! `sweep_worker`'s shard files (PR 5/6) statically partition a
-//! figure's cells: a worker that dies takes its shard with it and a
-//! slow worker straggles the whole figure. This module replaces the
-//! static partition with an on-disk *queue directory* that any number
-//! of workers — threads, processes, or (over a shared filesystem)
-//! hosts — drain cooperatively, surviving crashes of any of them:
+//! A figure's cells are spread across processes through an on-disk
+//! *queue directory* that any number of workers — threads, processes,
+//! or (over a shared filesystem) hosts — drain cooperatively, surviving
+//! crashes of any of them. There is no static partition: a worker that
+//! dies costs only its in-flight cell, and a slow worker never
+//! straggles the whole figure.
 //!
 //! ```text
 //! queue/
 //!   pending/<key>   cell waiting to be claimed
 //!   leases/<key>    cell being computed; carries worker id + heartbeat
 //!   done/<key>      completion marker (result lives in the sweep cache)
-//!   failed/<key>    cell parked after its retry budget; a valid shard
-//!                   file (`# error` comment + experiment hex line)
+//!   failed/<key>    cell parked after its retry budget (`# error`
+//!                   comment + `<key> miss <experiment hex>` line, kept
+//!                   for post-mortems)
 //! ```
+//!
+//! A parked cell re-enters the queue when its `failed/<key>` entry is
+//! removed and the figure is enqueued again ([`enqueue_points`]): only
+//! keys still present anywhere in the queue are skipped, so the cell
+//! lands back in `pending/` with 0 retries.
 //!
 //! Every transition is a single atomic `rename` on one filesystem (the
 //! same temp+rename discipline as the sweep cache), so each cell is in
@@ -309,10 +315,9 @@ impl QueueDir {
     }
 
     /// Parks a leased cell in `failed/` with the captured error. The
-    /// failed entry is a valid shard file (comment + hex line), so a
-    /// parked cell can be re-run by hand with
-    /// `sweep_worker --cache-dir DIR queue/failed/<key>` after the
-    /// cause is fixed.
+    /// failed entry keeps the key and experiment hex for post-mortems;
+    /// after the cause is fixed, removing the entry and enqueueing the
+    /// figure again puts the cell back in `pending/`.
     pub fn park(&self, key: &str, error: &str, hex: &str) -> std::io::Result<()> {
         let error = error.replace('\n', " ");
         self.write_atomic("failed", key, &format!("# {error}\n{key} miss {hex}\n"))?;
@@ -974,7 +979,7 @@ mod tests {
         assert_eq!(q.failed_keys().unwrap(), vec![key.clone()]);
         let parked = std::fs::read_to_string(q.dir("failed").join(&key)).unwrap();
         assert!(parked.starts_with("# lease expired"), "{parked}");
-        // The failed entry is a valid shard line: key, status, hex.
+        // The failed entry keeps the key and hex for post-mortems.
         let line = parked.lines().nth(1).unwrap();
         let mut fields = line.split_whitespace();
         assert_eq!(fields.next(), Some(key.as_str()));
@@ -1099,8 +1104,9 @@ mod tests {
         let root = scratch("enqueue-points");
         let q = QueueDir::open(root.join("queue")).unwrap();
         let cache = root.join("cache");
-        let warm = tiny_experiment(10.0);
-        crate::sweep::ensure_cached(&cache, &warm.with_seed(1));
+        let warm = tiny_experiment(10.0).with_seed(1);
+        std::fs::create_dir_all(&cache).unwrap();
+        cache_store(&cache, &cell_key(&warm), &warm, &run_cell(&warm)).unwrap();
         let points = vec![
             SweepPoint {
                 x_label: "10".into(),
@@ -1123,11 +1129,50 @@ mod tests {
         assert_eq!(summary.already_queued, 0);
         assert_eq!(q.pending_keys().unwrap().len(), 3);
         assert_eq!(q.done_keys().unwrap().len(), 1);
-        assert!(q.is_done(&cell_key(&warm.with_seed(1))));
+        assert!(q.is_done(&cell_key(&warm)));
         // Second enqueue is fully idempotent.
         let again = enqueue_points(&q, &points, &config).unwrap();
         assert_eq!(again.enqueued, 0);
         assert_eq!(again.already_queued, 3);
         assert_eq!(again.already_cached, 1);
+    }
+
+    /// The way back for a parked cell: remove its `failed/` entry and
+    /// enqueue the figure again — no dedicated flag or tool needed.
+    #[test]
+    fn removing_a_parked_entry_lets_enqueue_points_requeue_it_fresh() {
+        let root = scratch("re-enqueue-parked");
+        let q = QueueDir::open(root.join("queue")).unwrap();
+        let points = vec![SweepPoint {
+            x_label: "10".into(),
+            experiment: tiny_experiment(10.0),
+        }];
+        let config = SweepConfig {
+            seeds: vec![1],
+            threads: 1,
+            ..SweepConfig::default()
+        }
+        .cached(root.join("cache"));
+        assert_eq!(enqueue_points(&q, &points, &config).unwrap().enqueued, 1);
+        let key = q.pending_keys().unwrap().remove(0);
+        // Spend the whole budget: one claim, one expiry, parked.
+        q.claim(&key, "dead").unwrap().unwrap();
+        assert_eq!(
+            q.requeue_stale(&key, ("dead", 1), 0).unwrap(),
+            Requeue::Parked
+        );
+        // While parked, the cell counts as already queued.
+        let parked = enqueue_points(&q, &points, &config).unwrap();
+        assert_eq!((parked.enqueued, parked.already_queued), (0, 1));
+
+        std::fs::remove_file(q.dir("failed").join(&key)).unwrap();
+        let again = enqueue_points(&q, &points, &config).unwrap();
+        assert_eq!(again.enqueued, 1);
+        assert_eq!(q.pending_keys().unwrap(), vec![key.clone()]);
+        assert!(q.failed_keys().unwrap().is_empty());
+        let text = std::fs::read_to_string(q.dir("pending").join(&key)).unwrap();
+        let cell = QueueCell::parse(&text).expect("a fresh pending cell");
+        assert_eq!(cell.retries, 0);
+        assert_eq!(cell.hex, tiny_experiment(10.0).encode_hex());
     }
 }

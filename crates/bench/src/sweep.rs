@@ -1,5 +1,4 @@
-//! Parallel sweep execution with a persistent per-cell result cache and
-//! multi-process sharding support.
+//! Parallel sweep execution with a persistent per-cell result cache.
 //!
 //! Every cell of a sweep matrix is a pure function of one
 //! [`Experiment`] value (scenario spec, scheduler configuration, run
@@ -26,16 +25,14 @@
 //! the first error is kept for the harness to print, instead of being
 //! silently dropped.
 //!
-//! The same keys and encodings power cross-process sharding: figure
-//! binaries dump their cells as one hex-encoded experiment per line
-//! (`--list`, rendered by [`render_shard_list`]), any number of
-//! `sweep_worker` processes fill the shared cache directory from
-//! disjoint slices of those lines ([`ensure_cached`]) — or steal work
-//! from a fault-tolerant on-disk queue (see [`crate::queue`]) — and the
-//! final figure run is then 100% cache hits. A figure can also render
-//! from a *partially* warm cache ([`SweepConfig::cache_only`]): missing
-//! cells are counted per point and rendered as explicit `n/a` table
-//! cells instead of being simulated (or panicking).
+//! The same keys and encodings spread a sweep across processes: any
+//! number of `sweep_worker` processes steal cells from a fault-tolerant
+//! on-disk queue (see [`crate::queue`]) into the shared cache
+//! directory, and the final figure run is then 100% cache hits. A
+//! figure can also render from a *partially* warm cache
+//! ([`SweepConfig::cache_only`]): missing cells are counted per point
+//! and rendered as explicit `n/a` table cells instead of being
+//! simulated (or panicking).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -405,60 +402,6 @@ pub fn probe_cached(dir: &Path, experiment: &Experiment) -> bool {
     matches!(cache_fetch(dir, &cell_key(experiment)), CacheFetch::Hit(_))
 }
 
-/// Guarantees `experiment`'s cell exists in the cache under `dir`,
-/// simulating and storing it on a miss. Returns `true` when the cell
-/// was already cached — the `sweep_worker` shard-mode primitive. A
-/// corrupt cell is quarantined (with a warning) and recomputed; a
-/// failed store is warned about but does not abort the shard.
-///
-/// # Panics
-///
-/// Panics if `dir` cannot be created.
-pub fn ensure_cached(dir: &Path, experiment: &Experiment) -> bool {
-    std::fs::create_dir_all(dir).expect("cache dir must be creatable");
-    let key = cell_key(experiment);
-    match cache_fetch(dir, &key) {
-        CacheFetch::Hit(_) => return true,
-        CacheFetch::Corrupt => {
-            let _ = quarantine(dir, &key);
-            eprintln!("sweep cache: quarantined corrupt cell {key}");
-        }
-        CacheFetch::Miss => {}
-    }
-    let cell = run_cell(experiment);
-    if let Err(e) = cache_store(dir, &key, experiment, &cell) {
-        eprintln!("sweep cache: failed to store cell {key}: {e}");
-    }
-    false
-}
-
-/// Renders a sweep's cells as shard-file lines without simulating
-/// anything: one line per distinct cell —
-/// `<key> <hit|miss> <hex-encoded experiment>` — against
-/// `config.cache_dir` (no cache dir ⇒ everything is a miss). Cells
-/// shared between points (e.g. a clean column reused across figures)
-/// are emitted once.
-pub fn render_shard_list(points: &[SweepPoint], config: &SweepConfig) -> String {
-    let mut out = String::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for point in points {
-        for &seed in &config.seeds {
-            let exp = point.experiment.with_seed(seed);
-            let key = cell_key(&exp);
-            if !seen.insert(key.clone()) {
-                continue;
-            }
-            let hit = config
-                .cache_dir
-                .as_deref()
-                .is_some_and(|dir| matches!(cache_fetch(dir, &key), CacheFetch::Hit(_)));
-            let status = if hit { "hit" } else { "miss" };
-            out.push_str(&format!("{key} {status} {}\n", exp.encode_hex()));
-        }
-    }
-    out
-}
-
 /// Runs every `(point, seed)` cell, in parallel, and averages per
 /// point. With [`SweepConfig::cache_dir`] set, cells whose experiment
 /// is unchanged are served from the persistent cache instead of
@@ -688,6 +631,22 @@ mod tests {
         dir
     }
 
+    /// Runs `exp` (its seed included) as a one-cell sweep through the
+    /// cache under `dir`.
+    fn sweep_cell(dir: &Path, exp: &Experiment) -> SweepResults {
+        let cfg = SweepConfig {
+            seeds: vec![exp.run.seed],
+            threads: 1,
+            ..SweepConfig::default()
+        }
+        .cached(dir);
+        let point = SweepPoint {
+            x_label: "x".into(),
+            experiment: exp.clone(),
+        };
+        run_sweep("x", vec![point], &cfg)
+    }
+
     #[test]
     fn second_identical_sweep_is_served_from_cache() {
         let cfg = SweepConfig {
@@ -757,8 +716,12 @@ mod tests {
     fn schema_version_bump_invalidates_cached_cells() {
         let dir = scratch_cache("schema-bump");
         let exp = tiny_experiment(10.0).with_seed(1);
-        assert!(!ensure_cached(&dir, &exp), "cold cache computes");
-        assert!(ensure_cached(&dir, &exp), "warm cache hits");
+        assert_eq!(
+            sweep_cell(&dir, &exp).cache_misses,
+            1,
+            "cold cache computes"
+        );
+        assert_eq!(sweep_cell(&dir, &exp).cache_hits, 1, "warm cache hits");
         let bumped_key = key_of_bytes(&exp.encode_with_version(ENCODING_VERSION + 1));
         assert_ne!(
             bumped_key,
@@ -794,7 +757,11 @@ mod tests {
         assert_ne!(v1_key, cell_key(&exp), "v1 keys differ from v2 keys");
         // Simulate a leftover v1 cell under its own key: the current
         // build never derives that key, so it stays cold.
-        assert!(!ensure_cached(&dir, &exp), "cold cache computes");
+        assert_eq!(
+            sweep_cell(&dir, &exp).cache_misses,
+            1,
+            "cold cache computes"
+        );
         assert_eq!(
             cache_fetch(&dir, &v1_key),
             CacheFetch::Miss,
@@ -846,7 +813,7 @@ mod tests {
     fn bit_flipped_cell_fails_the_checksum() {
         let dir = scratch_cache("bitflip");
         let exp = tiny_experiment(10.0).with_seed(1);
-        assert!(!ensure_cached(&dir, &exp));
+        assert_eq!(sweep_cell(&dir, &exp).cache_misses, 1);
         let key = cell_key(&exp);
         let mut bytes = std::fs::read(dir.join(&key)).unwrap();
         // Flip one bit in the values line (third line).
@@ -864,10 +831,14 @@ mod tests {
         bytes[third_line_start] ^= 0x01;
         std::fs::write(dir.join(&key), &bytes).unwrap();
         assert_eq!(cache_fetch(&dir, &key), CacheFetch::Corrupt);
-        // ensure_cached quarantines + recomputes instead of serving it.
-        assert!(!ensure_cached(&dir, &exp), "corrupt cell is recomputed");
+        // The sweep quarantines + recomputes instead of serving it.
+        assert_eq!(
+            sweep_cell(&dir, &exp).corrupt_cells,
+            1,
+            "corrupt cell is recomputed"
+        );
         assert!(dir.join(QUARANTINE_SUBDIR).join(&key).exists());
-        assert!(ensure_cached(&dir, &exp), "cache is whole again");
+        assert_eq!(sweep_cell(&dir, &exp).cache_hits, 1, "cache is whole again");
     }
 
     /// Cache-only rendering from a partially-warm cache: present cells
@@ -921,35 +892,5 @@ mod tests {
         assert!(results.first_store_error.is_some());
         assert_eq!(results.points.len(), 2, "figure still rendered");
         assert!(results.points.iter().all(|p| p.rows.len() == 1));
-    }
-
-    #[test]
-    fn shard_list_reflects_cache_state_and_round_trips() {
-        let dir = scratch_cache("shard-list");
-        let cfg = SweepConfig {
-            seeds: vec![1, 2],
-            threads: 1,
-            ..SweepConfig::default()
-        }
-        .cached(dir.clone());
-        let listing = render_shard_list(&tiny_points(), &cfg);
-        assert_eq!(listing.lines().count(), 4, "2 points × 2 seeds, no dupes");
-        // Every line decodes back to its experiment and matches its key.
-        for line in listing.lines() {
-            let mut fields = line.split_whitespace();
-            let key = fields.next().unwrap();
-            assert_eq!(fields.next(), Some("miss"), "cold cache lists misses");
-            let exp = Experiment::decode_hex(fields.next().unwrap()).expect("hex decodes");
-            assert_eq!(cell_key(&exp), key);
-        }
-        // Fill one cell: exactly that line flips to hit.
-        let filled = tiny_points()[0].experiment.with_seed(2);
-        ensure_cached(&dir, &filled);
-        let relisted = render_shard_list(&tiny_points(), &cfg);
-        assert_eq!(relisted.lines().filter(|l| l.contains(" hit ")).count(), 1);
-        // Duplicate cells across points are emitted once.
-        let mut dup = tiny_points();
-        dup.push(dup[0].clone());
-        assert_eq!(render_shard_list(&dup, &cfg).lines().count(), 4);
     }
 }

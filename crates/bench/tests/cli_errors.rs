@@ -1,50 +1,70 @@
 //! Bad input to the harness binaries is an error, never a panic: a
-//! usage or encoding error exits with status 2 and a message naming
-//! what was wrong.
+//! usage error exits with status 2, prints nothing on stdout (no run
+//! starts) and names what was wrong on stderr.
 
 use std::process::{Command, Output};
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("run {bin}: {e}"))
+}
 
 fn assert_input_error(output: &Output, needle: &str) {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains(needle), "missing {needle:?} in: {stderr}");
     assert!(!stderr.contains("panicked"), "panicked: {stderr}");
-}
-
-#[test]
-fn sweep_worker_rejects_a_bad_shard_line_with_file_and_line() {
-    let dir = std::env::temp_dir().join(format!("gtt-cli-errors-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let shard = dir.join("shard");
-    std::fs::write(&shard, "# one bad cell\nk miss zz\n").expect("write shard");
-    let output = Command::new(env!("CARGO_BIN_EXE_sweep_worker"))
-        .arg("--cache-dir")
-        .arg(dir.join("cache"))
-        .arg(&shard)
-        .output()
-        .expect("run sweep_worker");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_input_error(
-        &output,
-        &format!("{}:2: bad experiment encoding", shard.display()),
+    assert!(
+        output.stdout.is_empty(),
+        "no run may start: {}",
+        String::from_utf8_lossy(&output.stdout)
     );
 }
 
 #[test]
-fn city_rejects_an_unknown_flag() {
-    let output = Command::new(env!("CARGO_BIN_EXE_city"))
-        .arg("--bogus")
-        .output()
-        .expect("run city");
-    assert_input_error(&output, "unknown argument --bogus");
-    assert!(output.stdout.is_empty(), "no smoke run may start");
+fn figure_binaries_reject_bad_flags() {
+    let fig8 = env!("CARGO_BIN_EXE_fig8");
+    for (args, needle) in [
+        (&["--bogus"][..], "unknown flag --bogus"),
+        (&["--jobs", "0"][..], "--jobs needs a positive integer"),
+        (&["--no-cache", "--cache-only"][..], "contradict"),
+        // A removed flag is rejected like any unknown one.
+        (&["--list"][..], "unknown flag --list"),
+    ] {
+        assert_input_error(&run(fig8, args), needle);
+    }
+    assert_input_error(
+        &run(env!("CARGO_BIN_EXE_ablation_weights"), &["--quik"]),
+        "unknown flag --quik",
+    );
+}
+
+#[test]
+fn diagnose_rejects_a_bad_rate() {
+    assert_input_error(
+        &run(env!("CARGO_BIN_EXE_diagnose"), &["abc"]),
+        "PPM must be a positive number",
+    );
+}
+
+#[test]
+fn sweep_worker_rejects_a_positional_file() {
+    assert_input_error(
+        &run(env!("CARGO_BIN_EXE_sweep_worker"), &["cells.list"]),
+        "unexpected argument cells.list",
+    );
 }
 
 #[test]
 fn bench_engine_rejects_an_unknown_flag() {
-    let output = Command::new(env!("CARGO_BIN_EXE_bench_engine"))
-        .arg("--quik")
-        .output()
-        .expect("run bench_engine");
-    assert_input_error(&output, "unknown argument --quik");
+    let bench_engine = env!("CARGO_BIN_EXE_bench_engine");
+    for (args, needle) in [
+        (&["--quik"][..], "unknown argument --quik"),
+        // Concurrent measurement is gone: it could only skip the gates.
+        (&["--jobs", "2"][..], "unknown argument --jobs"),
+    ] {
+        assert_input_error(&run(bench_engine, args), needle);
+    }
 }

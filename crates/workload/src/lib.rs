@@ -8,8 +8,8 @@
 //! mobility, duty-cycle budgets). Experiments are plain data —
 //! comparable, cloneable, and canonically encodable
 //! ([`Experiment::encode`]) into a versioned byte form that doubles as
-//! the sweep cache key and as the shard-file line format of the
-//! multi-process `sweep_worker` (see `gtt-bench`).
+//! the sweep cache key and as the cell payload of the multi-process
+//! `sweep_worker` queue (see `gtt-bench`).
 //!
 //! # Example
 //!
@@ -29,8 +29,8 @@
 //!     overlays: vec![Overlay::Noise(NoiseBurst::wifi_like())],
 //!     trace: None, // set via `with_trace` to capture a pcap of the run
 //! };
-//! // The canonical encoding round-trips exactly (cache keys and shard
-//! // files are derived from it) …
+//! // The canonical encoding round-trips exactly (cache keys and queue
+//! // cells are derived from it) …
 //! assert_eq!(Experiment::decode(&exp.encode()).unwrap(), exp);
 //! // … and `run()` drives warm-up, the overlay timeline and the
 //! // measured window in one call.

@@ -39,10 +39,14 @@ impl SchedulerKind {
         SchedulerKind::Minimal { slotframe_len }
     }
 
-    /// Short name for tables.
+    /// Short name for tables. The ablation variants of one scheduler
+    /// (hash-based GT-TSCH channels, sender-based Orchestra cells) get
+    /// their own name, so a table can show them beside the default.
     pub fn name(&self) -> &'static str {
         match self {
+            SchedulerKind::GtTsch(cfg) if cfg.hash_channels => "gt-tsch-hash",
             SchedulerKind::GtTsch(_) => "gt-tsch",
+            SchedulerKind::Orchestra(cfg) if cfg.sender_based => "orchestra-sb",
             SchedulerKind::Orchestra(_) => "orchestra",
             SchedulerKind::Minimal { .. } => "minimal",
         }
@@ -78,6 +82,19 @@ mod tests {
         assert_eq!(SchedulerKind::gt_tsch_default().name(), "gt-tsch");
         assert_eq!(SchedulerKind::orchestra_default().name(), "orchestra");
         assert_eq!(SchedulerKind::minimal(8).name(), "minimal");
+        let hash = GtTschConfig {
+            hash_channels: true,
+            ..GtTschConfig::paper_default()
+        };
+        assert_eq!(SchedulerKind::GtTsch(hash).name(), "gt-tsch-hash");
+        let sender_based = OrchestraConfig {
+            sender_based: true,
+            ..OrchestraConfig::paper_default()
+        };
+        assert_eq!(
+            SchedulerKind::Orchestra(sender_based).name(),
+            "orchestra-sb"
+        );
     }
 
     #[test]
