@@ -18,12 +18,6 @@
 //! print the usage and exit 2; an `--out` path that cannot be written
 //! also exits 2, after the measurements.
 //!
-//! Multi-island cases additionally report the island-parallel stepping
-//! leg (`parallel_slots_per_sec`, `parallel_speedup` vs the sequential
-//! event core). These columns are never gated: they depend on the host's
-//! core count, and on a single vCPU scoped threads can only add overhead
-//! — the honest number there is ≤ 1×.
-//!
 //! Every case is one declarative [`Experiment`]; the same value builds
 //! the event-core and the oracle network (via
 //! [`Experiment::network_builder`] + `naive_stepping`), and overlay
@@ -137,9 +131,6 @@ struct Measurement {
     event_slots_per_sec: f64,
     naive_slots_per_sec: f64,
     speedup: f64,
-    /// Island-parallel leg (multi-island cases only): slots/s and
-    /// speedup vs the sequential event core.
-    parallel: Option<(f64, f64)>,
 }
 
 /// A case experiment: seed 1, no warm-up — the measured window *is* the
@@ -166,8 +157,6 @@ enum Core {
     Event,
     /// The exhaustive per-slot oracle.
     Naive,
-    /// The event core per radio island, islands on scoped threads.
-    Parallel,
 }
 
 impl Core {
@@ -175,7 +164,6 @@ impl Core {
         match self {
             Core::Event => "event",
             Core::Naive => "naive",
-            Core::Parallel => "parallel",
         }
     }
 }
@@ -189,7 +177,6 @@ fn time_run(case: &Case, sim: SimDuration, core: Core, stats: bool) -> f64 {
     let mut net = match core {
         Core::Event => builder,
         Core::Naive => builder.naive_stepping(),
-        Core::Parallel => builder.parallel_stepping(),
     }
     .build();
     let start = Instant::now();
@@ -224,34 +211,6 @@ fn time_run(case: &Case, sim: SimDuration, core: Core, stats: bool) -> f64 {
     secs
 }
 
-/// Best-of-three island-parallel timing for multi-island cases, as
-/// (slots/s, speedup vs the sequential event core). `None` on
-/// single-island cases: the parallel path falls straight back to the
-/// sequential core, so the row would just duplicate
-/// `event_slots_per_sec`.
-fn parallel_leg(
-    case: &Case,
-    sim: SimDuration,
-    sim_slots: u64,
-    event_secs: f64,
-    stats: bool,
-) -> Option<(f64, f64)> {
-    let islands = case
-        .experiment
-        .scenario
-        .build()
-        .topology
-        .audibility_islands();
-    if islands.len() < 2 {
-        return None;
-    }
-    let mut secs = f64::INFINITY;
-    for _ in 0..3 {
-        secs = secs.min(time_run(case, sim, Core::Parallel, stats));
-    }
-    Some((sim_slots as f64 / secs, event_secs / secs))
-}
-
 fn measure(case: &Case, sim: SimDuration, slot: SimDuration, stats: bool) -> Measurement {
     let sim_slots = sim.as_micros() / slot.as_micros();
     // Best of three per core, with the event and naive repetitions
@@ -274,7 +233,6 @@ fn measure(case: &Case, sim: SimDuration, slot: SimDuration, stats: bool) -> Mea
         event_slots_per_sec: sim_slots as f64 / event_secs,
         naive_slots_per_sec: sim_slots as f64 / naive_secs,
         speedup: naive_secs / event_secs,
-        parallel: parallel_leg(case, sim, sim_slots, event_secs, stats),
     }
 }
 
@@ -283,24 +241,13 @@ fn json(measurements: &[Measurement], sim_secs: u64, c: &City10k) -> String {
     out.push_str("  \"bench\": \"engine_slots_per_sec\",\n");
     out.push_str(&format!("  \"sim_secs\": {sim_secs},\n"));
     out.push_str("  \"slot_ms\": 15,\n");
-    // The island-parallel columns depend on how many cores the host has.
-    out.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
     out.push_str("  \"scenarios\": [\n");
     for (i, m) in measurements.iter().enumerate() {
-        let parallel = match m.parallel {
-            Some((sps, speedup)) => format!(
-                ", \"parallel_slots_per_sec\": {sps:.0}, \"parallel_speedup\": {speedup:.2}"
-            ),
-            None => String::new(),
-        };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"scheduler\": \"{}\", \"nodes\": {}, \
              \"traffic_ppm\": {}, \"low_power\": {}, \"sim_slots\": {}, \
              \"event_slots_per_sec\": {:.0}, \"naive_slots_per_sec\": {:.0}, \
-             \"speedup\": {:.2}{}}}{}\n",
+             \"speedup\": {:.2}}}{}\n",
             m.name,
             m.scheduler,
             m.nodes,
@@ -310,7 +257,6 @@ fn json(measurements: &[Measurement], sim_secs: u64, c: &City10k) -> String {
             m.event_slots_per_sec,
             m.naive_slots_per_sec,
             m.speedup,
-            parallel,
             if i + 1 < measurements.len() { "," } else { "" }
         ));
     }
@@ -357,7 +303,7 @@ fn grid_walk() -> StepMobility {
 
 /// One inter-cluster hop per simulated second across the whole window:
 /// four courier leaves (the last node of clusters 0–3) cycle through the
-/// ten cluster discs of `city(10, 100)`, re-partitioning the audibility
+/// ten cluster discs of `city(10, 100)`, moving a node between audibility
 /// islands on every hop. Hops beyond the simulated window never fire,
 /// so the same overlay serves `--quick` and full runs.
 fn city_walk() -> StepMobility {
@@ -533,9 +479,7 @@ fn main() {
             ),
         },
         // The city-scale row: 10 clustered DODAGs × 100 nodes in the
-        // steady-state low-power regime. Ten radio-disjoint islands, so
-        // the island-parallel leg reports real multi-thread numbers on
-        // multi-core hosts.
+        // steady-state low-power regime.
         Case {
             label: "city-1k",
             experiment: case(
@@ -560,8 +504,7 @@ fn main() {
         },
         // Mobility-heavy city row: couriers hop between clusters once
         // per simulated second, so this row prices incremental
-        // `set_position` plus per-window island re-partitioning at 1 000
-        // nodes. Wall-clock gated on retention vs the static city row:
+        // `set_position` at 1 000 nodes. Wall-clock gated on retention vs the static city row:
         // before the spatial index every hop was an O(n²) adjacency
         // rebuild and this row could not hold the floor.
         Case {
@@ -605,19 +548,14 @@ fn main() {
         })
         .map(|case| {
             let m = measure(case, sim, slot, stats);
-            let parallel = match m.parallel {
-                Some((sps, speedup)) => format!("  parallel {sps:>9.0} slots/s ({speedup:.2}x)"),
-                None => String::new(),
-            };
             eprintln!(
-                "  {:<17} {:<10} {:>4} nodes  event {:>9.0} slots/s  naive {:>9.0} slots/s  speedup {:>5.2}x{}",
+                "  {:<17} {:<10} {:>4} nodes  event {:>9.0} slots/s  naive {:>9.0} slots/s  speedup {:>5.2}x",
                 m.name,
                 m.scheduler,
                 m.nodes,
                 m.event_slots_per_sec,
                 m.naive_slots_per_sec,
                 m.speedup,
-                parallel
             );
             m
         })

@@ -14,7 +14,9 @@
 //! to stderr and exit with status 2 — never a panic, and never a flag
 //! value silently eaten by the next flag.
 
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use crate::queue::{enqueue_points, QueueDir};
@@ -42,8 +44,9 @@ struct FigureArgs {
     enqueue: Option<PathBuf>,
     /// `--pcap PATH`: after the tables, re-run the figure's first cell
     /// (first sweep, first point, first configured seed) with a frame
-    /// tap and write the capture here.
-    pcap: Option<PathBuf>,
+    /// tap and write the capture to this file, created while parsing so
+    /// an unwritable path fails before anything is simulated.
+    pcap: Option<(PathBuf, File)>,
 }
 
 fn usage(bin: &str) -> String {
@@ -78,6 +81,12 @@ fn help(bin: &str) -> String {
 /// Prints `message` + usage to stderr and exits with status 2.
 fn bad_usage(bin: &str, message: &str) -> ! {
     eprintln!("error: {message}\n{}", usage(bin));
+    exit(2);
+}
+
+/// Reports an unwritable `--pcap` file and exits with status 2.
+fn cannot_write_trace(path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("error: cannot write trace to {}: {e}", path.display());
     exit(2);
 }
 
@@ -138,6 +147,10 @@ fn parse_figure_args(bin: &str) -> FigureArgs {
         // fresh simulation (the cache stores reports, not frames).
         bad_usage(bin, "--pcap re-simulates a cell; drop --cache-only");
     }
+    let pcap = pcap.map(|path| match File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => cannot_write_trace(&path, &e),
+    });
 
     let mut config = if quick {
         SweepConfig::quick()
@@ -173,13 +186,13 @@ pub fn figure_main(bin: &str, sweeps: Vec<FigureSweep>) {
     // `--pcap` traces the figure's first cell: first sweep, first
     // point, first configured seed. Captured up front because run mode
     // consumes the sweeps.
-    let trace_cell = pcap.map(|path| {
+    let trace_cell = pcap.map(|(path, file)| {
         let point = sweeps
             .first()
             .and_then(|s| s.points.first())
             .unwrap_or_else(|| bad_usage(bin, "--pcap needs a figure with at least one cell"));
         let seed = *config.seeds.first().expect("sweep config has seeds");
-        (point.experiment.with_seed(seed), path)
+        (point.experiment.with_seed(seed), path, file)
     });
 
     match enqueue {
@@ -237,19 +250,18 @@ pub fn figure_main(bin: &str, sweeps: Vec<FigureSweep>) {
                 "sweep cache: {hits} hits, {misses} misses, {corrupt} corrupt, \
                  {store_errors} store errors, {missing} missing"
             );
-            if let Some((experiment, path)) = trace_cell {
+            if let Some((experiment, path, mut file)) = trace_cell {
                 // A dedicated traced re-run of the first cell: the
                 // sweep above serves reports (possibly from cache);
                 // the trace is always simulated fresh so its bytes are
                 // a pure function of the experiment, never of cache
                 // state. Reports are byte-identical with the tap on.
                 eprintln!("{bin}: tracing first cell to {}…", path.display());
-                let exp = experiment.with_trace(&path);
-                let _report = exp.run();
-                eprintln!(
-                    "{bin}: wrote {} bytes of pcap",
-                    std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0)
-                );
+                let (_report, pcap) = experiment.run_traced();
+                if let Err(e) = file.write_all(&pcap) {
+                    cannot_write_trace(&path, &e);
+                }
+                eprintln!("{bin}: wrote {} bytes of pcap", pcap.len());
             }
             if store_errors > 0 {
                 eprintln!(

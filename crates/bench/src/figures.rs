@@ -153,7 +153,6 @@ pub fn fig_noise_depth_points() -> Vec<SweepPoint> {
                     scheduler: sched,
                     run: spec(120.0),
                     overlays,
-                    trace: None,
                 },
             });
         }

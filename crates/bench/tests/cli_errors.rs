@@ -32,6 +32,11 @@ fn figure_binaries_reject_bad_flags() {
         (&["--no-cache", "--cache-only"][..], "contradict"),
         // A removed flag is rejected like any unknown one.
         (&["--list"][..], "unknown flag --list"),
+        // An unwritable trace path fails before anything is simulated.
+        (
+            &["--quick", "--no-cache", "--pcap", "/nonexistent/dir/x.pcap"][..],
+            "cannot write trace to /nonexistent/dir/x.pcap",
+        ),
     ] {
         assert_input_error(&run(fig8, args), needle);
     }

@@ -41,7 +41,6 @@ pub mod config;
 pub mod minimal;
 pub mod network;
 pub mod node;
-mod parallel;
 pub mod payload;
 pub mod report;
 pub mod scheduler;

@@ -60,7 +60,7 @@ pub(crate) struct Snapshot {
 /// compare/sift hot path free of time-unit conversions. Duplicate and
 /// stale entries are allowed (they cost one pop and a dedup); correctness
 /// only requires that no needed wake-up is *missing*.
-pub(crate) type WakeEntry = Reverse<(u64, u32)>;
+type WakeEntry = Reverse<(u64, u32)>;
 
 /// A due node's planned radio action before listener indices are known.
 #[derive(Debug, Clone, Copy)]
@@ -91,7 +91,7 @@ enum Planned {
 /// and are recomputed lazily on the next probe; until then every probe
 /// of a sleeping peer is an O(1) array read that never touches the node.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ProbeEntry {
+struct ProbeEntry {
     /// Raw ASN of the next listen ([`u64::MAX`] = never listens).
     next: u64,
     /// Channel offset of that listen.
@@ -99,7 +99,7 @@ pub(crate) struct ProbeEntry {
 }
 
 impl ProbeEntry {
-    pub(crate) const NEVER: ProbeEntry = ProbeEntry {
+    const NEVER: ProbeEntry = ProbeEntry {
         next: u64::MAX,
         offset: gtt_mac::ChannelOffset::new(0),
     };
@@ -109,7 +109,7 @@ impl ProbeEntry {
 /// allocate. Taken out of the [`Network`] for the duration of a slot
 /// (`std::mem::take`) to keep the borrow checker out of the hot path.
 #[derive(Debug, Default)]
-pub(crate) struct SlotScratch {
+struct SlotScratch {
     /// Due node indices (sorted, deduplicated, alive).
     due: Vec<usize>,
     /// Planned actions of the due nodes, in node order.
@@ -142,26 +142,26 @@ pub(crate) struct SlotScratch {
 pub struct Network {
     pub(crate) config: EngineConfig,
     pub(crate) nodes: Vec<Node>,
-    pub(crate) medium: RadioMedium,
-    pub(crate) tracker: PacketTracker,
-    pub(crate) asn: Asn,
+    medium: RadioMedium,
+    tracker: PacketTracker,
+    asn: Asn,
     pub(crate) measure_start: Option<SimTime>,
     pub(crate) measure_end: Option<SimTime>,
     pub(crate) snapshots: Vec<Snapshot>,
     /// The event-driven core's clock: pending per-node wake-ups.
-    pub(crate) wake: BinaryHeap<WakeEntry>,
+    wake: BinaryHeap<WakeEntry>,
     /// Whether the wake queue has been seeded (done lazily on the first
     /// stepping call, after scheduler `init` hooks installed cells).
-    pub(crate) wake_init: bool,
+    wake_init: bool,
     /// Per-node "due or already probed this slot" stamp (`ASN + 1`; 0 =
     /// never) for the listener probe — stamping instead of clearing
     /// makes the per-slot reset free.
-    pub(crate) wake_scratch: Vec<u64>,
+    wake_scratch: Vec<u64>,
     /// Dense listener-probe index, one [`ProbeEntry`] per node.
-    pub(crate) probe_index: Vec<ProbeEntry>,
+    probe_index: Vec<ProbeEntry>,
     /// Per-node staleness of `probe_index` (set when the node is
     /// processed, killed or externally mutated).
-    pub(crate) probe_stale: Vec<bool>,
+    probe_stale: Vec<bool>,
     /// Per-node authoritative wake slot: the raw ASN of the *latest*
     /// entry pushed for the node (`u64::MAX` = none). Every state change
     /// that can move a node's wake re-pushes and updates this, so a
@@ -169,37 +169,27 @@ pub struct Network {
     /// dropped in O(1) — without this, deadlines that move later (a DIO
     /// refreshing the earliest-expiry neighbor, an EB re-arm) leave a
     /// trail of stale wake-ups that each cost a full no-op upkeep.
-    pub(crate) wake_slot: Vec<u64>,
+    wake_slot: Vec<u64>,
     /// Per-node slot of the *timer* component of the last scheduled
     /// wake (`u64::MAX` = no timer pending). Deadlines only move while a
     /// node is processed, and every processing reschedules, so a wake
     /// strictly before this slot is a pure radio wake-up whose upkeep
     /// pass is a provable no-op — skipped without touching the node.
-    pub(crate) timer_wake: Vec<u64>,
+    timer_wake: Vec<u64>,
     /// Per-slot vectors, reused across slots.
-    pub(crate) scratch: SlotScratch,
+    scratch: SlotScratch,
     /// Installed frame tap plus its reusable encode buffer (`None` =
     /// tracing off; the slot path then pays exactly one is-some check
     /// and allocates nothing — pinned by `tests/zero_alloc.rs`).
-    pub(crate) tap: Option<TapState>,
+    tap: Option<TapState>,
     /// Use the exhaustive per-slot oracle loop instead of the wake queue.
-    pub(crate) naive: bool,
-    /// Resolve radio-disjoint partition islands on scoped threads inside
-    /// [`Network::run_until`] (see `parallel.rs`); reports are
-    /// byte-identical either way.
-    pub(crate) parallel: bool,
-    /// Retained island sub-network shells, keyed by island membership,
-    /// so consecutive stepping windows over a stable partition reuse
-    /// their allocations instead of rebuilding n placeholders per island
-    /// per window (see `parallel.rs`). Pure scratch: never observable in
-    /// reports.
-    pub(crate) island_pool: crate::parallel::IslandPool,
+    naive: bool,
 }
 
 /// An installed [`FrameTap`](gtt_net::FrameTap) and the wire-encoding
 /// buffer it reuses across records (grown once to the largest frame,
 /// then allocation-free in steady state).
-pub(crate) struct TapState {
+struct TapState {
     sink: Box<dyn gtt_net::FrameTap>,
     buf: Vec<u8>,
 }
@@ -212,7 +202,6 @@ pub struct NetworkBuilder {
     traffic_ppm: Option<f64>,
     factory: Option<SchedulerFactory>,
     naive: bool,
-    parallel: bool,
 }
 
 /// Produces one scheduling function per node; called with the node id
@@ -229,7 +218,6 @@ impl Network {
             traffic_ppm: None,
             factory: None,
             naive: false,
-            parallel: false,
         }
     }
 
@@ -354,15 +342,39 @@ impl Network {
             }
             return;
         }
-        // A tap wants one global, slot-ordered record stream; island
-        // threads would interleave it. Reports are byte-identical on
-        // either core (see DETERMINISM.md), so tracing simply takes the
-        // sequential path while installed.
-        if self.parallel && self.tap.is_none() {
-            self.run_until_parallel(end);
-            return;
+        self.ensure_wake_queue();
+        let slot = self.config.mac.slot_duration;
+        // `now() < end` ⟺ `asn < at_or_after(end)`: the loop and the heap
+        // work in raw slot numbers, no time conversion per iteration.
+        let end_asn = Asn::at_or_after(end, slot).raw();
+        let mut s = std::mem::take(&mut self.scratch);
+        while self.asn.raw() < end_asn {
+            let Some(&Reverse((wake_asn, _))) = self.wake.peek() else {
+                // Nothing will ever wake again: fast-forward to the end.
+                self.asn = Asn::new(end_asn);
+                break;
+            };
+            let wake_asn = wake_asn.max(self.asn.raw());
+            if wake_asn >= end_asn {
+                self.asn = Asn::new(end_asn);
+                break;
+            }
+            self.asn = Asn::new(wake_asn);
+            self.fill_due(&mut s.due);
+            // Empty when every due entry belonged to a dead node; the
+            // slot is then an ordinary sleep/idle-listen slot.
+            if !s.due.is_empty() {
+                self.process_slot(&mut s);
+                self.asn = self.asn.next();
+                for &i in &s.resched {
+                    self.schedule_node_wake(i);
+                }
+            } else {
+                self.asn = self.asn.next();
+            }
         }
-        self.run_until_event(end);
+        self.scratch = s;
+        self.sync_accounting();
     }
 
     /// Installs (or, with `None`, removes) the frame tap: an observer
@@ -372,11 +384,9 @@ impl Network {
     ///
     /// Taps are provably inert: the report is byte-identical with the
     /// tap installed, absent, or swapped, and with no tap installed the
-    /// slot path performs no extra work beyond one pointer check. While
-    /// a tap is installed, [`Network::run_until`] uses the sequential
-    /// event core even if island-parallel stepping is enabled, so the
-    /// record stream is globally slot-ordered; the removed tap's
-    /// records are a pure function of the experiment either way.
+    /// slot path performs no extra work beyond one pointer check. The
+    /// record stream is globally slot-ordered and a pure function of the
+    /// experiment.
     pub fn set_frame_tap(&mut self, tap: Option<Box<dyn gtt_net::FrameTap>>) {
         self.tap = tap.map(|sink| TapState {
             sink,
@@ -412,45 +422,6 @@ impl Network {
                 bytes: &tap.buf,
             });
         }
-    }
-
-    /// The event-driven sequential core of [`Network::run_until`]; also
-    /// what each partition island runs on its own thread under
-    /// island-parallel stepping.
-    pub(crate) fn run_until_event(&mut self, end: SimTime) {
-        self.ensure_wake_queue();
-        let slot = self.config.mac.slot_duration;
-        // `now() < end` ⟺ `asn < at_or_after(end)`: the loop and the heap
-        // work in raw slot numbers, no time conversion per iteration.
-        let end_asn = Asn::at_or_after(end, slot).raw();
-        let mut s = std::mem::take(&mut self.scratch);
-        while self.asn.raw() < end_asn {
-            let Some(&Reverse((wake_asn, _))) = self.wake.peek() else {
-                // Nothing will ever wake again: fast-forward to the end.
-                self.asn = Asn::new(end_asn);
-                break;
-            };
-            let wake_asn = wake_asn.max(self.asn.raw());
-            if wake_asn >= end_asn {
-                self.asn = Asn::new(end_asn);
-                break;
-            }
-            self.asn = Asn::new(wake_asn);
-            self.fill_due(&mut s.due);
-            // Empty when every due entry belonged to a dead node; the
-            // slot is then an ordinary sleep/idle-listen slot.
-            if !s.due.is_empty() {
-                self.process_slot(&mut s);
-                self.asn = self.asn.next();
-                for &i in &s.resched {
-                    self.schedule_node_wake(i);
-                }
-            } else {
-                self.asn = self.asn.next();
-            }
-        }
-        self.scratch = s;
-        self.sync_accounting();
     }
 
     /// Runs `slots` timeslots.
@@ -801,7 +772,7 @@ impl Network {
     /// Seeds the wake queue on first use: every alive node is woken in
     /// the current slot (one exhaustive slot), after which each reports
     /// its own next wake-up.
-    pub(crate) fn ensure_wake_queue(&mut self) {
+    fn ensure_wake_queue(&mut self) {
         if self.wake_init {
             return;
         }
@@ -1035,8 +1006,9 @@ impl Network {
             };
             let origin = self.nodes[i].id();
             // Origin-keyed ids: each node numbers its own packets, so id
-            // assignment never depends on cross-node stepping order and
-            // partition islands can generate packets concurrently.
+            // assignment never depends on which other nodes a core
+            // processes in the slot (the event core skips nodes the
+            // oracle processes).
             let id = PacketId::new(((origin.index() as u64) << 48) | self.nodes[i].packet_seq);
             self.nodes[i].packet_seq += 1;
             self.tracker.record_generated(id, origin, now);
@@ -1130,18 +1102,6 @@ impl NetworkBuilder {
     /// the oracle costs O(nodes) per slot, slept or not.
     pub fn naive_stepping(mut self) -> Self {
         self.naive = true;
-        self
-    }
-
-    /// Builds the network with island-parallel stepping enabled:
-    /// [`Network::run_until`] (and everything built on it: `run_for`,
-    /// `run_slots`) resolves radio-disjoint partition islands on scoped
-    /// threads. Reports are byte-identical either way — this is purely a
-    /// wall-clock switch, which is why it is *not* part of an
-    /// experiment's canonical encoding. Single-slot [`Network::step`]
-    /// always runs sequentially.
-    pub fn parallel_stepping(mut self) -> Self {
-        self.parallel = true;
         self
     }
 
@@ -1246,8 +1206,6 @@ impl NetworkBuilder {
             scratch: SlotScratch::default(),
             tap: None,
             naive: self.naive,
-            parallel: self.parallel,
-            island_pool: crate::parallel::IslandPool::default(),
         };
         for i in 0..net.nodes.len() {
             net.nodes[i].with_scheduler(SimTime::ZERO, |sf, ctx| sf.init(ctx));

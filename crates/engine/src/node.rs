@@ -120,8 +120,8 @@ pub struct Node {
     pub(crate) generated_total: u64,
     /// Next local sequence number for origin-keyed packet ids
     /// (`id = origin << 48 | seq`): ids stay globally unique without a
-    /// network-global counter, so id assignment is independent of the
-    /// order nodes are stepped in (and of island parallelism).
+    /// network-global counter, so id assignment is independent of which
+    /// other nodes a core processes in the same slot.
     pub(crate) packet_seq: u64,
     /// First ASN not yet reflected in the MAC's slot counters: the
     /// event-driven engine accounts skipped sleep slots lazily, and this
@@ -171,27 +171,6 @@ impl Node {
             accounted_asn: 0,
             timer_wake_memo: None,
         }
-    }
-
-    /// A dead filler node for the island split: partition islands are
-    /// full-length `Network`s so node indices stay valid, and every
-    /// non-member slot holds one of these. `alive` is `false` and no
-    /// timer is armed, so the engine provably never wakes, probes or
-    /// accounts it; its state is discarded at merge.
-    pub(crate) fn placeholder(id: NodeId, config: &crate::config::EngineConfig) -> Self {
-        let mac = TschMac::new(
-            id,
-            config.mac.clone(),
-            config.hopping.clone(),
-            Pcg32::new(0),
-        );
-        let rpl = RplNode::new(id, config.rpl.clone());
-        let sixtop = SixtopLayer::new(id, config.sixtop.clone());
-        // Never invoked (dead nodes run no hooks); any scheduler works.
-        let scheduler = Box::new(crate::minimal::MinimalSchedule::new(8));
-        let mut node = Node::new(mac, rpl, sixtop, scheduler, Pcg32::new(0));
-        node.alive = false;
-        node
     }
 
     /// The earliest instant at which [`Node::upkeep`] would do anything:

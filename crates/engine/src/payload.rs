@@ -9,7 +9,8 @@ use gtt_sixtop::SixpMessage;
 /// Contents of a TSCH Enhanced Beacon relevant to this reproduction.
 ///
 /// Real EBs carry synchronization and join metadata; all nodes here share
-/// the ASN by construction (see `DESIGN.md` §6), so the interesting part
+/// the ASN by construction (the engine steps every node on one slot
+/// clock, so there is no clock drift to correct), so the interesting part
 /// is the GT-TSCH extension: the sender piggybacks the channel offset its
 /// children must use to transmit to it (paper §III: "the channel that node
 /// i can use for forwarding data to its parent p_i is piggybacked on TSCH
@@ -23,8 +24,7 @@ pub struct EbInfo {
     /// The sender's free Rx capacity (`l_rx`). The paper carries this in
     /// a DIO option; this reproduction *additionally* piggybacks it on
     /// EBs because Trickle stretches DIO intervals to minutes while the
-    /// load balancer needs capacity updates at the EB cadence (2 s) —
-    /// see DESIGN.md §6.
+    /// load balancer needs capacity updates at the EB cadence (2 s).
     pub rx_free: u16,
 }
 

@@ -72,7 +72,8 @@ pub struct NetworkReport {
     pub join_ratio: f64,
     /// Streaming end-to-end delay statistics (integer-nanosecond sums,
     /// min/max, fixed-bin histogram for percentiles) over delivered
-    /// packets — deterministic across sequential/parallel/oracle runs.
+    /// packets — integer accumulators, so identical under the event core
+    /// and the naive-step oracle whatever order deliveries arrive in.
     pub delay: DelayStats,
     /// Per-node breakdown.
     pub per_node: Vec<NodeSummary>,

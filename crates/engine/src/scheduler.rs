@@ -65,10 +65,10 @@ impl SfContext<'_> {
 /// [`SchedulingFunction::init`] have no-op defaults, because autonomous
 /// schedulers like Orchestra need only react to parent changes.
 ///
-/// `Send` is a supertrait so whole nodes can move across threads: the
-/// island-parallel step path (`NetworkBuilder::parallel_stepping`) runs
-/// each radio partition island on its own scoped thread. Schedulers are
-/// plain owned state machines, so this costs implementations nothing.
+/// `Send` is a supertrait so a [`Network`](crate::Network), which owns
+/// one boxed scheduler per node, is itself `Send` and can be built on one
+/// thread and run on another. Schedulers are plain owned state machines,
+/// so this costs implementations nothing.
 pub trait SchedulingFunction: Send {
     /// Short name used in reports ("gt-tsch", "orchestra", …).
     fn name(&self) -> &'static str;

@@ -478,8 +478,9 @@ impl<P: Clone> TschMac<P> {
     }
 
     /// Fraction of elapsed time the radio was on, using slot-fraction
-    /// accounting (see `DESIGN.md` §3): Tx and busy-Rx slots cost a full
-    /// slot, idle listens cost [`MacConfig::idle_listen_fraction`].
+    /// accounting: Tx and busy-Rx slots cost a full slot, idle listens
+    /// cost [`MacConfig::idle_listen_fraction`] (the radio gives up after
+    /// the guard time when no preamble arrives).
     pub fn duty_cycle(&self) -> f64 {
         if self.counters.slots == 0 {
             return 0.0;

@@ -25,4 +25,4 @@ pub mod tracker;
 
 pub use row::FigureRow;
 pub use stats::{jain_index, mean, std_dev, Summary};
-pub use tracker::{DelayStats, PacketTracker, TrackerFootprint, TrackerMark, DELAY_BINS};
+pub use tracker::{DelayStats, PacketTracker, TrackerFootprint, DELAY_BINS};

@@ -14,8 +14,8 @@
 //! Delay and hop statistics are *streaming* ([`DelayStats`]): integer
 //! nanosecond sums in `u128`, min/max, and a fixed-bin histogram for
 //! percentiles. Integer sums are summation-order-independent, which is
-//! what keeps `NetworkReport`s byte-identical across sequential,
-//! island-parallel and naive-step oracle runs (see DETERMINISM.md).
+//! what keeps `NetworkReport`s byte-identical between the event core and
+//! the naive-step oracle (see DETERMINISM.md).
 
 use std::collections::BTreeMap;
 
@@ -85,10 +85,9 @@ fn bin_upper_us(b: usize) -> u64 {
 ///
 /// All accumulators are integers (nanosecond sums in `u128`, bin
 /// counts), so the aggregate is independent of the order deliveries were
-/// recorded in — parallel branches merge exactly (see
-/// [`PacketTracker::absorb_branch`]). Percentiles come from the
-/// fixed-bin histogram and report the upper edge of the matched bin
-/// (≤ 25% relative error by construction).
+/// recorded in. Percentiles come from the fixed-bin histogram and report
+/// the upper edge of the matched bin (≤ 25% relative error by
+/// construction).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayStats {
     count: u64,
@@ -121,24 +120,6 @@ impl DelayStats {
         self.max_us = self.max_us.max(us);
         self.hops_sum += u64::from(hops);
         self.bins[delay_bin(us)] += 1;
-    }
-
-    /// Adds a branch's post-`mark` delta into `self`: counts, sums and
-    /// bins by integer difference, min/max idempotently. Exact because
-    /// every accumulator is an integer.
-    fn absorb_delta(&mut self, branch: &DelayStats, mark: &DelayStats) {
-        self.count += branch.count - mark.count;
-        self.sum_ns += branch.sum_ns - mark.sum_ns;
-        self.hops_sum += branch.hops_sum - mark.hops_sum;
-        self.min_us = self.min_us.min(branch.min_us);
-        self.max_us = self.max_us.max(branch.max_us);
-        for (s, (b, m)) in self
-            .bins
-            .iter_mut()
-            .zip(branch.bins.iter().zip(mark.bins.iter()))
-        {
-            *s += b - m;
-        }
     }
 
     /// Delivered packets the statistics cover.
@@ -205,7 +186,7 @@ impl DelayStats {
 /// Per-origin packet state: a generation-time column indexed by
 /// `seq - seq_base` (with [`HOLE`] sentinels for never-recorded or
 /// purged slots) and a delivered bitset over the same slots.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct OriginLane {
     seq_base: u64,
     gen: Vec<SimTime>,
@@ -216,32 +197,6 @@ struct OriginLane {
     /// the O(1) purge fast paths; re-recording a slot may widen them).
     min_gen: SimTime,
     max_gen: SimTime,
-}
-
-impl Clone for OriginLane {
-    fn clone(&self) -> Self {
-        OriginLane {
-            seq_base: self.seq_base,
-            gen: self.gen.clone(),
-            delivered: self.delivered.clone(),
-            generated: self.generated,
-            delivered_count: self.delivered_count,
-            min_gen: self.min_gen,
-            max_gen: self.max_gen,
-        }
-    }
-
-    /// Reuses the column allocations — island shells are refreshed with
-    /// `clone_from` every window (see `refresh_island_shell`).
-    fn clone_from(&mut self, src: &Self) {
-        self.seq_base = src.seq_base;
-        self.gen.clone_from(&src.gen);
-        self.delivered.clone_from(&src.delivered);
-        self.generated = src.generated;
-        self.delivered_count = src.delivered_count;
-        self.min_gen = src.min_gen;
-        self.max_gen = src.max_gen;
-    }
 }
 
 impl OriginLane {
@@ -405,7 +360,7 @@ impl OriginLane {
 /// assert_eq!(t.delivered(), 1);
 /// assert!((t.pdr_percent() - 100.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketTracker {
     window_start: Option<SimTime>,
     window_end: Option<SimTime>,
@@ -414,47 +369,6 @@ pub struct PacketTracker {
     lanes: Vec<OriginLane>,
     generated_total: u64,
     delivered_total: u64,
-    duplicates: u64,
-    stray_deliveries: u64,
-    delay: DelayStats,
-}
-
-impl Clone for PacketTracker {
-    fn clone(&self) -> Self {
-        PacketTracker {
-            window_start: self.window_start,
-            window_end: self.window_end,
-            first_track: self.first_track,
-            lanes: self.lanes.clone(),
-            generated_total: self.generated_total,
-            delivered_total: self.delivered_total,
-            duplicates: self.duplicates,
-            stray_deliveries: self.stray_deliveries,
-            delay: self.delay.clone(),
-        }
-    }
-
-    /// Reuses lane and column allocations (`Vec::clone_from` calls
-    /// `OriginLane::clone_from` element-wise) — the island-shell pool
-    /// refreshes its tracker with this every window.
-    fn clone_from(&mut self, src: &Self) {
-        self.window_start = src.window_start;
-        self.window_end = src.window_end;
-        self.first_track = src.first_track;
-        self.lanes.clone_from(&src.lanes);
-        self.generated_total = src.generated_total;
-        self.delivered_total = src.delivered_total;
-        self.duplicates = src.duplicates;
-        self.stray_deliveries = src.stray_deliveries;
-        self.delay.clone_from(&src.delay);
-    }
-}
-
-/// Snapshot for [`PacketTracker::absorb_branch`]: the counter and
-/// delay-statistics values the branch trackers started from, so only
-/// post-mark deltas are folded back in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackerMark {
     duplicates: u64,
     stray_deliveries: u64,
     delay: DelayStats,
@@ -694,61 +608,6 @@ impl PacketTracker {
         self.delivered() as f64 / (w.as_secs_f64() / 60.0)
     }
 
-    /// A snapshot taken before cloning the tracker into parallel
-    /// branches; see [`PacketTracker::absorb_branch`].
-    pub fn mark(&self) -> TrackerMark {
-        TrackerMark {
-            duplicates: self.duplicates,
-            stray_deliveries: self.stray_deliveries,
-            delay: self.delay.clone(),
-        }
-    }
-
-    /// Folds a branch tracker (a clone of `self` taken at `mark` that
-    /// has since recorded more packets for `members` only) back into
-    /// `self`.
-    ///
-    /// Member lanes are swapped in wholesale: packets from an origin are
-    /// generated *and* delivered inside that origin's audibility island
-    /// (the routing path never leaves it), so the branch's lane for a
-    /// member is a strict superset of the shared prefix `self` still
-    /// holds, and islands being disjoint means no other branch touched
-    /// it. The branch is taken by `&mut` so the stale prefix buffers it
-    /// receives in the swap stay with the pooled island shell, where the
-    /// next window's `clone_from` refresh recycles them. Global counters
-    /// and delay statistics add the branch's post-mark delta; every
-    /// accumulator is an integer, so the merged result is independent of
-    /// merge order — DETERMINISM.md's canonical island order keeps even
-    /// the degenerate corner cases a pure function of the experiment.
-    pub fn absorb_branch(
-        &mut self,
-        branch: &mut PacketTracker,
-        mark: &TrackerMark,
-        members: &[NodeId],
-    ) {
-        debug_assert_eq!(self.window_start, branch.window_start);
-        debug_assert_eq!(self.window_end, branch.window_end);
-        for &m in members {
-            let track = m.index() as u64;
-            let Some(bi) = branch.lane_index(track) else {
-                continue;
-            };
-            let bl = &mut branch.lanes[bi];
-            if bl.gen.is_empty() {
-                continue;
-            }
-            let sl = self.lane_for(track);
-            let d_gen = bl.generated - sl.generated;
-            let d_del = bl.delivered_count - sl.delivered_count;
-            std::mem::swap(sl, bl);
-            self.generated_total += d_gen;
-            self.delivered_total += d_del;
-        }
-        self.duplicates += branch.duplicates - mark.duplicates;
-        self.stray_deliveries += branch.stray_deliveries - mark.stray_deliveries;
-        self.delay.absorb_delta(&branch.delay, &mark.delay);
-    }
-
     /// Per-origin `(generated, delivered)` counts — O(1).
     pub fn origin_stats(&self, origin: NodeId) -> (u64, u64) {
         match self.lane_index(origin.index() as u64) {
@@ -967,116 +826,6 @@ mod tests {
         // Seq 5 was never generated: a hole, so its delivery is a stray.
         t.record_delivered(id(3, 5), SimTime::from_secs(7), 1);
         assert_eq!(t.stray_deliveries(), 1);
-    }
-
-    #[test]
-    fn absorb_branch_unions_without_double_counting() {
-        let n1 = NodeId::new(1);
-        let n2 = NodeId::new(2);
-        let n3 = NodeId::new(3);
-        let mut t = PacketTracker::new();
-        t.set_window(SimTime::ZERO, SimTime::from_secs(60));
-        // Shared prefix: one packet, one duplicate, one stray.
-        t.record_generated(id(1, 0), n1, SimTime::from_secs(1));
-        t.record_delivered(id(1, 0), SimTime::from_secs(2), 1);
-        t.record_delivered(id(1, 0), SimTime::from_secs(3), 1); // duplicate
-        t.record_delivered(id(9, 0), SimTime::from_secs(3), 1); // stray
-        let mark = t.mark();
-        // Two branches clone the prefix and diverge on disjoint members.
-        let mut a = t.clone();
-        let mut b = t.clone();
-        a.record_generated(id(2, 0), n2, SimTime::from_secs(4));
-        a.record_delivered(id(2, 0), SimTime::from_secs(5), 2);
-        a.record_delivered(id(2, 0), SimTime::from_secs(6), 2); // duplicate
-        b.record_generated(id(3, 0), n3, SimTime::from_secs(4));
-        b.record_delivered(id(7, 5), SimTime::from_secs(5), 1); // stray
-        t.absorb_branch(&mut a, &mark, &[n1, n2]);
-        t.absorb_branch(&mut b, &mark, &[n3]);
-        assert_eq!(t.generated(), 3);
-        assert_eq!(t.delivered(), 2);
-        assert_eq!(t.duplicates(), 2, "prefix duplicate counted once");
-        assert_eq!(t.stray_deliveries(), 2, "prefix stray counted once");
-        assert_eq!(t.delay_stats().count(), 2, "prefix delay counted once");
-    }
-
-    #[test]
-    fn absorb_branch_merges_interleaved_origin_lanes() {
-        // Origins interleave across islands (odd/even), each with a
-        // multi-packet lane and prefix history — the island-merge shape.
-        let origins: Vec<NodeId> = (1..=4).map(NodeId::new).collect();
-        let mut t = PacketTracker::new();
-        t.set_window(SimTime::ZERO, SimTime::from_secs(600));
-        // Shared prefix: every origin already has two packets, one
-        // delivered.
-        for &o in &origins {
-            for s in 0..2u64 {
-                t.record_generated(id(o.raw(), s), o, SimTime::from_secs(1 + s));
-            }
-            t.record_delivered(id(o.raw(), 0), SimTime::from_secs(4), 2);
-        }
-        let mark = t.mark();
-        let mut a = t.clone(); // island {1, 3}
-        let mut b = t.clone(); // island {2, 4}
-        for (branch, parity) in [(&mut a, 1u16), (&mut b, 0u16)] {
-            for &o in origins.iter().filter(|o| o.raw() % 2 == parity) {
-                for s in 2..5u64 {
-                    branch.record_generated(id(o.raw(), s), o, SimTime::from_secs(10 + s));
-                }
-                // Deliver the prefix leftover and one new packet.
-                branch.record_delivered(id(o.raw(), 1), SimTime::from_secs(20), 3);
-                branch.record_delivered(id(o.raw(), 3), SimTime::from_secs(21), 3);
-            }
-        }
-        // Reference: the same events recorded sequentially.
-        let mut reference = PacketTracker::new();
-        reference.set_window(SimTime::ZERO, SimTime::from_secs(600));
-        for &o in &origins {
-            for s in 0..2u64 {
-                reference.record_generated(id(o.raw(), s), o, SimTime::from_secs(1 + s));
-            }
-            reference.record_delivered(id(o.raw(), 0), SimTime::from_secs(4), 2);
-        }
-        for &o in &origins {
-            for s in 2..5u64 {
-                reference.record_generated(id(o.raw(), s), o, SimTime::from_secs(10 + s));
-            }
-            reference.record_delivered(id(o.raw(), 1), SimTime::from_secs(20), 3);
-            reference.record_delivered(id(o.raw(), 3), SimTime::from_secs(21), 3);
-        }
-        let odd: Vec<NodeId> = origins
-            .iter()
-            .copied()
-            .filter(|o| o.raw() % 2 == 1)
-            .collect();
-        let even: Vec<NodeId> = origins
-            .iter()
-            .copied()
-            .filter(|o| o.raw() % 2 == 0)
-            .collect();
-        t.absorb_branch(&mut a, &mark, &odd);
-        t.absorb_branch(&mut b, &mark, &even);
-        assert_eq!(t, reference, "merged tracker == sequential tracker");
-        assert_eq!(t.generated(), 20);
-        assert_eq!(t.delivered(), 12);
-        assert_eq!(t.generated_by_origin(), reference.generated_by_origin());
-        assert_eq!(t.delivered_by_origin(), reference.delivered_by_origin());
-    }
-
-    #[test]
-    fn clone_from_reuses_and_matches() {
-        let mut src = PacketTracker::new();
-        src.set_window(SimTime::ZERO, SimTime::from_secs(60));
-        for s in 0..20u64 {
-            src.record_generated(id(5, s), NodeId::new(5), SimTime::from_secs(s));
-            if s % 2 == 0 {
-                src.record_delivered(id(5, s), SimTime::from_secs(s + 1), 1);
-            }
-        }
-        let mut dst = src.clone();
-        // Diverge, then refresh: clone_from must restore equality.
-        dst.record_generated(id(6, 0), NodeId::new(6), SimTime::from_secs(30));
-        dst.clone_from(&src);
-        assert_eq!(dst, src);
     }
 
     #[test]

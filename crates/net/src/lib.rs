@@ -6,8 +6,8 @@
 //! same timeslot.
 //!
 //! The paper evaluates GT-TSCH in the Cooja emulator; this crate is the
-//! substituted substrate (see `DESIGN.md` §1). It reproduces the phenomena
-//! the evaluation depends on:
+//! substituted substrate. It reproduces the phenomena the evaluation
+//! depends on:
 //!
 //! * **co-channel collisions** — two audible transmissions on one physical
 //!   channel destroy each other at the listener (no capture effect, like

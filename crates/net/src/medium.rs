@@ -26,29 +26,14 @@ use crate::topology::Topology;
 /// draw per slot, so each node's draw sequence depends only on the
 /// ordered slots in which *that node* draws — never on how many other
 /// nodes drew first in the same slot. That order-independence is what
-/// lets radio-disjoint partition islands be resolved on different
-/// threads (or in a different listener order, as the `naive-step` oracle
-/// does) while producing bit-identical outcomes.
+/// keeps the event core, which processes only the nodes a slot concerns,
+/// bit-identical to the naive-step oracle, which processes every node.
 ///
 /// The streams are derived from a single [`Pcg32`] by node index, so one
 /// experiment seed still determines all channel noise.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrawStreams {
     streams: Vec<SplitMix64>,
-}
-
-impl Clone for DrawStreams {
-    fn clone(&self) -> Self {
-        DrawStreams {
-            streams: self.streams.clone(),
-        }
-    }
-
-    // Allocation-reusing refresh for the island-parallel engine's pooled
-    // sub-networks: `Vec::clone_from` keeps the stream buffer alive.
-    fn clone_from(&mut self, source: &Self) {
-        self.streams.clone_from(&source.streams);
-    }
 }
 
 impl DrawStreams {
@@ -77,24 +62,6 @@ impl DrawStreams {
         } else {
             let bits = self.streams[node.index()].next_u64();
             ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
-        }
-    }
-
-    /// Copies `members`' stream states from `other` into `self`.
-    ///
-    /// The island merge path runs each partition island on a clone of
-    /// the medium and then folds the advanced per-member stream states
-    /// back into the parent, keeping every node's draw sequence
-    /// continuous across split/merge boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two stream sets have different lengths or a member
-    /// id is out of range.
-    pub fn adopt(&mut self, other: &DrawStreams, members: &[NodeId]) {
-        assert_eq!(self.streams.len(), other.streams.len());
-        for &m in members {
-            self.streams[m.index()] = other.streams[m.index()].clone();
         }
     }
 }
@@ -193,8 +160,8 @@ impl<P> SlotOutcomes<P> {
 /// Owns its own per-node draw streams ([`DrawStreams`]) so that
 /// link-error draws are independent of every node's local randomness —
 /// adding a node to a scenario does not perturb the channel noise other
-/// nodes experience, and resolving radio-disjoint islands in any order
-/// (or in parallel) produces identical draws.
+/// nodes experience, and resolving the same listeners in any order
+/// produces identical draws.
 ///
 /// # Example
 ///
@@ -218,7 +185,7 @@ impl<P> SlotOutcomes<P> {
 /// assert!(matches!(out.rx[0].1, RxOutcome::Received(_)));
 /// assert_eq!(out.acked[0], Some(true));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RadioMedium {
     topology: Topology,
     draws: DrawStreams,
@@ -229,34 +196,11 @@ pub struct RadioMedium {
     scratch: MediumScratch,
 }
 
-impl Clone for RadioMedium {
-    fn clone(&self) -> Self {
-        RadioMedium {
-            topology: self.topology.clone(),
-            draws: self.draws.clone(),
-            lossy_acks: self.lossy_acks,
-            scratch: self.scratch.clone(),
-        }
-    }
-
-    // Allocation-reusing refresh: the island-parallel engine re-clones
-    // the medium into each pooled sub-network on every `run_until`
-    // window. Field-wise `clone_from` keeps the topology's adjacency
-    // rows, the draw streams and the slot scratch buffers alive instead
-    // of reallocating them per island per window.
-    fn clone_from(&mut self, source: &Self) {
-        self.topology.clone_from(&source.topology);
-        self.draws.clone_from(&source.draws);
-        self.lossy_acks = source.lossy_acks;
-        self.scratch.clone_from(&source.scratch);
-    }
-}
-
 /// Reusable per-slot buffers behind [`RadioMedium::resolve_slot_into`]:
 /// the per-channel transmitter index and the half-duplex bitset. All
 /// state is rebuilt each slot; keeping the allocations alive is what
 /// makes steady-state resolution allocation-free.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct MediumScratch {
     /// `channel number → bucket index + 1` (0 = no transmission on that
     /// channel this slot). 256 entries, allocated on first use; only the
@@ -281,31 +225,6 @@ struct MediumScratch {
     dest_decoded: Vec<bool>,
 }
 
-impl Clone for MediumScratch {
-    fn clone(&self) -> Self {
-        MediumScratch {
-            chan_map: self.chan_map.clone(),
-            active: self.active.clone(),
-            spans: self.spans.clone(),
-            cursors: self.cursors.clone(),
-            grouped: self.grouped.clone(),
-            is_tx: self.is_tx.clone(),
-            dest_decoded: self.dest_decoded.clone(),
-        }
-    }
-
-    // Field-wise so `RadioMedium::clone_from` reuses the buffers.
-    fn clone_from(&mut self, source: &Self) {
-        self.chan_map.clone_from(&source.chan_map);
-        self.active.clone_from(&source.active);
-        self.spans.clone_from(&source.spans);
-        self.cursors.clone_from(&source.cursors);
-        self.grouped.clone_from(&source.grouped);
-        self.is_tx.clone_from(&source.is_tx);
-        self.dest_decoded.clone_from(&source.dest_decoded);
-    }
-}
-
 impl RadioMedium {
     /// Creates a medium over `topology`, deriving per-node draw streams
     /// from `rng` (see [`DrawStreams::new`]).
@@ -317,12 +236,6 @@ impl RadioMedium {
             lossy_acks: true,
             scratch: MediumScratch::default(),
         }
-    }
-
-    /// Copies `members`' draw-stream states from `other`'s medium into
-    /// this one (see [`DrawStreams::adopt`]); part of the island merge.
-    pub fn adopt_draws(&mut self, other: &RadioMedium, members: &[NodeId]) {
-        self.draws.adopt(&other.draws, members);
     }
 
     /// Enables or disables ACK loss on the reverse link (default: enabled).

@@ -24,7 +24,7 @@ use crate::id::NodeId;
 pub(crate) type Cell = (i64, i64);
 
 /// The index: occupied grid cells and the cached cell of every node.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SpatialGrid {
     /// Bucket side length in metres (the interference range).
     cell_size: f64,
@@ -131,24 +131,6 @@ impl SpatialGrid {
                 }
             }
         }
-    }
-}
-
-impl Clone for SpatialGrid {
-    fn clone(&self) -> Self {
-        SpatialGrid {
-            cell_size: self.cell_size,
-            buckets: self.buckets.clone(),
-            cell_of: self.cell_of.clone(),
-        }
-    }
-
-    // Allocation-reusing refresh: the island-parallel engine re-clones
-    // the topology into pooled sub-networks every window.
-    fn clone_from(&mut self, source: &Self) {
-        self.cell_size = source.cell_size;
-        self.buckets.clone_from(&source.buckets);
-        self.cell_of.clone_from(&source.cell_of);
     }
 }
 

@@ -61,7 +61,7 @@ impl LinkModel {
 /// Built with [`TopologyBuilder`]; consumed by the
 /// [`RadioMedium`](crate::RadioMedium) for per-slot resolution and by
 /// scenario builders for sanity checks.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     positions: Vec<Position>,
     range: f64,
@@ -84,36 +84,6 @@ pub struct Topology {
     /// instead of all pairs, making `build` O(n·k) and `set_position`
     /// output-sensitive.
     grid: SpatialGrid,
-}
-
-impl Clone for Topology {
-    fn clone(&self) -> Self {
-        Topology {
-            positions: self.positions.clone(),
-            range: self.range,
-            interference_factor: self.interference_factor,
-            link_model: self.link_model,
-            prr_overrides: self.prr_overrides.clone(),
-            audible_adj: self.audible_adj.clone(),
-            range_adj: self.range_adj.clone(),
-            grid: self.grid.clone(),
-        }
-    }
-
-    // Allocation-reusing refresh: the island-parallel engine re-clones
-    // the topology into pooled sub-networks on every `run_until` window,
-    // and `Vec::clone_from` reuses the adjacency row buffers instead of
-    // reallocating ~n vectors per island per window.
-    fn clone_from(&mut self, source: &Self) {
-        self.positions.clone_from(&source.positions);
-        self.range = source.range;
-        self.interference_factor = source.interference_factor;
-        self.link_model = source.link_model;
-        self.prr_overrides.clone_from(&source.prr_overrides);
-        self.audible_adj.clone_from(&source.audible_adj);
-        self.range_adj.clone_from(&source.range_adj);
-        self.grid.clone_from(&source.grid);
-    }
 }
 
 /// Removes `id` from a sorted row; no-op if absent.
@@ -393,9 +363,9 @@ impl Topology {
     ///
     /// Two nodes are in the same island iff a chain of
     /// interference-range edges connects them; nodes in different
-    /// islands can never exchange energy (not even as interference), so
-    /// a slot can be resolved island-by-island in any order — or in
-    /// parallel — with identical outcomes.
+    /// islands can never exchange energy (not even as interference) —
+    /// which is how the City scenario's clusters are checked to be
+    /// radio-isolated.
     ///
     /// Deterministic canonical form: each island is sorted by node id
     /// and islands are ordered by their smallest member, so the result

@@ -568,9 +568,6 @@ impl Experiment {
             scheduler,
             run,
             overlays,
-            // Trace output is an observer concern, not part of the
-            // experiment identity — never encoded, always None here.
-            trace: None,
         })
     }
 
@@ -657,7 +654,6 @@ mod tests {
                     max_duty_percent: 2.5,
                 }),
             ],
-            trace: None,
         }
     }
 

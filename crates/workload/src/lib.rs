@@ -27,7 +27,6 @@
 //!         ..RunSpec::default()
 //!     },
 //!     overlays: vec![Overlay::Noise(NoiseBurst::wifi_like())],
-//!     trace: None, // set via `with_trace` to capture a pcap of the run
 //! };
 //! // The canonical encoding round-trips exactly (cache keys and queue
 //! // cells are derived from it) …
@@ -128,27 +127,6 @@ pub struct Experiment {
     /// Timed environmental effects over the measurement window, applied
     /// in declaration order when simultaneous.
     pub overlays: Vec<Overlay>,
-    /// Wire-level trace export: when set, [`Experiment::run`] /
-    /// [`Experiment::run_on`] install a pcap frame tap for the whole
-    /// run and write the capture to [`TraceSpec::path`] afterwards.
-    ///
-    /// Deliberately **not** part of the canonical encoding
-    /// ([`Experiment::encode`]), like the parallel switch: taps never
-    /// change a report (see `DETERMINISM.md`), so cached sweep cells
-    /// are shared between traced and untraced runs, and
-    /// [`Experiment::decode`] always yields `trace: None`.
-    pub trace: Option<TraceSpec>,
-}
-
-/// Where [`Experiment::run`] writes its wire-level trace.
-///
-/// The capture itself — a classic pcap, linktype 195, sim-time
-/// timestamps — is a deterministic pure function of the experiment;
-/// only this destination is configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceSpec {
-    /// Output path of the pcap file (overwritten if present).
-    pub path: std::path::PathBuf,
 }
 
 impl Experiment {
@@ -159,7 +137,6 @@ impl Experiment {
             scheduler,
             run: RunSpec::default(),
             overlays: Vec::new(),
-            trace: None,
         }
     }
 
@@ -172,13 +149,6 @@ impl Experiment {
     /// Appends an overlay (builder style).
     pub fn with_overlay(mut self, overlay: Overlay) -> Self {
         self.overlays.push(overlay);
-        self
-    }
-
-    /// Enables wire-level trace export to a pcap file at `path`
-    /// (builder style). See [`Experiment::trace`].
-    pub fn with_trace(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.trace = Some(TraceSpec { path: path.into() });
         self
     }
 
@@ -204,8 +174,8 @@ impl Experiment {
     }
 
     /// A fully-wired [`NetworkBuilder`] for this experiment — the
-    /// escape hatch for callers that need builder-level switches (the
-    /// naive-step oracle, island-parallel stepping) before building.
+    /// escape hatch for callers that need a builder-level switch (the
+    /// naive-step oracle) before building.
     pub fn network_builder(&self) -> NetworkBuilder {
         let scenario = self.scenario.build();
         let sk = self.scheduler.clone();
@@ -230,30 +200,24 @@ impl Experiment {
     /// [`Experiment::network_builder`] — e.g. with the naive-step
     /// oracle enabled, so equivalence tests drive both cores through
     /// the identical warm-up/overlay/measure sequence).
-    ///
-    /// When [`Experiment::trace`] is set, a pcap frame tap rides the
-    /// whole run and the capture is written to [`TraceSpec::path`]
-    /// before the report is returned (panicking on I/O failure — a
-    /// requested trace that cannot be written is a broken run, not a
-    /// warning). The report is byte-identical either way.
     pub fn run_on(&self, net: &mut Network) -> NetworkReport {
-        match &self.trace {
-            None => self.drive(net),
-            Some(spec) => {
-                let (report, pcap) = self.run_traced_on(net);
-                std::fs::write(&spec.path, pcap).unwrap_or_else(|e| {
-                    panic!("cannot write trace to {}: {e}", spec.path.display())
-                });
-                report
-            }
-        }
+        net.run_for(SimDuration::from_secs(self.run.warmup_secs));
+        net.start_measurement();
+        overlay::drive(
+            net,
+            &self.overlays,
+            SimDuration::from_secs(self.run.measure_secs),
+        );
+        net.finish_measurement();
+        net.report()
     }
 
     /// Runs the full experiment with a pcap frame tap installed and
-    /// returns the report together with the capture bytes — the
-    /// file-less form of [`Experiment::trace`] that the golden-trace
-    /// tests hash. The trace is a deterministic pure function of the
-    /// experiment: same `Experiment`, same bytes.
+    /// returns the report together with the capture bytes (a classic
+    /// pcap, linktype 195, sim-time timestamps). The trace is a
+    /// deterministic pure function of the experiment: same
+    /// `Experiment`, same bytes. Taps never change a report (see
+    /// `DETERMINISM.md`), so the report equals [`Experiment::run`]'s.
     pub fn run_traced(&self) -> (NetworkReport, Vec<u8>) {
         self.run_traced_on(&mut self.build_network())
     }
@@ -264,27 +228,13 @@ impl Experiment {
     pub fn run_traced_on(&self, net: &mut Network) -> (NetworkReport, Vec<u8>) {
         let (tap, shared) = gtt_frame::PcapTap::new();
         net.set_frame_tap(Some(Box::new(tap)));
-        let report = self.drive(net);
+        let report = self.run_on(net);
         net.set_frame_tap(None); // drops the tap's Arc clone
         let pcap = std::sync::Arc::try_unwrap(shared)
             .expect("tap dropped, buffer uniquely owned")
             .into_inner()
             .expect("pcap buffer poisoned");
         (report, pcap)
-    }
-
-    /// The warm-up → overlay-driven measurement → report sequence
-    /// shared by the traced and untraced drivers.
-    fn drive(&self, net: &mut Network) -> NetworkReport {
-        net.run_for(SimDuration::from_secs(self.run.warmup_secs));
-        net.start_measurement();
-        overlay::drive(
-            net,
-            &self.overlays,
-            SimDuration::from_secs(self.run.measure_secs),
-        );
-        net.finish_measurement();
-        net.report()
     }
 }
 

@@ -447,7 +447,6 @@ mod tests {
                 ..RunSpec::default()
             },
             overlays,
-            trace: None,
         }
     }
 

@@ -188,7 +188,7 @@ impl Scenario {
     ///
     /// Clusters sit on a square grid at `DODAG_SPACING` (1 km) pitch —
     /// far beyond any interference, so each DODAG is its own audibility
-    /// island and the island-parallel engine scales across them. Within
+    /// island and clusters never interfere with one another. Within
     /// a cluster, nodes follow a deterministic sunflower (phyllotaxis)
     /// layout around the root: node `j` sits at radius
     /// `CITY_RING · √j`, angle `j · golden-angle`, giving a near-uniform

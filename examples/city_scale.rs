@@ -29,7 +29,7 @@ fn main() {
     );
 
     // A courier leaf from cluster 0 drives into cluster 1's radio
-    // space mid-measurement and back. Each hop re-keys the island
+    // space mid-measurement and back. Each hop changes the island
     // partition; with the spatial index it costs bucket-local work,
     // not an O(n²) adjacency rebuild.
     let courier = NodeId::new(99);

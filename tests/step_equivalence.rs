@@ -9,10 +9,10 @@
 //! performs the identical mutation sequence on both cores — and the
 //! 120-node sparse-traffic grid the refactor was built to unlock.
 //!
-//! The oracle is [`gtt_engine::NetworkBuilder::naive_stepping`]; the
-//! `parallel_*` legs add a third core,
-//! [`gtt_engine::NetworkBuilder::parallel_stepping`], and pin it
-//! against both.
+//! The oracle is [`gtt_engine::NetworkBuilder::naive_stepping`]. Every
+//! leg also checks that each core's report is internally consistent:
+//! per-node counts sum to the network totals, and every delivery has
+//! exactly one delay sample.
 
 use gtt_engine::{Network, NetworkReport};
 use gtt_net::{NodeId, Position};
@@ -31,14 +31,41 @@ fn build(experiment: &Experiment, naive: bool) -> Network {
     builder.build()
 }
 
-/// The property: both cores produce identical reports (and clocks) for
-/// the same experiment — warm-up, overlay timeline and measurement all
-/// driven by the one [`Experiment::run_on`] driver.
+/// Conservation within one report: the per-node `generated` and
+/// `delivered` columns sum to the network totals, each delivery carries
+/// exactly one delay sample, and nothing is delivered that was not
+/// generated.
+fn assert_consistent(report: &NetworkReport, core: &str, experiment: &Experiment) {
+    let what = format!(
+        "{} / {} / seed {} ({core})",
+        experiment.scenario.name(),
+        experiment.scheduler.name(),
+        experiment.run.seed
+    );
+    let generated: u64 = report.per_node.iter().map(|n| n.generated).sum();
+    let delivered: u64 = report.per_node.iter().map(|n| n.delivered).sum();
+    assert_eq!(generated, report.generated, "{what}: per-node generated");
+    assert_eq!(delivered, report.delivered, "{what}: per-node delivered");
+    assert_eq!(
+        report.delay.count(),
+        report.delivered,
+        "{what}: delay samples vs deliveries"
+    );
+    assert!(
+        report.delivered <= report.generated,
+        "{what}: delivered more than generated"
+    );
+}
+
+/// The property: both cores produce identical, consistent reports (and
+/// clocks) for the same experiment — warm-up, overlay timeline and
+/// measurement all run through [`Experiment::run_on`].
 fn assert_equivalent(experiment: &Experiment) {
     let mut reports: Vec<(NetworkReport, gtt_mac::Asn)> = Vec::new();
     for naive in [false, true] {
         let mut net = build(experiment, naive);
         let report = experiment.run_on(&mut net);
+        assert_consistent(&report, if naive { "oracle" } else { "event" }, experiment);
         reports.push((report, net.asn()));
     }
     assert_eq!(
@@ -337,103 +364,6 @@ fn composed_overlays_stay_equivalent() {
     assert_equivalent(&exp);
 }
 
-/// Island-parallel leg: the scoped-thread island path must be
-/// byte-identical to *both* the sequential event core and the
-/// naive-step oracle. Three-way comparison so a shared bug in the two
-/// fast cores can't hide.
-fn assert_parallel_equivalent(experiment: &Experiment) {
-    let mut reports: Vec<(NetworkReport, gtt_mac::Asn)> = Vec::new();
-    // naive oracle, sequential event core, island-parallel event core.
-    for (naive, parallel) in [(true, false), (false, false), (false, true)] {
-        let mut builder = experiment.network_builder();
-        if naive {
-            builder = builder.naive_stepping();
-        }
-        if parallel {
-            builder = builder.parallel_stepping();
-        }
-        let mut net = builder.build();
-        let report = experiment.run_on(&mut net);
-        reports.push((report, net.asn()));
-    }
-    assert_eq!(
-        reports[1],
-        reports[2],
-        "{} / {} / seed {}: parallel and sequential runs diverge",
-        experiment.scenario.name(),
-        experiment.scheduler.name(),
-        experiment.run.seed
-    );
-    assert_eq!(
-        reports[0],
-        reports[1],
-        "{} / {} / seed {}: event-driven core and oracle diverge",
-        experiment.scenario.name(),
-        experiment.scheduler.name(),
-        experiment.run.seed
-    );
-}
-
-#[test]
-fn parallel_two_dodag_equivalent() {
-    // Two radio-disjoint DODAGs: the genuine two-island case where the
-    // parallel path actually splits, steps on two threads, and merges.
-    assert_parallel_equivalent(&experiment(
-        ScenarioSpec::two_dodag(7),
-        SchedulerKind::gt_tsch_default(),
-        1,
-    ));
-}
-
-#[test]
-fn parallel_large_grid_equivalent() {
-    // The 120-node grid is one connected island: the parallel switch
-    // must fall back to the sequential core without perturbing anything.
-    let exp = Experiment::new(ScenarioSpec::large_grid(), SchedulerKind::gt_tsch_default())
-        .with_run(RunSpec {
-            traffic_ppm: 6.0,
-            warmup_secs: 20,
-            measure_secs: 20,
-            seed: 1,
-            ..RunSpec::default()
-        });
-    assert_parallel_equivalent(&exp);
-}
-
-#[test]
-fn parallel_island_split_and_merge_equivalent() {
-    // The mobility case from `mobility_overlay_stays_equivalent`: node 5
-    // walks out of its DODAG (briefly its own third island), into the
-    // other DODAG's radio space (merging two islands into one), then
-    // home. Every hop changes the island partition mid-run, so the
-    // parallel path re-partitions across split *and* merge and must
-    // still match both sequential cores byte-for-byte.
-    let exp = experiment(
-        ScenarioSpec::two_dodag(6),
-        SchedulerKind::gt_tsch_default(),
-        21,
-    )
-    .with_overlay(Overlay::Mobility(
-        StepMobility::new()
-            .hop(
-                SimDuration::from_secs(10),
-                NodeId::new(5),
-                Position::new(500.0, 200.0),
-            )
-            .hop(
-                SimDuration::from_secs(25),
-                NodeId::new(5),
-                Position::new(1_000.0 - 25.0, 10.0),
-            )
-            .hop(
-                SimDuration::from_secs(45),
-                NodeId::new(5),
-                Position::new(25.0, 10.0),
-            ),
-    ));
-    assert_parallel_equivalent(&exp);
-}
-
 #[test]
 fn city_reduced_equivalent() {
     // A reduced city (3 clustered DODAGs × 12 nodes): the multi-island
@@ -452,30 +382,14 @@ fn city_reduced_equivalent() {
 }
 
 #[test]
-fn parallel_city_equivalent() {
-    // Three genuine radio islands stepped on scoped threads (with the
-    // retained island-shell pool active across `run_until` windows) must
-    // match both sequential cores byte-for-byte.
-    let exp = Experiment::new(ScenarioSpec::city(3, 12), SchedulerKind::gt_tsch_default())
-        .with_run(RunSpec {
-            traffic_ppm: 6.0,
-            warmup_secs: 20,
-            measure_secs: 20,
-            seed: 3,
-            ..RunSpec::default()
-        });
-    assert_parallel_equivalent(&exp);
-}
-
-#[test]
-fn parallel_city_mobility_island_churn_equivalent() {
-    // Pool-keying stress: a leaf of cluster 0 walks to open ground (its
-    // own fourth island), into cluster 1's radio space (3 islands with
+fn city_mobility_island_churn_equivalent() {
+    // City mobility: a leaf of cluster 0 walks to open ground (its own
+    // fourth island), into cluster 1's radio space (3 islands with
     // changed membership), then home (back to the original partition).
-    // Every hop re-keys the island set, so pooled shells are checked
-    // out, missed, and rebuilt across the churn — and the final reports
-    // must still match both sequential cores byte-for-byte. Cluster
-    // origins for `city(3, _)` sit at (0,0), (1000,0) and (0,1000).
+    // A packet the leaf left queued at its old parent may be delivered
+    // after the leaf has moved away; it still counts for the leaf.
+    // Cluster origins for `city(3, _)` sit at (0,0), (1000,0) and
+    // (0,1000).
     let exp = Experiment::new(ScenarioSpec::city(3, 12), SchedulerKind::gt_tsch_default())
         .with_run(RunSpec {
             traffic_ppm: 6.0,
@@ -502,7 +416,7 @@ fn parallel_city_mobility_island_churn_equivalent() {
                     Position::new(20.0, 5.0),
                 ),
         ));
-    assert_parallel_equivalent(&exp);
+    assert_equivalent(&exp);
 }
 
 #[test]
@@ -515,7 +429,9 @@ fn mid_run_fault_injection_stays_equivalent() {
         net.run_for(SimDuration::from_secs(20));
         net.kill_node(NodeId::new(4));
         net.set_link_prr_symmetric(NodeId::new(0), NodeId::new(2), 0.5);
-        reports.push((exp.run_on(&mut net), net.asn()));
+        let report = exp.run_on(&mut net);
+        assert_consistent(&report, if naive { "oracle" } else { "event" }, &exp);
+        reports.push((report, net.asn()));
     }
     assert_eq!(reports[0], reports[1], "fault-injected runs diverge");
 }
