@@ -1,8 +1,8 @@
 //! Ablation of Algorithm 1's channel allocation vs. hash-based channels
 //! (paper §III strategies).
 //!
-//! Takes the figure binaries' flags (`--quick`, the sweep cache,
-//! `--enqueue`, …); see `--help`.
+//! Takes the figure binaries' flags (`--quick`, `--jobs N`,
+//! `--pcap PATH`); see `--help`.
 
 use gtt_bench::{ablation_channel_sweeps, figure_main};
 

@@ -6,8 +6,8 @@
 //! every sender's slot; this ablation quantifies that trade-off on the
 //! Fig. 8 network.
 //!
-//! Takes the figure binaries' flags (`--quick`, the sweep cache,
-//! `--enqueue`, …); see `--help`.
+//! Takes the figure binaries' flags (`--quick`, `--jobs N`,
+//! `--pcap PATH`); see `--help`.
 
 use gtt_bench::{ablation_orchestra_sweeps, figure_main};
 

@@ -1,7 +1,7 @@
 //! Ablation of the payoff weights α/β/γ (paper §VII-D) at 120 ppm.
 //!
-//! Takes the figure binaries' flags (`--quick`, the sweep cache,
-//! `--enqueue`, …); see `--help`.
+//! Takes the figure binaries' flags (`--quick`, `--jobs N`,
+//! `--pcap PATH`); see `--help`.
 
 use gtt_bench::{ablation_weights_sweeps, figure_main};
 

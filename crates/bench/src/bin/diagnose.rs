@@ -3,11 +3,13 @@
 //!
 //! Usage: `diagnose [PPM] [gt|orch|min]` — traffic per node (default
 //! 30 ppm) and scheduler (default GT-TSCH) on the Fig. 8 network. An
-//! unparsable or non-positive rate, an unknown scheduler, an extra
-//! argument or any flag but `--help` prints the usage and exits 2.
+//! unparsable or non-positive rate, a rate above
+//! [`AppTraffic::MAX_RATE_PPM`], an unknown scheduler, an extra argument
+//! or any flag but `--help` prints the usage and exits 2.
 
 use std::process::exit;
 
+use gtt_engine::AppTraffic;
 use gtt_workload::{Experiment, RunSpec, ScenarioSpec, SchedulerKind};
 
 const USAGE: &str = "usage: diagnose [PPM] [gt|orch|min]";
@@ -32,8 +34,13 @@ fn parse_args() -> (f64, SchedulerKind) {
     }
     let ppm = match args.first().map(|s| s.parse::<f64>()) {
         None => 30.0,
-        Some(Ok(ppm)) if ppm.is_finite() && ppm > 0.0 => ppm,
-        Some(_) => bad_usage(&format!("PPM must be a positive number, got {}", args[0])),
+        Some(Ok(ppm)) if AppTraffic::is_valid_rate(ppm) => ppm,
+        Some(_) => bad_usage(&format!(
+            "PPM must be a positive number of at most {} (one packet per simulated \
+             microsecond), got {}",
+            AppTraffic::MAX_RATE_PPM,
+            args[0]
+        )),
     };
     let sched = match args.get(1).map_or("gt", String::as_str) {
         "gt" => SchedulerKind::gt_tsch_default(),

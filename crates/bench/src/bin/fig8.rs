@@ -1,13 +1,9 @@
 //! Regenerates the paper's Fig. 8 (all six sub-figures).
 //!
-//! Usage: `fig8 [--quick] [--no-cache | --cache-only] [--cache-dir DIR]
-//! [--jobs N] [--pcap PATH] [--enqueue QUEUE_DIR]` — `--quick` averages
-//! 2 seeds instead of 5; cells are served from / into the persistent
-//! sweep cache (default `target/sweep-cache`) unless `--no-cache` is
-//! given. `--enqueue` adds uncached cells to a fault-tolerant
-//! work-stealing queue (`sweep_worker --queue`); `--cache-only` renders
-//! from whatever the cache holds, reporting absent cells per point as
-//! `n/a`. See `--help`.
+//! Usage: `fig8 [--quick] [--jobs N] [--pcap PATH]` — `--quick` averages
+//! 2 seeds instead of 5, `--jobs N` sets the worker threads, `--pcap`
+//! also traces the figure's first cell. Every cell is simulated. See
+//! `--help`.
 
 use gtt_bench::{fig8_sweeps, figure_main};
 

@@ -3,9 +3,9 @@
 //!
 //! Each sweep is one declarative [`SweepPoint`] list built by a
 //! `*_points()` constructor; the matching `*_sweeps()` function labels
-//! it (table name, x axis) for [`crate::figure_main`]. The binaries
-//! (printing tables or enqueueing cells), the benchmark and the
-//! integration tests all share this one description of each figure.
+//! it (table name, x axis) for [`crate::figure_main`]. The binaries,
+//! the benchmark and the integration tests all share this one
+//! description of each figure.
 
 use gt_tsch::{GameWeights, GtTschConfig};
 use gtt_orchestra::OrchestraConfig;
@@ -136,8 +136,8 @@ pub fn fig_noise_depth_points() -> Vec<SweepPoint> {
         for sched in contenders() {
             // `prr_factor == 1.0` would be a no-op overlay; keep the
             // clean column literally overlay-free so its canonical
-            // encoding (and cache cells) are byte-shared with non-noise
-            // sweeps of the same points (fig8's 120 ppm column).
+            // encoding is byte-identical to the same points of the
+            // non-noise sweeps (fig8's 120 ppm column).
             let overlays = (prr_factor < 1.0)
                 .then_some(Overlay::Noise(NoiseBurst {
                     quiet: SimDuration::from_secs(8),
@@ -335,7 +335,7 @@ pub fn ablation_orchestra_sweeps() -> Vec<FigureSweep> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{cell_key, run_sweep, SweepConfig};
+    use crate::sweep::{run_sweep, SweepConfig};
 
     /// One fast end-to-end pass of the fig8 machinery (1 seed, light
     /// load only) — the full run is exercised by the `fig8` binary.
@@ -361,7 +361,6 @@ mod tests {
             &SweepConfig {
                 seeds: vec![1],
                 threads: 1,
-                ..SweepConfig::default()
             },
         );
         let p = &results.points[0];
@@ -370,20 +369,22 @@ mod tests {
         assert!(p.mean.pdr_percent > 80.0, "PDR {}", p.mean.pdr_percent);
     }
 
-    /// The clean noise-depth column is the same *cell* as fig8's
-    /// 120 ppm points — declarative specs make the sharing exact.
+    /// The clean noise-depth column is the same experiment as fig8's
+    /// 120 ppm points — declarative specs make the sharing exact, down
+    /// to the canonical encoding's bytes.
     #[test]
     fn clean_noise_column_byte_shares_fig8_cells() {
-        let fig8_at_120: Vec<String> = fig8_points()
+        let fig8_at_120: Vec<Vec<u8>> = fig8_points()
             .iter()
             .filter(|p| p.x_label == "120")
-            .map(|p| cell_key(&p.experiment.with_seed(1)))
+            .map(|p| p.experiment.with_seed(1).encode())
             .collect();
-        let clean_noise: Vec<String> = fig_noise_depth_points()
+        let clean_noise: Vec<Vec<u8>> = fig_noise_depth_points()
             .iter()
             .filter(|p| p.x_label == "1.00")
-            .map(|p| cell_key(&p.experiment.with_seed(1)))
+            .map(|p| p.experiment.with_seed(1).encode())
             .collect();
+        assert_eq!(fig8_at_120.len(), 2, "one point per scheduler");
         assert_eq!(fig8_at_120, clean_noise);
     }
 }

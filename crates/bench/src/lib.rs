@@ -13,21 +13,19 @@
 //! | `ablation_orchestra` | §VIII bottleneck | Orchestra receiver- vs sender-based cells |
 //! | `diagnose` | — | one verbose run with per-node breakdown |
 //! | `pcapcheck` | — | validates the pcap traces `--pcap` writes |
-//! | `sweep_worker` | — | drains a work-stealing queue into the sweep cache |
 //! | `bench_engine` | — | the perf harness: event core vs oracle, city-10k memory gate |
 //!
-//! Each figure and ablation binary prints the paper's six series (PDR,
-//! end-to-end delay, packet loss, radio duty cycle, queue loss,
-//! received packets/minute) as one table per sub-figure, averaged over
-//! seeds, ready to paste into `EXPERIMENTS.md` — or, with `--enqueue`,
-//! feeds its cells to the fault-tolerant queue fabric of [`queue`].
+//! Each figure and ablation binary simulates every cell of its sweep
+//! and prints the paper's six series (PDR, end-to-end delay, packet
+//! loss, radio duty cycle, queue loss, received packets/minute) as one
+//! table per sub-figure, averaged over seeds, ready to paste into
+//! `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod figures;
-pub mod queue;
 pub mod sweep;
 pub mod table;
 
@@ -38,9 +36,5 @@ pub use figures::{
     fig10_sweeps, fig8_points, fig8_sweeps, fig9_points, fig9_sweeps, fig_noise_depth_points,
     fig_noise_period_points, fig_noise_sweeps,
 };
-pub use queue::{
-    enqueue_points, run_queue_worker, EnqueueSummary, QueueCell, QueueDir, QueueWorkerConfig,
-    QueueWorkerStats, Requeue, StaleTracker,
-};
-pub use sweep::{cell_key, probe_cached, PointResult, SweepConfig, SweepPoint, SweepResults};
+pub use sweep::{PointResult, SweepConfig, SweepPoint, SweepResults};
 pub use table::render_figure_tables;

@@ -36,10 +36,6 @@ pub fn render_figure_tables(figure: &str, results: &SweepResults) -> String {
             out.push_str(&format!("{sched:<12}"));
             for x in &xs {
                 match results.get(sched, x) {
-                    // A point with no rows is a cache-only render whose
-                    // cells were all absent: show the gap explicitly
-                    // instead of a fabricated 0.00.
-                    Some(p) if p.rows.is_empty() => out.push_str(&format!(" {:>9}", "n/a")),
                     Some(p) => out.push_str(&format!(" {:>9.2}", extract(&p.mean))),
                     None => out.push_str(&format!(" {:>9}", "-")),
                 }
@@ -66,12 +62,6 @@ mod tests {
             received_per_min: 400.0,
         };
         SweepResults {
-            cache_hits: 0,
-            cache_misses: 0,
-            corrupt_cells: 0,
-            store_errors: 0,
-            first_store_error: None,
-            missing_cells: 0,
             x_axis: "traffic".into(),
             points: vec![
                 PointResult {
@@ -81,7 +71,6 @@ mod tests {
                     rows: vec![row(99.0)],
                     join_ratio: 1.0,
                     generated: 100.0,
-                    missing: 0,
                 },
                 PointResult {
                     x_label: "30".into(),
@@ -90,7 +79,6 @@ mod tests {
                     rows: vec![row(97.0)],
                     join_ratio: 1.0,
                     generated: 100.0,
-                    missing: 0,
                 },
             ],
         }
@@ -106,25 +94,6 @@ mod tests {
         assert!(text.contains("orchestra"));
         assert!(text.contains("99.00"));
         assert!(text.contains("97.00"));
-    }
-
-    /// Cache-only renders with absent cells show `n/a`, never a
-    /// fabricated zero row.
-    #[test]
-    fn rowless_points_render_as_na() {
-        let mut results = fake_results();
-        results.points[1].rows.clear();
-        results.points[1].mean = FigureRow::default();
-        results.points[1].missing = 1;
-        let text = render_figure_tables("8", &results);
-        assert!(text.contains("n/a"), "{text}");
-        assert!(text.contains("99.00"), "present point still rendered");
-        // Every orchestra cell is n/a — the zeroed mean never leaks.
-        let orchestra_rows = text.lines().filter(|l| l.starts_with("orchestra"));
-        for line in orchestra_rows {
-            assert!(line.contains("n/a"), "fabricated value: {line}");
-            assert!(!line.contains("0.00"), "fabricated value: {line}");
-        }
     }
 
     #[test]

@@ -29,12 +29,15 @@ fn figure_binaries_reject_bad_flags() {
     for (args, needle) in [
         (&["--bogus"][..], "unknown flag --bogus"),
         (&["--jobs", "0"][..], "--jobs needs a positive integer"),
-        (&["--no-cache", "--cache-only"][..], "contradict"),
-        // A removed flag is rejected like any unknown one.
+        // Removed flags are rejected like any unknown one.
         (&["--list"][..], "unknown flag --list"),
+        (&["--no-cache"][..], "unknown flag --no-cache"),
+        (&["--cache-only"][..], "unknown flag --cache-only"),
+        (&["--cache-dir", "DIR"][..], "unknown flag --cache-dir"),
+        (&["--enqueue", "DIR"][..], "unknown flag --enqueue"),
         // An unwritable trace path fails before anything is simulated.
         (
-            &["--quick", "--no-cache", "--pcap", "/nonexistent/dir/x.pcap"][..],
+            &["--quick", "--pcap", "/nonexistent/dir/x.pcap"][..],
             "cannot write trace to /nonexistent/dir/x.pcap",
         ),
     ] {
@@ -48,18 +51,12 @@ fn figure_binaries_reject_bad_flags() {
 
 #[test]
 fn diagnose_rejects_a_bad_rate() {
-    assert_input_error(
-        &run(env!("CARGO_BIN_EXE_diagnose"), &["abc"]),
-        "PPM must be a positive number",
-    );
-}
-
-#[test]
-fn sweep_worker_rejects_a_positional_file() {
-    assert_input_error(
-        &run(env!("CARGO_BIN_EXE_sweep_worker"), &["cells.list"]),
-        "unexpected argument cells.list",
-    );
+    let diagnose = env!("CARGO_BIN_EXE_diagnose");
+    // `1.3e8` is above one packet per microsecond, the clock's
+    // resolution: its period would round to 0 µs.
+    for rate in ["abc", "0", "-5", "inf", "NaN", "1.3e8"] {
+        assert_input_error(&run(diagnose, &[rate]), "PPM must be");
+    }
 }
 
 #[test]

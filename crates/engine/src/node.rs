@@ -23,15 +23,31 @@ pub struct AppTraffic {
 }
 
 impl AppTraffic {
+    /// The highest rate a source supports: one packet per microsecond
+    /// of simulated time, the clock's resolution.
+    pub const MAX_RATE_PPM: f64 = 60_000_000.0;
+
+    /// True if `rate_ppm` is a rate [`AppTraffic::new`] accepts:
+    /// positive and at most [`AppTraffic::MAX_RATE_PPM`] (so neither
+    /// NaN nor infinite).
+    pub fn is_valid_rate(rate_ppm: f64) -> bool {
+        rate_ppm > 0.0 && rate_ppm <= Self::MAX_RATE_PPM
+    }
+
     /// Creates a CBR source with a random initial phase.
     ///
     /// # Panics
     ///
-    /// Panics if `rate_ppm` is not finite and positive.
+    /// Panics unless [`AppTraffic::is_valid_rate`] accepts `rate_ppm`:
+    /// it must be positive and at most [`AppTraffic::MAX_RATE_PPM`] (a
+    /// faster source's period would round to 0 µs and it would never
+    /// stop generating).
     pub fn new(rate_ppm: f64, rng: &mut Pcg32) -> Self {
         assert!(
-            rate_ppm.is_finite() && rate_ppm > 0.0,
-            "traffic rate must be positive, got {rate_ppm}"
+            Self::is_valid_rate(rate_ppm),
+            "traffic rate must be positive and at most {} ppm (one packet per simulated \
+             microsecond), got {rate_ppm}",
+            Self::MAX_RATE_PPM
         );
         let period = SimDuration::from_secs_f64(60.0 / rate_ppm);
         let phase =
@@ -439,5 +455,29 @@ mod tests {
     fn zero_rate_rejected() {
         let mut rng = Pcg32::new(4);
         let _ = AppTraffic::new(0.0, &mut rng);
+    }
+
+    /// Above one packet per microsecond the period would round to 0 µs
+    /// and `due` would loop forever; the source refuses such a rate.
+    #[test]
+    #[should_panic(
+        expected = "at most 60000000 ppm (one packet per simulated microsecond), got 130000000"
+    )]
+    fn rate_above_one_packet_per_microsecond_rejected() {
+        let mut rng = Pcg32::new(5);
+        let _ = AppTraffic::new(1.3e8, &mut rng);
+    }
+
+    #[test]
+    fn the_rate_limit_is_a_one_microsecond_period() {
+        assert!(AppTraffic::is_valid_rate(AppTraffic::MAX_RATE_PPM));
+        assert!(!AppTraffic::is_valid_rate(AppTraffic::MAX_RATE_PPM * 1.01));
+        assert!(!AppTraffic::is_valid_rate(f64::NAN));
+        assert!(!AppTraffic::is_valid_rate(0.0));
+        let mut rng = Pcg32::new(6);
+        let mut app = AppTraffic::new(AppTraffic::MAX_RATE_PPM, &mut rng);
+        assert_eq!(app.period.as_micros(), 1);
+        let start = app.next_due();
+        assert_eq!(app.due(start + SimDuration::from_micros(9)), 10);
     }
 }

@@ -357,62 +357,6 @@ impl Topology {
         }
         count == n
     }
-
-    /// Connected components of the *audibility* graph — the partition
-    /// islands of the radio medium.
-    ///
-    /// Two nodes are in the same island iff a chain of
-    /// interference-range edges connects them; nodes in different
-    /// islands can never exchange energy (not even as interference) —
-    /// which is how the City scenario's clusters are checked to be
-    /// radio-isolated.
-    ///
-    /// Deterministic canonical form: each island is sorted by node id
-    /// and islands are ordered by their smallest member, so the result
-    /// is a pure function of the audibility graph.
-    pub fn audibility_islands(&self) -> Vec<Vec<NodeId>> {
-        let n = self.positions.len();
-        // Union-find with path halving over the precomputed (bucket-
-        // local) audibility edges. NodeId is u16-backed, so u32 parents
-        // always fit.
-        fn find(parent: &mut [u32], mut i: u32) -> u32 {
-            while parent[i as usize] != i {
-                parent[i as usize] = parent[parent[i as usize] as usize];
-                i = parent[i as usize];
-            }
-            i
-        }
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        for i in 0..n {
-            for &nb in &self.audible_adj[i] {
-                let a = find(&mut parent, i as u32);
-                let b = find(&mut parent, nb.index() as u32);
-                if a != b {
-                    // Root at the smaller id: with path halving this
-                    // keeps the forest shallow and the final scan cheap.
-                    parent[a.max(b) as usize] = a.min(b);
-                }
-            }
-        }
-        // Group 0..n by root: the ascending scan yields members in id
-        // order and islands ordered by their smallest member — the
-        // canonical form — with no sorting pass.
-        let mut island_of_root = vec![usize::MAX; n];
-        let mut islands: Vec<Vec<NodeId>> = Vec::new();
-        for i in 0..n {
-            let root = find(&mut parent, i as u32) as usize;
-            let slot = island_of_root[root];
-            let slot = if slot == usize::MAX {
-                island_of_root[root] = islands.len();
-                islands.push(Vec::new());
-                islands.len() - 1
-            } else {
-                slot
-            };
-            islands[slot].push(NodeId::from_index(i));
-        }
-        islands
-    }
 }
 
 /// Builder for [`Topology`] (C-BUILDER).
@@ -695,49 +639,6 @@ mod tests {
         assert!(line(30.0, 5, 35.0).is_connected());
         assert!(!line(60.0, 3, 50.0).is_connected());
         assert!(TopologyBuilder::new(10.0).build().is_connected());
-    }
-
-    #[test]
-    fn audibility_islands_partition_by_component() {
-        // Two 3-node clusters 1 km apart: two islands, canonical order.
-        let t = TopologyBuilder::new(40.0)
-            .nodes((0..3).map(|i| Position::new(f64::from(i) * 30.0, 0.0)))
-            .nodes((0..3).map(|i| Position::new(1000.0 + f64::from(i) * 30.0, 0.0)))
-            .build();
-        let islands = t.audibility_islands();
-        assert_eq!(islands.len(), 2);
-        assert_eq!(
-            islands[0],
-            (0..3).map(NodeId::from_index).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            islands[1],
-            (3..6).map(NodeId::from_index).collect::<Vec<_>>()
-        );
-        // A connected line is a single island containing everyone.
-        assert_eq!(line(30.0, 5, 35.0).audibility_islands().len(), 1);
-        // The empty topology has no islands.
-        assert!(TopologyBuilder::new(10.0)
-            .build()
-            .audibility_islands()
-            .is_empty());
-    }
-
-    #[test]
-    fn audibility_islands_follow_interference_range_and_moves() {
-        // 60 m apart with 50 m comm range: two islands — but with
-        // interference factor 1.5 the nodes are mutually audible, so one.
-        let mut t = TopologyBuilder::new(50.0)
-            .interference_factor(1.5)
-            .node(Position::ORIGIN)
-            .node(Position::new(60.0, 0.0))
-            .build();
-        assert_eq!(t.audibility_islands().len(), 1);
-        // Moving the node out of interference range splits the island.
-        t.set_position(NodeId::new(1), Position::new(200.0, 0.0));
-        assert_eq!(t.audibility_islands().len(), 2);
-        t.set_position(NodeId::new(1), Position::new(40.0, 0.0));
-        assert_eq!(t.audibility_islands().len(), 1);
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! *canonical* — equal experiments encode to identical bytes, floats
 //! round-trip by exact bit pattern (`f64::to_bits`, including `-0.0`
 //! and NaN payloads), and there is no map/hash iteration anywhere — so
-//! the bytes double as a portable cache key and, hex-armored, as the
-//! cell payload of the `sweep_worker` work-stealing queue.
+//! the bytes are a portable identity of the run and, hex-armored
+//! ([`Experiment::encode_hex`]), a one-line reproducible bug report.
 //!
 //! Schema evolution: bump [`ENCODING_VERSION`] whenever the layout *or
 //! the meaning* of any encoded field changes; decoders reject foreign
-//! versions and every derived cache key changes with the version, so
-//! stale cells can never be served across a schema change.
+//! versions, so an old encoding is never misread as a new one.
 
 use std::fmt;
 
@@ -27,8 +26,7 @@ use crate::scenario::Scenario;
 use crate::spec::{ScenarioSpec, TopologySpec};
 use crate::{Experiment, RunSpec, SchedulerKind};
 
-/// Version of the canonical encoding. Part of every encoded experiment
-/// (and therefore of every cache key derived from one).
+/// Version of the canonical encoding. Part of every encoded experiment.
 pub const ENCODING_VERSION: u16 = 2;
 
 /// Leading magic of every encoded experiment.
@@ -499,16 +497,16 @@ impl Experiment {
     ///
     /// Equal experiments produce identical bytes (there is no ambient
     /// state, no map iteration, no pointer-dependent ordering), so the
-    /// result is a stable wire format *and* the input of cache-key
-    /// hashing. Floats are stored as exact bit patterns.
+    /// result is a stable wire format. Floats are stored as exact bit
+    /// patterns.
     pub fn encode(&self) -> Vec<u8> {
         self.encode_with_version(ENCODING_VERSION)
     }
 
     /// [`Experiment::encode`] with an explicit schema version, for
-    /// schema-evolution tests (a bumped version must invalidate every
-    /// derived cache key). Production callers use [`Experiment::encode`].
-    pub fn encode_with_version(&self, version: u16) -> Vec<u8> {
+    /// schema-evolution tests (the decoder must reject a foreign
+    /// version).
+    fn encode_with_version(&self, version: u16) -> Vec<u8> {
         let mut e = Enc {
             buf: Vec::with_capacity(128),
         };
@@ -572,7 +570,7 @@ impl Experiment {
     }
 
     /// The canonical encoding as lowercase hex — the one-line text form
-    /// carried by `sweep_worker` queue cells.
+    /// of an experiment, e.g. in a bug report.
     pub fn encode_hex(&self) -> String {
         let bytes = self.encode();
         let mut out = String::with_capacity(bytes.len() * 2);
@@ -755,8 +753,8 @@ mod tests {
     #[test]
     fn corrupted_length_prefix_fails_cleanly() {
         // A flipped hop-count byte must surface as `Truncated`, not as
-        // a multi-gigabyte pre-allocation abort: queue cells are
-        // plain-text files, torn lines happen.
+        // a multi-gigabyte pre-allocation abort: hex encodings travel
+        // as plain text, torn lines happen.
         let exp = crate::Experiment::new(ScenarioSpec::star(2), SchedulerKind::minimal(8))
             .with_overlay(Overlay::Mobility(StepMobility::new().hop(
                 SimDuration::from_secs(1),
@@ -770,6 +768,26 @@ mod tests {
         assert_eq!(bytes[count_at], 1, "hop count located");
         bytes[count_at..count_at + 4].copy_from_slice(&0xffff_fff0u32.to_le_bytes());
         assert_eq!(Experiment::decode(&bytes), Err(DecodeError::Truncated));
+    }
+
+    /// Pins the encoding's bytes: equal experiments encode identically
+    /// across runs, processes and hosts, so this literal changes only
+    /// when the layout does — which must come with an
+    /// [`ENCODING_VERSION`] bump.
+    #[test]
+    fn golden_encoding_is_stable() {
+        let exp = crate::Experiment::new(ScenarioSpec::star(2), SchedulerKind::minimal(8))
+            .with_run(RunSpec {
+                traffic_ppm: 10.0,
+                warmup_secs: 20,
+                measure_secs: 30,
+                seed: 1,
+                ..RunSpec::default()
+            });
+        let golden = "47545458020000030200000000000000020800000000000000244014000000000000001e\
+                      0000000000000001000000000000000000000000";
+        assert_eq!(exp.encode_hex(), golden);
+        assert_eq!(Experiment::decode_hex(golden).unwrap(), exp);
     }
 
     #[test]

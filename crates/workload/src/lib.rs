@@ -7,9 +7,9 @@
 //! a composable [`Overlay`] timeline (interference bursts, step
 //! mobility, duty-cycle budgets). Experiments are plain data —
 //! comparable, cloneable, and canonically encodable
-//! ([`Experiment::encode`]) into a versioned byte form that doubles as
-//! the sweep cache key and as the cell payload of the multi-process
-//! `sweep_worker` queue (see `gtt-bench`).
+//! ([`Experiment::encode`]) into a versioned byte form whose hex
+//! armor ([`Experiment::encode_hex`]) is a one-line, reproducible
+//! description of a run.
 //!
 //! # Example
 //!
@@ -28,8 +28,7 @@
 //!     },
 //!     overlays: vec![Overlay::Noise(NoiseBurst::wifi_like())],
 //! };
-//! // The canonical encoding round-trips exactly (cache keys and queue
-//! // cells are derived from it) …
+//! // The canonical encoding round-trips exactly …
 //! assert_eq!(Experiment::decode(&exp.encode()).unwrap(), exp);
 //! // … and `run()` drives warm-up, the overlay timeline and the
 //! // measured window in one call.
@@ -60,7 +59,10 @@ use gtt_sim::SimDuration;
 /// cadence preset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
-    /// Application rate per non-root node (packets/minute).
+    /// Application rate per non-root node (packets/minute). Must be
+    /// positive and at most [`gtt_engine::AppTraffic::MAX_RATE_PPM`],
+    /// one packet per simulated microsecond; building the network
+    /// panics otherwise.
     pub traffic_ppm: f64,
     /// Warm-up (network formation + schedule convergence), seconds.
     /// Overlays do not run during warm-up — the network always forms

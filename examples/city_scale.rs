@@ -14,23 +14,21 @@ use gtt_workload::{Experiment, Overlay, RunSpec, ScenarioSpec, SchedulerKind, St
 
 fn main() {
     // Ten phyllotaxis-packed sensor clusters, each its own DODAG with
-    // its own border router, on a 1 km grid — radio-disjoint islands.
-    // The layout is a pure function of the two counts (no RNG), so the
-    // scenario is sweep-cacheable like any other.
+    // its own border router, on a 1 km grid — far beyond radio range of
+    // one another. The layout is a pure function of the two counts (no
+    // RNG), so the scenario is reproducible like any other.
     let spec = ScenarioSpec::city(10, 100);
     let scenario = spec.build();
-    let islands = scenario.topology.audibility_islands();
     println!(
-        "scenario `{}`: {} nodes, {} DODAG roots, {} audibility islands",
+        "scenario `{}`: {} nodes, {} DODAG roots",
         scenario.name,
         scenario.topology.len(),
         scenario.roots.len(),
-        islands.len(),
     );
 
     // A courier leaf from cluster 0 drives into cluster 1's radio
-    // space mid-measurement and back. Each hop changes the island
-    // partition; with the spatial index it costs bucket-local work,
+    // space mid-measurement and back. Each hop changes which nodes hear
+    // the courier; with the spatial index it costs bucket-local work,
     // not an O(n²) adjacency rebuild.
     let courier = NodeId::new(99);
     let exp = Experiment::new(spec, SchedulerKind::gt_tsch_default())

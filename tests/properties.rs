@@ -591,36 +591,6 @@ fn reference_adjacency(topo: &Topology) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) 
     (audible, in_range)
 }
 
-/// DFS connected components over the reference audible adjacency — the
-/// pre-union-find islands algorithm, in the same canonical form
-/// (members sorted, islands ordered by smallest member).
-fn reference_islands(audible: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
-    let n = audible.len();
-    let mut seen = vec![false; n];
-    let mut islands = Vec::new();
-    let mut stack = Vec::new();
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        let mut members = Vec::new();
-        seen[start] = true;
-        stack.push(start);
-        while let Some(i) = stack.pop() {
-            members.push(NodeId::from_index(i));
-            for &nb in &audible[i] {
-                if !seen[nb.index()] {
-                    seen[nb.index()] = true;
-                    stack.push(nb.index());
-                }
-            }
-        }
-        members.sort_unstable();
-        islands.push(members);
-    }
-    islands
-}
-
 /// Every index-backed query must match the brute-force reference
 /// byte-for-byte (`Vec<NodeId>` equality is byte equality for u16 ids).
 fn assert_matches_reference(topo: &Topology) -> Result<(), TestCaseError> {
@@ -639,15 +609,14 @@ fn assert_matches_reference(topo: &Topology) -> Result<(), TestCaseError> {
             i
         );
     }
-    prop_assert_eq!(topo.audibility_islands(), reference_islands(&audible));
     Ok(())
 }
 
 proptest! {
-    /// The spatial index is invisible: audibility rows, in-range rows
-    /// and islands equal the brute-force O(n²) reference over random
+    /// The spatial index is invisible: audibility rows and in-range
+    /// rows equal the brute-force O(n²) reference over random
     /// topologies and random `set_position` sequences (local rewalks
-    /// and island-splitting teleports alike), and the incrementally-
+    /// and far teleports alike), and the incrementally-
     /// maintained topology stays fully equal — grid internals included —
     /// to one built from scratch at the final positions.
     #[test]
@@ -658,7 +627,7 @@ proptest! {
     ) {
         let mut layout = Pcg32::new(seed ^ 0x51ce_b00c);
         // Sides from ~1 to ~9 grid cells: exercises everything from
-        // "all nodes in one bucket" to sparse multi-island spreads.
+        // "all nodes in one bucket" to sparse, disconnected spreads.
         let side = 50.0 + layout.gen_f64() * 350.0;
         let mut topo = TopologyBuilder::new(45.0)
             .interference_factor(1.0 + layout.gen_f64())
@@ -670,8 +639,8 @@ proptest! {
         for _ in 0..moves {
             let node = NodeId::from_index(layout.gen_range_u32(0, n as u32) as usize);
             let to = if layout.gen_f64() < 0.2 {
-                // Teleport far off the populated grid: forces island
-                // splits and empty-bucket erasure.
+                // Teleport far off the populated grid: disconnects the
+                // node and forces empty-bucket erasure.
                 Position::new(side * 4.0 + layout.gen_f64() * side, side * 4.0)
             } else {
                 Position::new(layout.gen_f64() * side, layout.gen_f64() * side)
