@@ -47,6 +47,7 @@
 use std::process::exit;
 use std::time::Instant;
 
+use gtt_mac::SLOT_DURATION;
 use gtt_net::{NodeId, Position};
 use gtt_sim::SimDuration;
 use gtt_workload::{
@@ -211,8 +212,8 @@ fn time_run(case: &Case, sim: SimDuration, core: Core, stats: bool) -> f64 {
     secs
 }
 
-fn measure(case: &Case, sim: SimDuration, slot: SimDuration, stats: bool) -> Measurement {
-    let sim_slots = sim.as_micros() / slot.as_micros();
+fn measure(case: &Case, sim: SimDuration, stats: bool) -> Measurement {
+    let sim_slots = sim.as_micros() / SLOT_DURATION.as_micros();
     // Best of three per core, with the event and naive repetitions
     // *interleaved*: the first pass faults in code paths, min-of-N
     // filters out scheduler noise from the shared host, and pairing the
@@ -384,11 +385,6 @@ fn main() {
 
     let sim_secs = if quick { 60 } else { 300 };
     let sim = SimDuration::from_secs(sim_secs);
-    let slot = SchedulerKind::gt_tsch_default()
-        .engine_config()
-        .mac
-        .slot_duration;
-
     let cases = [
         // The acceptance case: 120-node grid in the steady-state
         // low-power regime (EB 16 s as deployed TSCH networks run it,
@@ -547,7 +543,7 @@ fn main() {
             .contains(filter.as_str()),
         })
         .map(|case| {
-            let m = measure(case, sim, slot, stats);
+            let m = measure(case, sim, stats);
             eprintln!(
                 "  {:<17} {:<10} {:>4} nodes  event {:>9.0} slots/s  naive {:>9.0} slots/s  speedup {:>5.2}x",
                 m.name,

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use gtt_metrics::{FigureRow, Summary};
+use gtt_metrics::FigureRow;
 use gtt_workload::Experiment;
 
 /// One (x-value, experiment) point of a sweep. The per-seed cells are
@@ -69,17 +69,6 @@ pub struct PointResult {
     pub join_ratio: f64,
     /// Mean packets generated.
     pub generated: f64,
-}
-
-impl PointResult {
-    /// 95% confidence half-width of the PDR across seeds.
-    pub fn pdr_ci95(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.pdr_percent)
-            .collect::<Summary>()
-            .ci95_half_width()
-    }
 }
 
 /// All results of a figure sweep.

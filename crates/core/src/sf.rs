@@ -24,6 +24,7 @@
 use gtt_engine::{EbInfo, Payload, SchedulingFunction, SfContext};
 use gtt_mac::{
     Cell, CellClass, CellOptions, ChannelOffset, SlotOffset, Slotframe, SlotframeHandle, TschMac,
+    HOPPING_SEQUENCE, SLOT_DURATION,
 };
 use gtt_net::{Dest, NodeId};
 use gtt_rpl::RplNode;
@@ -38,11 +39,14 @@ use crate::queue_metric::QueueEwma;
 /// The GT-TSCH slotframe handle (single slotframe, §VIII).
 const SF_HANDLE: SlotframeHandle = SlotframeHandle::new(0);
 
+/// Number of channel offsets: one per channel of the hopping sequence.
+const N_OFFSETS: u8 = HOPPING_SEQUENCE.len() as u8;
+
 /// Hash-based channel pick for the `hash_channels` ablation: mimics the
 /// §III strawman where schedulers derive channels from node addresses.
-fn hash_channel(node: NodeId, n_offsets: u8, fbcast: u8) -> u8 {
+fn hash_channel(node: NodeId, fbcast: u8) -> u8 {
     let h = ((node.raw() as u32).wrapping_mul(2654435761) >> 16) as u8;
-    let usable = n_offsets - 1; // everything except f_bcast
+    let usable = N_OFFSETS - 1; // everything except f_bcast
     let pick = h % usable;
     if pick >= fbcast {
         pick + 1
@@ -84,15 +88,15 @@ pub struct GtTschSf {
 }
 
 impl GtTschSf {
-    /// Creates the SF with `cfg` and `n_offsets` channel offsets
-    /// (= hopping-sequence length).
+    /// Creates the SF with `cfg`, over one channel offset per channel of
+    /// the hopping sequence.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid.
-    pub fn new(cfg: GtTschConfig, n_offsets: u8) -> Self {
+    pub fn new(cfg: GtTschConfig) -> Self {
         cfg.validate();
-        let allocator = ChannelAllocator::new(n_offsets, cfg.fbcast);
+        let allocator = ChannelAllocator::new(N_OFFSETS, cfg.fbcast);
         GtTschSf {
             allocator,
             queue_metric: QueueEwma::new(cfg.zeta),
@@ -155,8 +159,7 @@ impl GtTschSf {
         if ctx.app_rate_ppm <= 0.0 {
             return 0;
         }
-        let slotframe_secs =
-            ctx.mac.config().slot_duration.as_secs_f64() * self.cfg.slotframe_len as f64;
+        let slotframe_secs = SLOT_DURATION.as_secs_f64() * self.cfg.slotframe_len as f64;
         (ctx.app_rate_ppm * slotframe_secs / 60.0).ceil() as u16
     }
 
@@ -245,7 +248,7 @@ impl GtTschSf {
             return;
         };
         let ch = if self.cfg.hash_channels {
-            hash_channel(parent, ctx.mac.hopping().len() as u8, self.cfg.fbcast)
+            hash_channel(parent, self.cfg.fbcast)
         } else {
             let Some(&ch) = self.eb_channels.get(&parent) else {
                 return;
@@ -709,11 +712,10 @@ impl SchedulingFunction for GtTschSf {
         }
         ctx.mac.schedule_mut().add_slotframe(SF_HANDLE, sf);
 
-        let n = ctx.mac.hopping().len() as u8;
         if self.cfg.hash_channels {
             // Ablation: every node derives its children-facing channel
             // from its own address; no coordination at all.
-            self.f_my_children = Some(hash_channel(ctx.mac.id(), n, self.cfg.fbcast));
+            self.f_my_children = Some(hash_channel(ctx.mac.id(), self.cfg.fbcast));
             self.ask_channel_done = true;
             if ctx.rpl.is_root() {
                 self.install_children_shared_rx(ctx);
@@ -723,9 +725,9 @@ impl SchedulingFunction for GtTschSf {
         if ctx.rpl.is_root() {
             // Algorithm 1 line 2: the root picks a random children
             // channel from F − {f_bcast}.
-            let mut ch = ctx.rng.gen_range_u32(0, n as u32) as u8;
+            let mut ch = ctx.rng.gen_range_u32(0, u32::from(N_OFFSETS)) as u8;
             if ch == self.cfg.fbcast {
-                ch = (ch + 1) % n;
+                ch = (ch + 1) % N_OFFSETS;
             }
             self.f_my_children = Some(ch);
             self.ask_channel_done = true;
@@ -908,10 +910,9 @@ impl SchedulingFunction for GtTschSf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtt_mac::{HoppingSequence, MacConfig};
-    use gtt_rpl::{Dio, Rank, RplConfig};
+    use gtt_rpl::{Dio, Rank};
     use gtt_sim::{Pcg32, SimTime};
-    use gtt_sixtop::{SixtopConfig, SixtopLayer};
+    use gtt_sixtop::SixtopLayer;
 
     /// A hand-driven harness around one SF instance.
     struct Harness {
@@ -936,19 +937,14 @@ mod tests {
         fn build(id: u16, root: bool) -> Self {
             let id = NodeId::new(id);
             let mut h = Harness {
-                sf: GtTschSf::new(GtTschConfig::paper_default(), 8),
-                mac: TschMac::new(
-                    id,
-                    MacConfig::paper_default(),
-                    HoppingSequence::paper_default(),
-                    Pcg32::new(id.raw() as u64 + 100),
-                ),
+                sf: GtTschSf::new(GtTschConfig::paper_default()),
+                mac: TschMac::new(id, Pcg32::new(id.raw() as u64 + 100)),
                 rpl: if root {
-                    RplNode::new_root(id, RplConfig::default(), SimTime::ZERO)
+                    RplNode::new_root(id, SimTime::ZERO)
                 } else {
-                    RplNode::new(id, RplConfig::default())
+                    RplNode::new(id)
                 },
-                sixtop: SixtopLayer::new(id, SixtopConfig::default()),
+                sixtop: SixtopLayer::new(id),
                 rng: Pcg32::new(id.raw() as u64),
                 out: Vec::new(),
                 rate: 0.0,

@@ -1,24 +1,16 @@
 //! Engine configuration.
 
-use gtt_mac::{HoppingSequence, MacConfig};
-use gtt_rpl::RplConfig;
 use gtt_sim::SimDuration;
-use gtt_sixtop::SixtopConfig;
 
-/// Configuration for a [`Network`](crate::Network) run.
+/// Configuration for a [`Network`](crate::Network) run: the two cadences
+/// runs vary and the seed.
 ///
-/// Defaults reproduce the paper's Table II: 15 ms slots, 8-channel hopping
-/// sequence, EB period 2 s, 4 retransmissions, MRHOF.
+/// Everything else the paper's Table II fixes — 15 ms slots, the 8-channel
+/// hopping sequence, 4 retransmissions, MRHOF — is a constant of the crate
+/// that owns it (`gtt-mac`, `gtt-rpl`, `gtt-sixtop`). The default keeps
+/// Table II's 2 s EB period.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// MAC parameters.
-    pub mac: MacConfig,
-    /// RPL parameters.
-    pub rpl: RplConfig,
-    /// 6P parameters.
-    pub sixtop: SixtopConfig,
-    /// Channel-hopping sequence (Table II: `17,23,15,25,19,11,13,21`).
-    pub hopping: HoppingSequence,
     /// EB broadcast period (Table II: 2 s).
     pub eb_period: SimDuration,
     /// Cadence of the scheduling function's `periodic` hook (GT-TSCH's
@@ -32,10 +24,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            mac: MacConfig::paper_default(),
-            rpl: RplConfig::default(),
-            sixtop: SixtopConfig::default(),
-            hopping: HoppingSequence::paper_default(),
             eb_period: SimDuration::from_secs(2),
             sf_period: SimDuration::from_secs(2),
             seed: 1,
@@ -65,13 +53,12 @@ impl EngineConfig {
         }
     }
 
-    /// Validates nested configurations.
+    /// Validates the cadences.
     ///
     /// # Panics
     ///
-    /// Panics on invalid values.
+    /// Panics on a zero period.
     pub fn validate(&self) {
-        self.mac.validate();
         assert!(!self.eb_period.is_zero(), "EB period must be positive");
         assert!(!self.sf_period.is_zero(), "SF period must be positive");
     }
@@ -80,22 +67,21 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gtt_mac::{HOPPING_SEQUENCE, SLOT_DURATION};
 
     #[test]
     fn default_is_valid_and_paper_shaped() {
         let cfg = EngineConfig::default();
         cfg.validate();
-        assert_eq!(cfg.mac.slot_duration.as_millis(), 15);
+        assert_eq!(SLOT_DURATION.as_millis(), 15);
         assert_eq!(cfg.eb_period.as_millis(), 2_000);
-        assert_eq!(cfg.hopping.len(), 8);
+        assert_eq!(HOPPING_SEQUENCE.len(), 8);
     }
 
     #[test]
     fn low_power_is_valid_and_coarser() {
         let cfg = EngineConfig::low_power();
         cfg.validate();
-        // Same MAC/Table II parameters, only the cadences stretch.
-        assert_eq!(cfg.mac.slot_duration.as_millis(), 15);
         assert!(cfg.eb_period > EngineConfig::default().eb_period);
         assert!(cfg.sf_period > EngineConfig::default().sf_period);
     }

@@ -34,7 +34,7 @@ use gtt_metrics::PacketTracker;
 use gtt_net::{
     Dest, Frame, Listener, NodeId, PacketId, RadioMedium, SlotOutcomes, Topology, Transmission,
 };
-use gtt_rpl::{RplConfig, RplNode};
+use gtt_rpl::RplNode;
 use gtt_sim::{Pcg32, SimDuration, SimTime};
 use gtt_sixtop::SixtopLayer;
 
@@ -140,7 +140,7 @@ struct SlotScratch {
 /// [`Network::start_measurement`] / [`Network::finish_measurement`], then
 /// read the [`NetworkReport`].
 pub struct Network {
-    pub(crate) config: EngineConfig,
+    config: EngineConfig,
     pub(crate) nodes: Vec<Node>,
     medium: RadioMedium,
     tracker: PacketTracker,
@@ -223,7 +223,7 @@ impl Network {
 
     /// Current simulation time (start of the upcoming slot).
     pub fn now(&self) -> SimTime {
-        self.asn.start_time(self.config.mac.slot_duration)
+        self.asn.start_time()
     }
 
     /// The upcoming absolute slot number.
@@ -243,32 +243,6 @@ impl Network {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
-    }
-
-    /// Mutable access to a node (used by tests to inject faults).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        // External mutation can invalidate a sleeping node's cached
-        // wake-up (e.g. a test enqueues traffic behind the engine's
-        // back); wake it in the current slot so the event core
-        // re-evaluates. Spurious wake-ups are harmless — the node just
-        // plans an ordinary (possibly sleeping) slot. Settle its lazy
-        // accounting first: the skipped range up to now must be counted
-        // against the *pre-mutation* schedule.
-        if self.wake_init {
-            if self.nodes[id.index()].alive {
-                self.settle_node(id.index(), self.asn.raw());
-                self.nodes[id.index()].mac.settle_backoff_to(self.asn.raw());
-            }
-            self.wake_slot[id.index()] = self.asn.raw();
-            self.timer_wake[id.index()] = self.asn.raw();
-            self.wake.push(Reverse((self.asn.raw(), id.index() as u32)));
-        }
-        self.probe_stale[id.index()] = true;
-        &mut self.nodes[id.index()]
     }
 
     /// All nodes, in id order.
@@ -297,40 +271,10 @@ impl Network {
         non_roots.iter().filter(|n| n.rpl.is_joined()).count() as f64 / non_roots.len() as f64
     }
 
-    /// Simulates one timeslot.
-    ///
-    /// In the event-driven core this processes only the nodes whose
-    /// wake-up is due in the current slot (every other node provably
-    /// sleeps); under the naive-step oracle it runs the exhaustive
-    /// per-node loop. Either way the ASN advances by exactly one.
-    pub fn step(&mut self) {
-        if self.naive {
-            self.step_naive();
-            return;
-        }
-        self.ensure_wake_queue();
-        let mut s = std::mem::take(&mut self.scratch);
-        self.fill_due(&mut s.due);
-        if !s.due.is_empty() {
-            self.process_slot(&mut s);
-            self.asn = self.asn.next();
-            for &i in &s.resched {
-                self.schedule_node_wake(i);
-            }
-        } else {
-            self.asn = self.asn.next();
-        }
-        self.scratch = s;
-        // Single-step callers observe counters between slots; keep the
-        // lazily-accounted sleep/idle-listen slots exact at this
-        // granularity.
-        self.sync_accounting();
-    }
-
     /// Runs until simulated time reaches `end`, skipping directly from
     /// wake-up to wake-up.
     ///
-    /// Equivalent to `while self.now() < end { self.step() }`, but slots
+    /// Equivalent to stepping slot by slot while `now() < end`, but slots
     /// in which every node sleeps cost nothing: the ASN jumps to the next
     /// slot in which at least one node transmits, listens or runs a due
     /// timer. Ends with `now() >= end` on the first slot boundary at or
@@ -343,10 +287,9 @@ impl Network {
             return;
         }
         self.ensure_wake_queue();
-        let slot = self.config.mac.slot_duration;
         // `now() < end` ⟺ `asn < at_or_after(end)`: the loop and the heap
         // work in raw slot numbers, no time conversion per iteration.
-        let end_asn = Asn::at_or_after(end, slot).raw();
+        let end_asn = Asn::at_or_after(end).raw();
         let mut s = std::mem::take(&mut self.scratch);
         while self.asn.raw() < end_asn {
             let Some(&Reverse((wake_asn, _))) = self.wake.peek() else {
@@ -426,7 +369,7 @@ impl Network {
 
     /// Runs `slots` timeslots.
     pub fn run_slots(&mut self, slots: u64) {
-        let end = (self.asn + slots).start_time(self.config.mac.slot_duration);
+        let end = (self.asn + slots).start_time();
         self.run_until(end);
     }
 
@@ -534,7 +477,6 @@ impl Network {
             let visited = &mut self.wake_scratch;
             let probe = &mut self.probe_index;
             let stale = &mut self.probe_stale;
-            let hopping = &self.config.hopping;
             // With a single transmission each peer is visited once, so
             // only the due-node marks are needed in the stamp array.
             let multi_tx = s.transmissions.len() > 1;
@@ -578,7 +520,7 @@ impl Network {
                     if entry.next != asn_raw {
                         continue;
                     }
-                    let listen = hopping.channel(asn, entry.offset);
+                    let listen = gtt_mac::channel(asn, entry.offset);
                     // The triggering transmission `t` is audible to the
                     // peer by construction, so a channel match with it
                     // needs no further scan.
@@ -825,7 +767,7 @@ impl Network {
             let asn = match *memo {
                 Some((at, asn)) if at == d => asn,
                 _ => {
-                    let asn = Asn::at_or_after(d, self.config.mac.slot_duration).raw();
+                    let asn = Asn::at_or_after(d).raw();
                     *memo = Some((d, asn));
                     asn
                 }
@@ -1141,19 +1083,13 @@ impl NetworkBuilder {
         for (i, &is_root) in is_root_bits.iter().enumerate() {
             let id = NodeId::from_index(i);
             let mut rng = master.split();
-            let mac = TschMac::new(
-                id,
-                self.config.mac.clone(),
-                self.config.hopping.clone(),
-                rng.split(),
-            );
-            let rpl_cfg: RplConfig = self.config.rpl.clone();
+            let mac = TschMac::new(id, rng.split());
             let rpl = if is_root {
-                RplNode::new_root(id, rpl_cfg, SimTime::ZERO)
+                RplNode::new_root(id, SimTime::ZERO)
             } else {
-                RplNode::new(id, rpl_cfg)
+                RplNode::new(id)
             };
-            let sixtop = SixtopLayer::new(id, self.config.sixtop.clone());
+            let sixtop = SixtopLayer::new(id);
             let scheduler = factory(id, is_root);
             let mut node = Node::new(mac, rpl, sixtop, scheduler, rng);
 
@@ -1269,14 +1205,15 @@ mod tests {
     }
 
     /// Stepping one slot at a time through the event core must also match
-    /// the oracle (exercises the step() path rather than run_until()).
+    /// the oracle (every call ends on a slot boundary, so the lazy
+    /// accounting is synced after each slot).
     #[test]
     fn single_stepping_matches_oracle() {
         let mut event = build(false, 5);
         let mut naive = build(true, 5);
         for _ in 0..2_000 {
-            event.step();
-            naive.step();
+            event.run_slots(1);
+            naive.run_slots(1);
         }
         assert_eq!(event.asn(), naive.asn());
         for (a, b) in event.nodes().iter().zip(naive.nodes()) {

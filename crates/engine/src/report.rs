@@ -80,16 +80,6 @@ pub struct NetworkReport {
 }
 
 impl NetworkReport {
-    /// Per-origin packet delivery ratio, dense over all nodes in
-    /// canonical id order (roots included, reporting 100% since they
-    /// generate nothing).
-    pub fn pdr_by_origin(&self) -> Vec<(NodeId, f64)> {
-        self.per_node
-            .iter()
-            .map(|n| (n.id, n.pdr_percent()))
-            .collect()
-    }
-
     /// Jain's fairness index over non-root delivered throughput —
     /// `(Σx)²/(n·Σx²)` in `[1/n, 1]`, 1.0 when all non-root nodes saw
     /// equal service (or nothing was delivered at all).
@@ -112,7 +102,6 @@ impl NetworkReport {
             .expect("report requires finish_measurement()");
         assert!(end > start, "measurement window is empty");
 
-        let idle_fraction = net.config.mac.idle_listen_fraction;
         let mut per_node = Vec::with_capacity(net.nodes.len());
         let mut duty_sum = 0.0;
         let mut queue_loss_sum = 0.0;
@@ -137,14 +126,7 @@ impl NetworkReport {
                 rx_accepted: c.rx_accepted - snap.counters.rx_accepted,
                 rx_overheard: c.rx_overheard - snap.counters.rx_overheard,
             };
-            let duty = if d.slots == 0 {
-                0.0
-            } else {
-                (d.tx_slots as f64
-                    + d.rx_busy_slots as f64
-                    + d.rx_idle_slots as f64 * idle_fraction)
-                    / d.slots as f64
-            };
+            let duty = d.duty_cycle();
             let queue_loss = node.mac.queue_loss() - snap.queue_loss;
             let is_root = node.rpl.is_root();
 

@@ -4,7 +4,7 @@
 //! so one logical packet shows up on the tap once per attempt — same
 //! transmitter, same origin-keyed packet id, different ASN. Counting
 //! those (src, packet) pairs makes the paper's 4-retransmission cap
-//! (Table II: at most `max_retries + 1 = 5` transmissions per frame)
+//! (Table II: at most `MAX_RETRIES + 1 = 5` transmissions per frame)
 //! directly observable from outside the MAC; `tests/paper_claims.rs`
 //! asserts it on a lossy single-hop network, where each pair maps to
 //! exactly one MAC frame and the bound is exact.

@@ -7,7 +7,7 @@
 //! and these constants pin the slot template against them: every
 //! encodable MPDU must fit `aMaxPhyPacketSize`, its airtime must fit
 //! `macTsMaxTx`, and the whole Tx + ACK exchange must fit the
-//! simulator's 15 ms slot ([`MacConfig::paper_default`] — deliberately
+//! simulator's 15 ms slot ([`SLOT_DURATION`] — deliberately
 //! longer than the standard's default 10 ms template, which is why EBs
 //! advertise a non-default timeslot template ID; see
 //! `gtt_frame::GTT_TIMESLOT_TEMPLATE`). The cross-crate validation
@@ -15,7 +15,7 @@
 //! whose lengths it checks; adding these constants changes no report
 //! bytes.
 //!
-//! [`MacConfig::paper_default`]: crate::MacConfig::paper_default
+//! [`SLOT_DURATION`]: crate::SLOT_DURATION
 
 /// Microseconds to put one byte on the air: 250 kbit/s O-QPSK
 /// (2.4 GHz PHY) = 62.5 ksymbol/s, 2 symbols per byte, 16 µs/symbol.
@@ -61,7 +61,7 @@ pub const TS_BUSY_US: u32 = TS_TX_OFFSET_US + TS_MAX_TX_US + TS_TX_ACK_DELAY_US 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MacConfig;
+    use crate::{IDLE_LISTEN_FRACTION, SLOT_DURATION};
 
     #[test]
     fn derived_values_match_the_standard_tables() {
@@ -75,8 +75,7 @@ mod tests {
 
     #[test]
     fn the_template_fits_the_papers_slot() {
-        let config = MacConfig::paper_default();
-        let slot_us = u32::try_from(config.slot_duration.as_micros()).unwrap();
+        let slot_us = u32::try_from(SLOT_DURATION.as_micros()).unwrap();
         assert!(
             TS_BUSY_US <= slot_us,
             "worst-case Tx slot ({TS_BUSY_US} µs) overruns the {slot_us} µs slot"
@@ -84,7 +83,7 @@ mod tests {
         // The idle-listen fraction models the receiver guard window
         // around TsTxOffset; it must stay within the slot's idle
         // portion or the duty-cycle accounting would double-count.
-        let guard_us = (config.idle_listen_fraction * slot_us as f64) as u32;
+        let guard_us = (IDLE_LISTEN_FRACTION * slot_us as f64) as u32;
         assert!(guard_us < slot_us - TS_MAX_TX_US);
     }
 }

@@ -5,6 +5,9 @@ use std::ops::Add;
 
 use gtt_sim::{SimDuration, SimTime};
 
+/// Length of one timeslot (Table II: 15 ms).
+pub const SLOT_DURATION: SimDuration = SimDuration::from_millis(15);
+
 /// The TSCH Absolute Slot Number: slots elapsed since network start.
 ///
 /// Every node in a synchronized TSCH network agrees on the ASN; it drives
@@ -55,34 +58,23 @@ impl Asn {
         SlotOffset((self.0 % len as u64) as u16)
     }
 
-    /// Simulation time at which this slot starts for the given slot length.
-    pub fn start_time(self, slot_duration: SimDuration) -> SimTime {
-        SimTime::ZERO + slot_duration * self.0
+    /// Simulation time at which this slot starts.
+    pub fn start_time(self) -> SimTime {
+        SimTime::ZERO + SLOT_DURATION * self.0
     }
 
-    /// The ASN in progress at `time` for the given slot length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_duration` is zero.
-    pub fn at_time(time: SimTime, slot_duration: SimDuration) -> Asn {
-        assert!(!slot_duration.is_zero(), "slot duration must be positive");
-        Asn(time.saturating_since(SimTime::ZERO).as_micros() / slot_duration.as_micros())
+    /// The ASN in progress at `time`.
+    pub fn at_time(time: SimTime) -> Asn {
+        Asn(time.saturating_since(SimTime::ZERO).as_micros() / SLOT_DURATION.as_micros())
     }
 
     /// The first slot whose *start* is at or after `time` — the slot in
     /// which a slot-synchronous loop first observes a deadline at `time`.
     /// Used by the event-driven engine to convert timer deadlines into
     /// wake-up slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_duration` is zero.
-    pub fn at_or_after(time: SimTime, slot_duration: SimDuration) -> Asn {
-        assert!(!slot_duration.is_zero(), "slot duration must be positive");
+    pub fn at_or_after(time: SimTime) -> Asn {
         let us = time.saturating_since(SimTime::ZERO).as_micros();
-        let dur = slot_duration.as_micros();
-        Asn(us.div_ceil(dur))
+        Asn(us.div_ceil(SLOT_DURATION.as_micros()))
     }
 }
 
@@ -142,13 +134,12 @@ mod tests {
 
     #[test]
     fn time_round_trip() {
-        let slot = SimDuration::from_millis(15);
         let asn = Asn::new(1234);
-        let t = asn.start_time(slot);
-        assert_eq!(Asn::at_time(t, slot), asn);
+        let t = asn.start_time();
+        assert_eq!(Asn::at_time(t), asn);
         // Mid-slot times still resolve to the same ASN.
         let mid = t + SimDuration::from_millis(7);
-        assert_eq!(Asn::at_time(mid, slot), asn);
+        assert_eq!(Asn::at_time(mid), asn);
     }
 
     #[test]

@@ -40,83 +40,36 @@ impl From<u8> for ChannelOffset {
     }
 }
 
-/// A TSCH hopping sequence: the ordered list of physical channels that
-/// logical channel offsets cycle through.
+/// The paper's Table II hopping sequence, `17, 23, 15, 25, 19, 11, 13,
+/// 21`: the physical channels that logical channel offsets cycle
+/// through. Its length is the number of usable channel offsets.
+pub const HOPPING_SEQUENCE: [PhysicalChannel; 8] = [
+    PhysicalChannel::new(17),
+    PhysicalChannel::new(23),
+    PhysicalChannel::new(15),
+    PhysicalChannel::new(25),
+    PhysicalChannel::new(19),
+    PhysicalChannel::new(11),
+    PhysicalChannel::new(13),
+    PhysicalChannel::new(21),
+];
+
+/// The physical channel used by `offset` at `asn`:
+/// `HOPPING_SEQUENCE[(ASN + offset) mod len]`.
 ///
 /// # Example
 ///
 /// ```
-/// use gtt_mac::{Asn, ChannelOffset, HoppingSequence};
+/// use gtt_mac::{channel, Asn, ChannelOffset};
 ///
-/// let hop = HoppingSequence::paper_default();
-/// assert_eq!(hop.len(), 8);
 /// // Offsets are congruent modulo the sequence length:
-/// let c0 = hop.channel(Asn::new(3), ChannelOffset::new(2));
-/// let c1 = hop.channel(Asn::new(4), ChannelOffset::new(1));
+/// let c0 = channel(Asn::new(3), ChannelOffset::new(2));
+/// let c1 = channel(Asn::new(4), ChannelOffset::new(1));
 /// assert_eq!(c0, c1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HoppingSequence {
-    channels: Vec<PhysicalChannel>,
-}
-
-impl HoppingSequence {
-    /// The sequence from the paper's Table II:
-    /// `17, 23, 15, 25, 19, 11, 13, 21`.
-    pub fn paper_default() -> Self {
-        HoppingSequence::new([17, 23, 15, 25, 19, 11, 13, 21].map(PhysicalChannel::new))
-    }
-
-    /// A single-channel "sequence" — disables hopping; useful in tests
-    /// where collision structure should not move between slotframes.
-    pub fn fixed(channel: PhysicalChannel) -> Self {
-        HoppingSequence::new([channel])
-    }
-
-    /// Creates a hopping sequence from physical channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is empty.
-    pub fn new<I: IntoIterator<Item = PhysicalChannel>>(channels: I) -> Self {
-        let channels: Vec<_> = channels.into_iter().collect();
-        assert!(!channels.is_empty(), "hopping sequence cannot be empty");
-        HoppingSequence { channels }
-    }
-
-    /// Number of channels in the sequence (= number of usable channel
-    /// offsets).
-    pub fn len(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Never true: sequences are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The channels in sequence order.
-    pub fn channels(&self) -> &[PhysicalChannel] {
-        &self.channels
-    }
-
-    /// The physical channel used by `offset` at `asn`
-    /// (`sequence[(ASN + offset) mod len]`).
-    pub fn channel(&self, asn: Asn, offset: ChannelOffset) -> PhysicalChannel {
-        let idx = (asn.raw() + offset.raw() as u64) % self.channels.len() as u64;
-        self.channels[idx as usize]
-    }
-
-    /// Number of distinct channel offsets available to a scheduler.
-    pub fn offsets(&self) -> impl Iterator<Item = ChannelOffset> {
-        (0..self.channels.len() as u8).map(ChannelOffset::new)
-    }
-}
-
-impl Default for HoppingSequence {
-    fn default() -> Self {
-        HoppingSequence::paper_default()
-    }
+pub fn channel(asn: Asn, offset: ChannelOffset) -> PhysicalChannel {
+    let idx = (asn.raw() + offset.raw() as u64) % HOPPING_SEQUENCE.len() as u64;
+    HOPPING_SEQUENCE[idx as usize]
 }
 
 #[cfg(test)]
@@ -125,17 +78,15 @@ mod tests {
 
     #[test]
     fn paper_sequence_contents() {
-        let hop = HoppingSequence::paper_default();
-        let nums: Vec<u8> = hop.channels().iter().map(|c| c.number()).collect();
+        let nums: Vec<u8> = HOPPING_SEQUENCE.iter().map(|c| c.number()).collect();
         assert_eq!(nums, vec![17, 23, 15, 25, 19, 11, 13, 21]);
     }
 
     #[test]
     fn hopping_covers_whole_sequence_for_fixed_offset() {
-        let hop = HoppingSequence::paper_default();
         let offset = ChannelOffset::new(0);
         let mut seen: Vec<u8> = (0..8)
-            .map(|asn| hop.channel(Asn::new(asn), offset).number())
+            .map(|asn| channel(Asn::new(asn), offset).number())
             .collect();
         seen.sort_unstable();
         let mut expected = vec![11, 13, 15, 17, 19, 21, 23, 25];
@@ -147,44 +98,19 @@ mod tests {
     fn equal_offsets_same_slot_share_a_channel() {
         // The §III collision pre-condition: two cells with equal channel
         // offsets in the same slot always occupy the same physical channel.
-        let hop = HoppingSequence::paper_default();
         for asn in 0..32 {
-            let a = hop.channel(Asn::new(asn), ChannelOffset::new(3));
-            let b = hop.channel(Asn::new(asn), ChannelOffset::new(3));
+            let a = channel(Asn::new(asn), ChannelOffset::new(3));
+            let b = channel(Asn::new(asn), ChannelOffset::new(3));
             assert_eq!(a, b);
         }
     }
 
     #[test]
     fn distinct_offsets_same_slot_differ() {
-        let hop = HoppingSequence::paper_default();
         for asn in 0..32 {
-            let a = hop.channel(Asn::new(asn), ChannelOffset::new(0));
-            let b = hop.channel(Asn::new(asn), ChannelOffset::new(1));
+            let a = channel(Asn::new(asn), ChannelOffset::new(0));
+            let b = channel(Asn::new(asn), ChannelOffset::new(1));
             assert_ne!(a, b, "paper sequence has no repeated channels");
         }
-    }
-
-    #[test]
-    fn fixed_sequence_never_hops() {
-        let hop = HoppingSequence::fixed(PhysicalChannel::new(26));
-        for asn in 0..100 {
-            assert_eq!(
-                hop.channel(Asn::new(asn), ChannelOffset::new(0)).number(),
-                26
-            );
-        }
-    }
-
-    #[test]
-    fn offsets_iterator_matches_len() {
-        let hop = HoppingSequence::paper_default();
-        assert_eq!(hop.offsets().count(), hop.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be empty")]
-    fn empty_sequence_rejected() {
-        let _ = HoppingSequence::new(std::iter::empty());
     }
 }

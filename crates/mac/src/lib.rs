@@ -3,18 +3,26 @@
 //! A from-scratch model of the TSCH MAC mode used by the GT-TSCH paper:
 //!
 //! * [`Asn`] — the absolute slot number that synchronizes the network,
-//! * [`HoppingSequence`] / [`ChannelOffset`] — TSCH channel hopping
+//!   in [`SLOT_DURATION`]-long slots,
+//! * [`channel`] / [`ChannelOffset`] — TSCH channel hopping
 //!   (`channel = sequence[(ASN + offset) % len]`, §6.2.6.3 of the
-//!   standard), defaulting to the paper's Table II sequence,
+//!   standard) over the paper's Table II [`HOPPING_SEQUENCE`],
 //! * [`Cell`] / [`Slotframe`] / [`Schedule`] — the Channel Distribution
 //!   Usage matrix: cells addressed by (slot offset, channel offset) with
 //!   TSCH link options (Tx/Rx/Shared) and a scheduler-facing class
 //!   (Broadcast / SixP / Data / Shared — the paper's five timeslot types,
 //!   with Sleep as the absence of a cell),
 //! * [`TschMac`] — the per-node MAC state machine: slot planning, queueing,
-//!   acknowledgements, retransmission (up to 4, Table II), exponential
-//!   backoff in shared cells, duty-cycle accounting and per-neighbor
-//!   [`LinkStats`] feeding the ETX metric of the paper's §VII-B.
+//!   acknowledgements, retransmission (up to [`MAX_RETRIES`], Table II),
+//!   exponential backoff in shared cells, duty-cycle accounting and
+//!   per-neighbor [`LinkStats`] feeding the ETX metric of the paper's
+//!   §VII-B.
+//!
+//! The paper fixes the MAC parameters in its Table II, and every run uses
+//! exactly those values, so they are crate constants:
+//! [`SLOT_DURATION`], [`MAX_RETRIES`], the queue capacities, the backoff
+//! exponents, [`IDLE_LISTEN_FRACTION`], [`ETX_ALPHA`] and the hopping
+//! sequence.
 //!
 //! The MAC is generic over payload type `P`: upper layers (the engine)
 //! define what rides inside frames; the MAC never inspects payloads.
@@ -22,13 +30,12 @@
 //! # Example
 //!
 //! ```
-//! use gtt_mac::{Asn, ChannelOffset, HoppingSequence};
+//! use gtt_mac::{channel, Asn, ChannelOffset};
 //!
-//! let hop = HoppingSequence::paper_default();
 //! // Same (slot, offset) maps to different physical channels over time —
 //! // that is the "channel hopping" in Time-Slotted Channel Hopping.
-//! let a = hop.channel(Asn::new(0), ChannelOffset::new(0));
-//! let b = hop.channel(Asn::new(1), ChannelOffset::new(0));
+//! let a = channel(Asn::new(0), ChannelOffset::new(0));
+//! let b = channel(Asn::new(1), ChannelOffset::new(0));
 //! assert_ne!(a, b);
 //! ```
 
@@ -39,19 +46,20 @@ pub mod airtime;
 pub mod asn;
 pub mod backoff;
 pub mod cell;
-pub mod config;
 pub mod hopping;
 pub mod mac;
 pub mod slotframe;
 pub mod stats;
 pub mod traffic;
 
-pub use asn::{Asn, SlotOffset};
+pub use asn::{Asn, SlotOffset, SLOT_DURATION};
 pub use backoff::SharedCellBackoff;
 pub use cell::{Cell, CellClass, CellOptions};
-pub use config::MacConfig;
-pub use hopping::{ChannelOffset, HoppingSequence};
-pub use mac::{MacCounters, SlotAction, SlotResult, TschMac};
+pub use hopping::{channel, ChannelOffset, HOPPING_SEQUENCE};
+pub use mac::{
+    MacCounters, SlotAction, SlotResult, TschMac, CONTROL_QUEUE_CAPACITY, DATA_QUEUE_CAPACITY,
+    IDLE_LISTEN_FRACTION, MAX_BACKOFF_EXPONENT, MAX_RETRIES, MIN_BACKOFF_EXPONENT,
+};
 pub use slotframe::{Schedule, Slotframe, SlotframeHandle};
-pub use stats::{EtxEstimator, LinkStats};
+pub use stats::{EtxEstimator, LinkStats, ETX_ALPHA};
 pub use traffic::TrafficClass;

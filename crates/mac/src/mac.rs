@@ -6,11 +6,34 @@ use gtt_sim::Pcg32;
 use crate::asn::Asn;
 use crate::backoff::SharedCellBackoff;
 use crate::cell::{Cell, CellClass};
-use crate::config::MacConfig;
-use crate::hopping::{ChannelOffset, HoppingSequence};
+use crate::hopping::{self, ChannelOffset};
 use crate::slotframe::{count_congruent, crt_combine, Schedule, SlotframeHandle};
 use crate::stats::LinkStats;
 use crate::traffic::TrafficClass;
+
+/// Maximum retransmissions of a unicast frame before it is dropped
+/// (Table II: 4). The frame is transmitted at most `MAX_RETRIES + 1`
+/// times in total.
+pub const MAX_RETRIES: u32 = 4;
+
+/// Data queue capacity in packets (Contiki-NG `QUEUEBUF_NUM`-style; the
+/// paper's `Q_Max`).
+pub const DATA_QUEUE_CAPACITY: usize = 8;
+
+/// Control queue capacity (EB/DIO/6P frames).
+pub const CONTROL_QUEUE_CAPACITY: usize = 4;
+
+/// Minimum backoff exponent for shared cells.
+pub const MIN_BACKOFF_EXPONENT: u8 = 1;
+
+/// Maximum backoff exponent for shared cells.
+pub const MAX_BACKOFF_EXPONENT: u8 = 5;
+
+/// Fraction of a slot the radio stays on during an *idle* Rx listen
+/// (guard time before giving up), for duty-cycle accounting: Contiki-NG's
+/// `TSCH_GUARD_TIME` is ≈ 2.2 ms of a 15 ms slot — the radio cost of
+/// listening into an empty cell.
+pub const IDLE_LISTEN_FRACTION: f64 = 0.147;
 
 /// What the node does in the current slot.
 #[derive(Debug, Clone)]
@@ -88,6 +111,22 @@ pub struct MacCounters {
     pub rx_overheard: u64,
 }
 
+impl MacCounters {
+    /// Fraction of the counted slots the radio was on, using slot-fraction
+    /// accounting: Tx and busy-Rx slots cost a full slot, idle listens
+    /// cost [`IDLE_LISTEN_FRACTION`] (the radio gives up after the guard
+    /// time when no preamble arrives). 0.0 when no slot was counted.
+    pub fn duty_cycle(&self) -> f64 {
+        if self.slots == 0 {
+            return 0.0;
+        }
+        (self.tx_slots as f64
+            + self.rx_busy_slots as f64
+            + self.rx_idle_slots as f64 * IDLE_LISTEN_FRACTION)
+            / self.slots as f64
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Outgoing<P> {
     frame: Frame<P>,
@@ -143,12 +182,7 @@ struct WakeCache {
 /// use gtt_net::{Dest, Frame, NodeId, PacketId};
 /// use gtt_sim::{Pcg32, SimTime};
 ///
-/// let mut mac: TschMac<&'static str> = TschMac::new(
-///     NodeId::new(1),
-///     MacConfig::paper_default(),
-///     HoppingSequence::paper_default(),
-///     Pcg32::new(7),
-/// );
+/// let mut mac: TschMac<&'static str> = TschMac::new(NodeId::new(1), Pcg32::new(7));
 /// // Give the node one broadcast cell at slot 0 of a 4-slot frame.
 /// let mut sf = Slotframe::new(4);
 /// sf.add(Cell::broadcast(SlotOffset::new(0), ChannelOffset::new(0)));
@@ -161,8 +195,6 @@ struct WakeCache {
 #[derive(Debug, Clone)]
 pub struct TschMac<P> {
     id: NodeId,
-    config: MacConfig,
-    hopping: HoppingSequence,
     schedule: Schedule,
     data_queue: PacketQueue<Outgoing<P>>,
     control_queue: PacketQueue<Outgoing<P>>,
@@ -301,22 +333,12 @@ fn backoff_release_slot(progs: &[(u64, u64)], dup: bool, from: u64, pending: u32
 
 impl<P: Clone> TschMac<P> {
     /// Creates a MAC for node `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails validation.
-    pub fn new(id: NodeId, config: MacConfig, hopping: HoppingSequence, rng: Pcg32) -> Self {
-        config.validate();
+    pub fn new(id: NodeId, rng: Pcg32) -> Self {
         TschMac {
             id,
-            data_queue: PacketQueue::new(config.data_queue_capacity),
-            control_queue: PacketQueue::new(config.control_queue_capacity),
-            backoff: SharedCellBackoff::new(
-                config.min_backoff_exponent,
-                config.max_backoff_exponent,
-            ),
-            config,
-            hopping,
+            data_queue: PacketQueue::new(DATA_QUEUE_CAPACITY),
+            control_queue: PacketQueue::new(CONTROL_QUEUE_CAPACITY),
+            backoff: SharedCellBackoff::new(MIN_BACKOFF_EXPONENT, MAX_BACKOFF_EXPONENT),
             schedule: Schedule::new(),
             rng,
             in_flight: None,
@@ -336,16 +358,6 @@ impl<P: Clone> TschMac<P> {
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The MAC configuration.
-    pub fn config(&self) -> &MacConfig {
-        &self.config
-    }
-
-    /// The hopping sequence in use.
-    pub fn hopping(&self) -> &HoppingSequence {
-        &self.hopping
     }
 
     /// The node's schedule (read-only).
@@ -475,20 +487,6 @@ impl<P: Clone> TschMac<P> {
     /// (diagnostics; does not modify the queue).
     pub fn drain_count_to(&self, dest: Dest) -> usize {
         self.data_queue.count_where(|o| o.frame.dst == dest)
-    }
-
-    /// Fraction of elapsed time the radio was on, using slot-fraction
-    /// accounting: Tx and busy-Rx slots cost a full slot, idle listens
-    /// cost [`MacConfig::idle_listen_fraction`] (the radio gives up after
-    /// the guard time when no preamble arrives).
-    pub fn duty_cycle(&self) -> f64 {
-        if self.counters.slots == 0 {
-            return 0.0;
-        }
-        let on = self.counters.tx_slots as f64
-            + self.counters.rx_busy_slots as f64
-            + self.counters.rx_idle_slots as f64 * self.config.idle_listen_fraction;
-        on / self.counters.slots as f64
     }
 
     /// The earliest slot at or after `from` in which this MAC would do
@@ -746,7 +744,7 @@ impl<P: Clone> TschMac<P> {
             return None;
         }
         if let Some(offset) = union.channel_offset_at(a) {
-            return Some(self.hopping.channel(asn, offset));
+            return Some(hopping::channel(asn, offset));
         }
         // Not listening at `a`: memoize the whole quiet gap, so the
         // engine's per-slot probes of this node answer in O(1) until its
@@ -906,7 +904,7 @@ impl<P: Clone> TschMac<P> {
                         backoff_consumed = true;
                     }
                 } else if let Some(packet) = self.take_frame_for(cell) {
-                    let channel = self.hopping.channel(asn, cell.channel_offset);
+                    let channel = hopping::channel(asn, cell.channel_offset);
                     let frame = packet.frame.clone();
                     self.counters.tx_slots += 1;
                     match frame.dst {
@@ -942,7 +940,7 @@ impl<P: Clone> TschMac<P> {
         }
 
         if let Some(cell) = listen_cell {
-            let channel = self.hopping.channel(asn, cell.channel_offset);
+            let channel = hopping::channel(asn, cell.channel_offset);
             return SlotAction::Listen { cell, channel };
         }
 
@@ -1064,7 +1062,7 @@ impl<P: Clone> TschMac<P> {
                 if fl.shared_cell {
                     self.backoff.on_failure(&mut self.rng);
                 }
-                if fl.packet.attempts > self.config.max_retries as u32 {
+                if fl.packet.attempts > MAX_RETRIES {
                     let stats = self.stats_entry(peer);
                     stats.tx_failures += 1;
                     stats.etx.record_failure();
@@ -1130,12 +1128,7 @@ mod tests {
     use gtt_sim::SimTime;
 
     fn mac() -> TschMac<u32> {
-        TschMac::new(
-            NodeId::new(1),
-            MacConfig::paper_default(),
-            HoppingSequence::paper_default(),
-            Pcg32::new(42),
-        )
+        TschMac::new(NodeId::new(1), Pcg32::new(42))
     }
 
     fn data_frame(dst: u16, payload: u32) -> Frame<u32> {
@@ -1299,13 +1292,14 @@ mod tests {
     fn duty_cycle_weights_idle_listens() {
         let mut m = mac();
         install_schedule(&mut m);
+        assert_eq!(m.counters().duty_cycle(), 0.0, "no slot counted yet");
         // One idle listen (slot 2), one sleep (slot 3).
         m.plan_slot(Asn::new(2));
         m.finish_slot(SlotResult::Listened(RxOutcome::Idle));
         m.plan_slot(Asn::new(3));
         m.finish_slot(SlotResult::Slept);
-        let dc = m.duty_cycle();
-        let expected = m.config().idle_listen_fraction / 2.0;
+        let dc = m.counters().duty_cycle();
+        let expected = IDLE_LISTEN_FRACTION / 2.0;
         assert!((dc - expected).abs() < 1e-12, "dc {dc} ≠ {expected}");
     }
 

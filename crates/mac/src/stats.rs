@@ -6,6 +6,9 @@
 //! `link-stats` module we keep an exponentially weighted moving average so
 //! the metric tracks link dynamics without jittering on every loss.
 
+/// EWMA weight of a new ETX sample (Contiki uses ~0.1–0.25).
+pub const ETX_ALPHA: f64 = 0.15;
+
 /// EWMA estimator of the Expected Transmission Count of a directed link.
 ///
 /// Each *completed transmission episode* contributes one sample: the
@@ -17,14 +20,13 @@
 /// ```
 /// use gtt_mac::EtxEstimator;
 ///
-/// let mut etx = EtxEstimator::new(0.2);
+/// let mut etx = EtxEstimator::new();
 /// assert_eq!(etx.value(), 1.0); // optimistic prior
 /// etx.record_success(3);        // delivered on the 3rd attempt
 /// assert!(etx.value() > 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EtxEstimator {
-    alpha: f64,
     value: f64,
     samples: u64,
 }
@@ -35,19 +37,10 @@ impl EtxEstimator {
     /// (configured there as 10-ish transmissions).
     pub const FAILURE_PENALTY: f64 = 10.0;
 
-    /// Creates an estimator with smoothing factor `alpha`
-    /// (weight of the *new* sample; Contiki uses ~0.1–0.25).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {alpha}"
-        );
+    /// Creates an estimator at the optimistic prior, smoothing with
+    /// [`ETX_ALPHA`].
+    pub fn new() -> Self {
         EtxEstimator {
-            alpha,
             value: 1.0,
             samples: 0,
         }
@@ -84,7 +77,7 @@ impl EtxEstimator {
             // link is not masked by the optimistic initial value.
             self.value = sample;
         } else {
-            self.value = (1.0 - self.alpha) * self.value + self.alpha * sample;
+            self.value = (1.0 - ETX_ALPHA) * self.value + ETX_ALPHA * sample;
         }
         self.value = self.value.max(1.0);
         self.samples += 1;
@@ -93,7 +86,7 @@ impl EtxEstimator {
 
 impl Default for EtxEstimator {
     fn default() -> Self {
-        EtxEstimator::new(0.15)
+        EtxEstimator::new()
     }
 }
 
@@ -142,14 +135,14 @@ mod tests {
 
     #[test]
     fn first_sample_replaces_prior() {
-        let mut etx = EtxEstimator::new(0.1);
+        let mut etx = EtxEstimator::new();
         etx.record_success(4);
         assert_eq!(etx.value(), 4.0);
     }
 
     #[test]
     fn ewma_converges_towards_samples() {
-        let mut etx = EtxEstimator::new(0.2);
+        let mut etx = EtxEstimator::new();
         for _ in 0..200 {
             etx.record_success(2);
         }
@@ -158,7 +151,7 @@ mod tests {
 
     #[test]
     fn failures_push_towards_penalty() {
-        let mut etx = EtxEstimator::new(0.3);
+        let mut etx = EtxEstimator::new();
         etx.record_success(1);
         let before = etx.value();
         etx.record_failure();
@@ -171,7 +164,7 @@ mod tests {
 
     #[test]
     fn value_never_below_one() {
-        let mut etx = EtxEstimator::new(1.0);
+        let mut etx = EtxEstimator::new();
         etx.record_success(1);
         assert_eq!(etx.value(), 1.0);
     }
@@ -181,12 +174,6 @@ mod tests {
     fn zero_attempts_rejected() {
         let mut etx = EtxEstimator::default();
         etx.record_success(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn bad_alpha_rejected() {
-        let _ = EtxEstimator::new(0.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! interactions across frames of different lengths.
 
 use gtt_mac::{
-    Asn, Cell, CellClass, CellOptions, ChannelOffset, HoppingSequence, MacConfig, SlotAction,
-    SlotOffset, SlotResult, Slotframe, SlotframeHandle, TrafficClass, TschMac,
+    channel, Asn, Cell, CellClass, CellOptions, ChannelOffset, SlotAction, SlotOffset, SlotResult,
+    Slotframe, SlotframeHandle, TrafficClass, TschMac, CONTROL_QUEUE_CAPACITY,
 };
 use gtt_net::{Dest, Frame, NodeId, PacketId, RxOutcome};
 use gtt_sim::{Pcg32, SimTime};
@@ -12,12 +12,7 @@ use gtt_sim::{Pcg32, SimTime};
 type Mac = TschMac<&'static str>;
 
 fn mac() -> Mac {
-    TschMac::new(
-        NodeId::new(1),
-        MacConfig::paper_default(),
-        HoppingSequence::paper_default(),
-        Pcg32::new(5),
-    )
+    TschMac::new(NodeId::new(1), Pcg32::new(5))
 }
 
 fn install_orchestra_like(m: &mut Mac) {
@@ -166,8 +161,6 @@ fn different_length_slotframes_realign_at_lcm() {
 
 #[test]
 fn hopping_moves_physical_channel_across_slotframe_cycles() {
-    let m = mac();
-    let hop = m.hopping();
     // A cell at (slot 1, offset 2) of a 2-slot frame occurs at ASN 1, 3,
     // 5, … — over 8 occurrences it must visit every channel of the
     // sequence exactly once (2 and 8 share a factor of 2, ASN step 2 ⇒
@@ -176,7 +169,7 @@ fn hopping_moves_physical_channel_across_slotframe_cycles() {
     let mut seen = std::collections::BTreeSet::new();
     for k in 0..8u64 {
         let asn = Asn::new(1 + 2 * k);
-        seen.insert(hop.channel(asn, ChannelOffset::new(2)).number());
+        seen.insert(channel(asn, ChannelOffset::new(2)).number());
     }
     assert!(seen.len() > 1, "cells must hop across cycles, saw {seen:?}");
 }
@@ -185,7 +178,7 @@ fn hopping_moves_physical_channel_across_slotframe_cycles() {
 fn control_queue_overflow_is_graceful() {
     let mut m = mac();
     install_orchestra_like(&mut m);
-    let cap = m.config().control_queue_capacity;
+    let cap = CONTROL_QUEUE_CAPACITY;
     for _ in 0..cap {
         m.enqueue_control(dio_frame(), TrafficClass::Broadcast)
             .unwrap();

@@ -13,8 +13,8 @@
 //! This crate provides the bookkeeping to produce them:
 //! [`PacketTracker`] follows every application packet from generation to
 //! root delivery (or loss), [`FigureRow`] is one measured point of all six
-//! series, and [`stats`] holds the summary statistics used to average
-//! rows across seeds.
+//! series, and [`stats`] holds Jain's fairness index over per-node
+//! deliveries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,5 +24,5 @@ pub mod stats;
 pub mod tracker;
 
 pub use row::FigureRow;
-pub use stats::{jain_index, mean, std_dev, Summary};
+pub use stats::jain_index;
 pub use tracker::{DelayStats, PacketTracker, TrackerFootprint, DELAY_BINS};

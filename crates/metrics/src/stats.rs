@@ -1,23 +1,4 @@
-//! Summary statistics for seed-averaged experiment results.
-
-/// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Sample standard deviation (n−1 denominator); 0.0 for fewer than two
-/// values.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64;
-    var.sqrt()
-}
+//! Fairness over per-node results.
 
 /// Jain's fairness index over a resource-allocation vector:
 /// `J = (Σx)² / (n · Σx²)`.
@@ -42,150 +23,9 @@ pub fn jain_index(values: &[f64]) -> f64 {
     sum * sum / (values.len() as f64 * sq)
 }
 
-/// Incremental mean/variance accumulator (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use gtt_metrics::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(v);
-/// }
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.std_dev() - 2.138089935299395).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, value: f64) {
-        self.n += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample standard deviation, n−1 denominator (0.0 with < 2 samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Half-width of the ~95% confidence interval of the mean, using the
-    /// normal approximation (`1.96·σ/√n`). Good enough for the ≥5 seeds
-    /// per point the experiments run.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Summary::new();
-        s.extend(iter);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_std_basic() {
-        let vals = [1.0, 2.0, 3.0, 4.0];
-        assert!((mean(&vals) - 2.5).abs() < 1e-12);
-        // Sample variance = ((1.5)²+(0.5)²+(0.5)²+(1.5)²)/3 = 5/3.
-        assert!((std_dev(&vals) - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_and_singleton_edge_cases() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(std_dev(&[42.0]), 0.0);
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let vals: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let s: Summary = vals.iter().copied().collect();
-        assert!((s.mean() - mean(&vals)).abs() < 1e-9);
-        assert!((s.std_dev() - std_dev(&vals)).abs() < 1e-9);
-        assert_eq!(s.count(), 100);
-    }
-
-    #[test]
-    fn min_max_tracked() {
-        let s: Summary = [3.0, -1.0, 7.5, 2.0].into_iter().collect();
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(7.5));
-    }
 
     #[test]
     fn jain_index_ranges() {
@@ -197,12 +37,5 @@ mod tests {
         // Mild skew sits strictly between the extremes.
         let j = jain_index(&[1.0, 2.0, 3.0]);
         assert!(j > 1.0 / 3.0 && j < 1.0, "{j}");
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let few: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-        let many: Summary = (0..300).map(|i| (i % 3) as f64 + 1.0).collect();
-        assert!(many.ci95_half_width() < few.ci95_half_width());
     }
 }

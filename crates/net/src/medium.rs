@@ -189,9 +189,6 @@ impl<P> SlotOutcomes<P> {
 pub struct RadioMedium {
     topology: Topology,
     draws: DrawStreams,
-    /// When `true`, ACK frames are themselves subject to the reverse
-    /// link's PRR; when `false`, ACKs of decoded frames always arrive.
-    lossy_acks: bool,
     /// Per-slot working memory, reused across slots.
     scratch: MediumScratch,
 }
@@ -233,14 +230,8 @@ impl RadioMedium {
         RadioMedium {
             topology,
             draws,
-            lossy_acks: true,
             scratch: MediumScratch::default(),
         }
-    }
-
-    /// Enables or disables ACK loss on the reverse link (default: enabled).
-    pub fn set_lossy_acks(&mut self, lossy: bool) {
-        self.lossy_acks = lossy;
     }
 
     /// The topology this medium resolves over.
@@ -300,7 +291,6 @@ impl RadioMedium {
         let RadioMedium {
             topology,
             draws,
-            lossy_acks,
             scratch,
         } = self;
         out.rx.clear();
@@ -420,8 +410,6 @@ impl RadioMedium {
                 Dest::Unicast(dst) => {
                     if !scratch.dest_decoded[i] {
                         Some(false)
-                    } else if !*lossy_acks {
-                        Some(true)
                     } else {
                         // Reverse draw: keyed by the transmitting node
                         // (half-duplex, so it cannot also have drawn as
@@ -598,21 +586,6 @@ mod tests {
         }
         let rate = acked as f64 / trials as f64;
         assert!((rate - 0.5).abs() < 0.03, "ACK rate {rate} ≉ 0.5");
-    }
-
-    #[test]
-    fn disabling_lossy_acks_makes_decoded_frames_always_acked() {
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let topo = TopologyBuilder::new(100.0)
-            .link_model(LinkModel::Perfect)
-            .node(Position::new(0.0, 0.0))
-            .node(Position::new(10.0, 0.0))
-            .link_prr(b, a, 0.0)
-            .build();
-        let mut m = RadioMedium::new(topo, Pcg32::new(7));
-        m.set_lossy_acks(false);
-        let out = m.resolve_slot(vec![tx(0, Dest::Unicast(b), CH)], vec![listener(1, CH)]);
-        assert_eq!(out.acked, vec![Some(true)]);
     }
 
     #[test]

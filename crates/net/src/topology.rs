@@ -454,11 +454,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Overrides the PRR of both directions of the link `a ↔ b`.
-    pub fn link_prr_symmetric(self, a: NodeId, b: NodeId, prr: f64) -> Self {
-        self.link_prr(a, b, prr).link_prr(b, a, prr)
-    }
-
     /// Finalizes the topology: buckets the positions on the spatial grid
     /// and precomputes both adjacency tables in O(n·k).
     pub fn build(self) -> Topology {

@@ -286,10 +286,10 @@ impl SchedulingFunction for OrchestraSf {
 mod tests {
     use super::*;
     use gtt_engine::{EngineConfig, Payload};
-    use gtt_mac::{HoppingSequence, MacConfig, TschMac};
-    use gtt_rpl::{Dio, Rank, RplConfig, RplNode};
+    use gtt_mac::TschMac;
+    use gtt_rpl::{Dio, Rank, RplNode};
     use gtt_sim::{Pcg32, SimTime};
-    use gtt_sixtop::{SixtopConfig, SixtopLayer};
+    use gtt_sixtop::SixtopLayer;
 
     struct Harness {
         sf: OrchestraSf,
@@ -305,14 +305,9 @@ mod tests {
             let id = NodeId::new(id);
             let mut h = Harness {
                 sf: OrchestraSf::new(OrchestraConfig::paper_default()),
-                mac: TschMac::new(
-                    id,
-                    MacConfig::paper_default(),
-                    HoppingSequence::paper_default(),
-                    Pcg32::new(7),
-                ),
-                rpl: RplNode::new(id, RplConfig::default()),
-                sixtop: SixtopLayer::new(id, SixtopConfig::default()),
+                mac: TschMac::new(id, Pcg32::new(7)),
+                rpl: RplNode::new(id),
+                sixtop: SixtopLayer::new(id),
                 rng: Pcg32::new(id.raw() as u64),
                 out: Vec::new(),
             };

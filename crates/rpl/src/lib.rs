@@ -14,6 +14,11 @@
 //! * [`RplNode`] — the per-node routing state machine: neighbor table,
 //!   hysteretic parent selection, children tracking via DAOs.
 //!
+//! Every run uses one set of RPL parameters, so they are crate constants:
+//! the Trickle timing ([`TRICKLE_IMIN`], [`TRICKLE_DOUBLINGS`],
+//! [`TRICKLE_K`]), the MRHOF hysteresis ([`PARENT_SWITCH_THRESHOLD`]),
+//! the neighbor and child timeouts and the DAO refresh period.
+//!
 //! The crate is transport-agnostic: it never touches the radio. The engine
 //! feeds it received messages and polls it for outgoing ones
 //! ([`RplAction`]).
@@ -22,12 +27,12 @@
 //!
 //! ```
 //! use gtt_net::NodeId;
-//! use gtt_rpl::{Rank, RplConfig, RplNode};
+//! use gtt_rpl::{Rank, RplNode};
 //! use gtt_sim::SimTime;
 //!
-//! let root = RplNode::new_root(NodeId::new(0), RplConfig::default(), SimTime::ZERO);
+//! let root = RplNode::new_root(NodeId::new(0), SimTime::ZERO);
 //! assert_eq!(root.rank(), Rank::ROOT);
-//! let node = RplNode::new(NodeId::new(1), RplConfig::default());
+//! let node = RplNode::new(NodeId::new(1));
 //! assert!(node.parent().is_none()); // joins once it hears a DIO
 //! ```
 
@@ -40,6 +45,9 @@ pub mod rank;
 pub mod trickle;
 
 pub use messages::{Dao, Dio};
-pub use node::{RplAction, RplConfig, RplNode};
+pub use node::{
+    RplAction, RplNode, CHILD_TIMEOUT, DAO_PERIOD, NEIGHBOR_TIMEOUT, PARENT_SWITCH_THRESHOLD,
+    TRICKLE_DOUBLINGS, TRICKLE_IMIN, TRICKLE_K,
+};
 pub use rank::{Rank, MIN_HOP_RANK_INCREASE};
 pub use trickle::TrickleTimer;

@@ -9,39 +9,27 @@ use crate::messages::{Dao, Dio};
 use crate::rank::Rank;
 use crate::trickle::TrickleTimer;
 
-/// RPL configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RplConfig {
-    /// Trickle minimum interval (RFC 6206 `Imin`).
-    pub trickle_imin: SimDuration,
-    /// Trickle doublings (`Imax = Imin × 2^doublings`).
-    pub trickle_doublings: u8,
-    /// Trickle redundancy constant `k`.
-    pub trickle_k: u32,
-    /// MRHOF parent-switch hysteresis (RFC 6719
-    /// `PARENT_SWITCH_THRESHOLD`, in Rank units).
-    pub parent_switch_threshold: u16,
-    /// Forget neighbors not heard for this long.
-    pub neighbor_timeout: SimDuration,
-    /// Period of DAO refreshes towards the parent.
-    pub dao_period: SimDuration,
-    /// Forget children whose DAOs stopped for this long.
-    pub child_timeout: SimDuration,
-}
+/// Trickle minimum interval (RFC 6206 `Imin`).
+pub const TRICKLE_IMIN: SimDuration = SimDuration::from_micros(4_096_000);
 
-impl Default for RplConfig {
-    fn default() -> Self {
-        RplConfig {
-            trickle_imin: SimDuration::from_micros(4_096_000),
-            trickle_doublings: 6,
-            trickle_k: 10,
-            parent_switch_threshold: 192,
-            neighbor_timeout: SimDuration::from_secs(600),
-            dao_period: SimDuration::from_secs(60),
-            child_timeout: SimDuration::from_secs(300),
-        }
-    }
-}
+/// Trickle doublings (`Imax = Imin × 2^doublings`).
+pub const TRICKLE_DOUBLINGS: u8 = 6;
+
+/// Trickle redundancy constant `k`.
+pub const TRICKLE_K: u32 = 10;
+
+/// MRHOF parent-switch hysteresis (RFC 6719 `PARENT_SWITCH_THRESHOLD`,
+/// in Rank units).
+pub const PARENT_SWITCH_THRESHOLD: u16 = 192;
+
+/// Forget neighbors not heard for this long.
+pub const NEIGHBOR_TIMEOUT: SimDuration = SimDuration::from_secs(600);
+
+/// Period of DAO refreshes towards the parent.
+pub const DAO_PERIOD: SimDuration = SimDuration::from_secs(60);
+
+/// Forget children whose DAOs stopped for this long.
+pub const CHILD_TIMEOUT: SimDuration = SimDuration::from_secs(300);
 
 /// An outgoing action requested by the RPL layer.
 ///
@@ -90,7 +78,6 @@ struct NeighborEntry {
 #[derive(Debug, Clone)]
 pub struct RplNode {
     id: NodeId,
-    config: RplConfig,
     is_root: bool,
     rank: Rank,
     parent: Option<NodeId>,
@@ -129,15 +116,10 @@ pub struct RplNode {
 
 impl RplNode {
     /// Creates a non-root node that will join the first DODAG it hears.
-    pub fn new(id: NodeId, config: RplConfig) -> Self {
-        let trickle = TrickleTimer::new(
-            config.trickle_imin,
-            config.trickle_doublings,
-            config.trickle_k,
-        );
+    pub fn new(id: NodeId) -> Self {
+        let trickle = TrickleTimer::new(TRICKLE_IMIN, TRICKLE_DOUBLINGS, TRICKLE_K);
         RplNode {
             id,
-            config,
             is_root: false,
             rank: Rank::INFINITE,
             parent: None,
@@ -155,8 +137,8 @@ impl RplNode {
     }
 
     /// Creates a DODAG root; it starts advertising immediately.
-    pub fn new_root(id: NodeId, config: RplConfig, now: SimTime) -> Self {
-        let mut node = RplNode::new(id, config);
+    pub fn new_root(id: NodeId, now: SimTime) -> Self {
+        let mut node = RplNode::new(id);
         node.is_root = true;
         node.rank = Rank::ROOT;
         node.dodag = Some((id, 1));
@@ -337,13 +319,13 @@ impl RplNode {
             .values()
             .map(|n| n.last_heard)
             .min()
-            .map(|t| t + self.config.neighbor_timeout + tick);
+            .map(|t| t + NEIGHBOR_TIMEOUT + tick);
         let child_expiry = self
             .children
             .values()
             .copied()
             .min()
-            .map(|t| t + self.config.child_timeout + tick);
+            .map(|t| t + CHILD_TIMEOUT + tick);
         [
             self.trickle.next_deadline(),
             self.dao_timer.deadline(),
@@ -388,15 +370,14 @@ impl RplNode {
         // When the engine flagged a completed unicast transmission,
         // refresh survivors' ETX estimates from the MAC in the same pass
         // (non-roots only — roots never consume ETX).
-        let timeout = self.config.neighbor_timeout;
         let mut dirty = self.reselect_dirty;
         if self.is_root {
             self.neighbors
-                .retain(|_, n| now.saturating_since(n.last_heard) <= timeout);
+                .retain(|_, n| now.saturating_since(n.last_heard) <= NEIGHBOR_TIMEOUT);
         } else {
             let refresh = self.etx_dirty;
             self.neighbors.retain(|&n, entry| {
-                if now.saturating_since(entry.last_heard) > timeout {
+                if now.saturating_since(entry.last_heard) > NEIGHBOR_TIMEOUT {
                     dirty = true;
                     return false;
                 }
@@ -411,10 +392,9 @@ impl RplNode {
             });
             self.etx_dirty = false;
         }
-        let child_timeout = self.config.child_timeout;
         let children_before = self.children.len();
         self.children
-            .retain(|_, heard| now.saturating_since(*heard) <= child_timeout);
+            .retain(|_, heard| now.saturating_since(*heard) <= CHILD_TIMEOUT);
         dirty |= self.children.len() != children_before;
 
         if !self.is_root && dirty {
@@ -499,8 +479,7 @@ impl RplNode {
             Some(_) => {
                 // RFC 6719 hysteresis: the new path must beat the current
                 // Rank by more than the threshold.
-                (self.rank.raw() as i32 - cand_rank.raw() as i32)
-                    > self.config.parent_switch_threshold as i32
+                (self.rank.raw() as i32 - cand_rank.raw() as i32) > PARENT_SWITCH_THRESHOLD as i32
             }
         };
 
@@ -534,7 +513,7 @@ impl RplNode {
             self.trickle.inconsistency(now, &mut rng);
         }
         self.rng = rng;
-        self.dao_timer.arm_periodic(now, self.config.dao_period);
+        self.dao_timer.arm_periodic(now, DAO_PERIOD);
     }
 }
 
@@ -552,7 +531,7 @@ mod tests {
 
     #[test]
     fn root_advertises_and_never_selects_parents() {
-        let mut root = RplNode::new_root(NodeId::new(0), RplConfig::default(), SimTime::ZERO);
+        let mut root = RplNode::new_root(NodeId::new(0), SimTime::ZERO);
         assert!(root.is_root());
         assert!(root.is_joined());
         let actions = root.handle_dio(NodeId::new(1), dio(0, Rank::new(512)), 1.0, SimTime::ZERO);
@@ -574,7 +553,7 @@ mod tests {
 
     #[test]
     fn node_joins_on_first_dio() {
-        let mut n = RplNode::new(NodeId::new(1), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(1));
         let actions = n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 1.0, SimTime::ZERO);
         assert_eq!(n.parent(), Some(NodeId::new(0)));
         assert_eq!(n.rank().raw(), 512);
@@ -591,7 +570,7 @@ mod tests {
 
     #[test]
     fn hysteresis_prevents_marginal_switches() {
-        let mut n = RplNode::new(NodeId::new(2), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(2));
         n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 1.0, SimTime::ZERO);
         assert_eq!(n.parent(), Some(NodeId::new(0)));
         // A slightly better candidate appears (improvement < 192): stay.
@@ -604,7 +583,7 @@ mod tests {
 
     #[test]
     fn big_improvement_switches_parent() {
-        let mut n = RplNode::new(NodeId::new(2), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(2));
         // Join via a rank-768 neighbor: our rank = 1024.
         n.handle_dio(NodeId::new(5), dio(0, Rank::new(768)), 1.0, SimTime::ZERO);
         assert_eq!(n.rank().raw(), 1024);
@@ -621,7 +600,7 @@ mod tests {
 
     #[test]
     fn lossy_links_penalized_in_selection() {
-        let mut n = RplNode::new(NodeId::new(3), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(3));
         // Root heard over an ETX-3 link: cost 256 + 3*256 = 1024.
         n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 3.0, SimTime::ZERO);
         assert_eq!(n.rank().raw(), 1024);
@@ -633,7 +612,7 @@ mod tests {
 
     #[test]
     fn foreign_dodag_ignored() {
-        let mut n = RplNode::new(NodeId::new(4), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(4));
         n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 1.0, SimTime::ZERO);
         // DIO from a different DODAG (root 9) must not be adopted.
         let actions = n.handle_dio(NodeId::new(9), dio(9, Rank::ROOT), 1.0, SimTime::ZERO);
@@ -644,7 +623,7 @@ mod tests {
 
     #[test]
     fn children_tracked_via_dao() {
-        let mut p = RplNode::new_root(NodeId::new(0), RplConfig::default(), SimTime::ZERO);
+        let mut p = RplNode::new_root(NodeId::new(0), SimTime::ZERO);
         p.handle_dao(NodeId::new(1), Dao::announce(NodeId::new(1)), SimTime::ZERO);
         p.handle_dao(NodeId::new(2), Dao::announce(NodeId::new(2)), SimTime::ZERO);
         assert_eq!(p.children(), vec![NodeId::new(1), NodeId::new(2)]);
@@ -654,12 +633,10 @@ mod tests {
 
     #[test]
     fn children_expire_without_refresh() {
-        let cfg = RplConfig::default();
-        let timeout = cfg.child_timeout;
-        let mut p = RplNode::new_root(NodeId::new(0), cfg, SimTime::ZERO);
+        let mut p = RplNode::new_root(NodeId::new(0), SimTime::ZERO);
         p.handle_dao(NodeId::new(1), Dao::announce(NodeId::new(1)), SimTime::ZERO);
         p.fire_due(
-            SimTime::ZERO + timeout + SimDuration::from_secs(1),
+            SimTime::ZERO + CHILD_TIMEOUT + SimDuration::from_secs(1),
             &flat_etx,
         );
         assert!(p.children().is_empty());
@@ -667,11 +644,10 @@ mod tests {
 
     #[test]
     fn parent_expiry_triggers_reselection() {
-        let mut n = RplNode::new(NodeId::new(3), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(3));
         n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 1.0, SimTime::ZERO);
         // Keep a backup relay fresh throughout.
-        let late =
-            SimTime::ZERO + RplConfig::default().neighbor_timeout + SimDuration::from_secs(5);
+        let late = SimTime::ZERO + NEIGHBOR_TIMEOUT + SimDuration::from_secs(5);
         n.handle_dio(NodeId::new(1), dio(0, Rank::new(512)), 1.0, late);
         let actions = n.fire_due(late + SimDuration::from_secs(1), &flat_etx);
         assert_eq!(n.parent(), Some(NodeId::new(1)), "fails over to the relay");
@@ -682,7 +658,7 @@ mod tests {
 
     #[test]
     fn a_child_is_never_selected_as_parent() {
-        let mut n = RplNode::new(NodeId::new(3), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(3));
         n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 1.0, SimTime::ZERO);
         n.handle_dao(NodeId::new(7), Dao::announce(NodeId::new(7)), SimTime::ZERO);
         // The child (in our sub-DODAG) advertises a fantastic rank —
@@ -693,26 +669,27 @@ mod tests {
 
     #[test]
     fn dao_refresh_fires_periodically() {
-        let cfg = RplConfig {
-            dao_period: SimDuration::from_secs(10),
-            ..RplConfig::default()
-        };
-        let mut n = RplNode::new(NodeId::new(1), cfg);
+        let mut n = RplNode::new(NodeId::new(1));
         n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 1.0, SimTime::ZERO);
+        // Poll once a second for three and a half DAO periods.
+        let polls = DAO_PERIOD.as_millis() * 7 / 2 / 1_000;
         let mut daos = 0;
-        for s in 1..=35 {
+        for s in 1..=polls {
             for a in n.fire_due(SimTime::from_secs(s), &flat_etx) {
                 if matches!(a, RplAction::SendDao { dao, .. } if !dao.no_path) {
                     daos += 1;
                 }
             }
         }
-        assert!(daos >= 3, "expected ≥3 DAO refreshes in 35 s, got {daos}");
+        assert!(
+            daos >= 3,
+            "expected ≥3 DAO refreshes in {polls} s, got {daos}"
+        );
     }
 
     #[test]
     fn fire_due_is_noop_strictly_before_next_deadline() {
-        let mut n = RplNode::new(NodeId::new(1), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(1));
         // Fresh non-root: nothing armed, no deadline, fire_due does nothing.
         assert_eq!(n.next_deadline(), None);
         assert!(n.fire_due(SimTime::from_secs(1_000), &flat_etx).is_empty());
@@ -732,7 +709,7 @@ mod tests {
 
     #[test]
     fn etx_refresh_waits_for_link_stats_dirty_mark() {
-        let mut n = RplNode::new(NodeId::new(2), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(2));
         n.handle_dio(NodeId::new(0), dio(0, Rank::ROOT), 1.0, SimTime::ZERO);
         n.fire_due(SimTime::ZERO, &flat_etx);
         assert_eq!(n.rank().raw(), 512);
@@ -754,7 +731,7 @@ mod tests {
 
     #[test]
     fn roots_never_go_permanently_dirty() {
-        let mut root = RplNode::new_root(NodeId::new(0), RplConfig::default(), SimTime::ZERO);
+        let mut root = RplNode::new_root(NodeId::new(0), SimTime::ZERO);
         root.handle_dio(NodeId::new(1), dio(0, Rank::new(512)), 1.0, SimTime::ZERO);
         root.handle_dao(NodeId::new(1), Dao::announce(NodeId::new(1)), SimTime::ZERO);
         root.mark_link_stats_dirty();
@@ -766,15 +743,13 @@ mod tests {
 
     #[test]
     fn neighbor_expiry_deadline_is_exact() {
-        let cfg = RplConfig::default();
-        let timeout = cfg.neighbor_timeout;
-        let mut root = RplNode::new_root(NodeId::new(0), cfg, SimTime::ZERO);
+        let mut root = RplNode::new_root(NodeId::new(0), SimTime::ZERO);
         let heard = SimTime::from_secs(5);
         root.handle_dio(NodeId::new(1), dio(0, Rank::new(512)), 1.0, heard);
-        let expiry = heard + timeout + SimDuration::from_micros(1);
+        let expiry = heard + NEIGHBOR_TIMEOUT + SimDuration::from_micros(1);
         // At expiry-1µs the neighbor must survive a fire; at expiry it
         // must be dropped (strict `>` aging).
-        root.fire_due(heard + timeout, &flat_etx);
+        root.fire_due(heard + NEIGHBOR_TIMEOUT, &flat_etx);
         assert!(root.neighbor_rank(NodeId::new(1)).is_some());
         root.fire_due(expiry, &flat_etx);
         assert_eq!(root.neighbor_rank(NodeId::new(1)), None);
@@ -782,7 +757,7 @@ mod tests {
 
     #[test]
     fn rx_free_option_remembered() {
-        let mut n = RplNode::new(NodeId::new(1), RplConfig::default());
+        let mut n = RplNode::new(NodeId::new(1));
         n.handle_dio(
             NodeId::new(0),
             dio(0, Rank::ROOT).with_rx_free(6),

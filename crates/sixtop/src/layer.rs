@@ -8,25 +8,13 @@ use gtt_sim::{SimDuration, SimTime};
 
 use crate::messages::{ReturnCode, SixpBody, SixpMessage};
 
-/// 6P layer configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SixtopConfig {
-    /// How long to wait for a response before retrying.
-    pub timeout: SimDuration,
-    /// How many times a request is retried after the first timeout.
-    pub max_retries: u8,
-}
+/// How long a request waits for its response before it is retried.
+/// Two slotframes of 32 × 15 ms ≈ 1 s, rounded up generously: 6P cells
+/// occur twice per slotframe in GT-TSCH (§IV rule 2).
+pub const SIXP_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
-impl Default for SixtopConfig {
-    fn default() -> Self {
-        SixtopConfig {
-            // Two slotframes of 32 × 15 ms ≈ 1 s, rounded up generously:
-            // 6P cells occur twice per slotframe in GT-TSCH (§IV rule 2).
-            timeout: SimDuration::from_secs(3),
-            max_retries: 2,
-        }
-    }
-}
+/// How many times a request is retried after its first timeout.
+pub const SIXP_MAX_RETRIES: u8 = 2;
 
 /// Events surfaced to the scheduler/engine by the 6P layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +83,6 @@ struct Pending {
 #[derive(Debug, Clone)]
 pub struct SixtopLayer {
     id: NodeId,
-    config: SixtopConfig,
     /// Next seqnum per neighbor.
     seqnums: BTreeMap<NodeId, u8>,
     /// Outstanding transactions per neighbor.
@@ -108,10 +95,9 @@ pub struct SixtopLayer {
 
 impl SixtopLayer {
     /// Creates the layer for node `id`.
-    pub fn new(id: NodeId, config: SixtopConfig) -> Self {
+    pub fn new(id: NodeId) -> Self {
         SixtopLayer {
             id,
-            config,
             seqnums: BTreeMap::new(),
             pending: BTreeMap::new(),
             completed: 0,
@@ -161,8 +147,8 @@ impl SixtopLayer {
             Pending {
                 request: body.clone(),
                 seqnum,
-                deadline: now + self.config.timeout,
-                retries_left: self.config.max_retries,
+                deadline: now + SIXP_TIMEOUT,
+                retries_left: SIXP_MAX_RETRIES,
             },
         );
         Some(SixpMessage::new(seqnum, body))
@@ -235,7 +221,7 @@ impl SixtopLayer {
             }
             if pending.retries_left > 0 {
                 pending.retries_left -= 1;
-                pending.deadline = now + self.config.timeout;
+                pending.deadline = now + SIXP_TIMEOUT;
                 resend.push((
                     peer,
                     SixpMessage::new(pending.seqnum, pending.request.clone()),
@@ -279,8 +265,8 @@ mod tests {
 
     #[test]
     fn request_response_happy_path() {
-        let mut child = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
-        let mut parent = SixtopLayer::new(NodeId::new(1), SixtopConfig::default());
+        let mut child = SixtopLayer::new(NodeId::new(2));
+        let mut parent = SixtopLayer::new(NodeId::new(1));
 
         let req = child
             .start_request(NodeId::new(1), add_req(2), SimTime::ZERO)
@@ -304,7 +290,7 @@ mod tests {
 
     #[test]
     fn only_one_transaction_per_peer() {
-        let mut l = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+        let mut l = SixtopLayer::new(NodeId::new(2));
         assert!(l
             .start_request(NodeId::new(1), add_req(1), SimTime::ZERO)
             .is_some());
@@ -319,7 +305,7 @@ mod tests {
 
     #[test]
     fn seqnums_increment_per_peer() {
-        let mut l = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+        let mut l = SixtopLayer::new(NodeId::new(2));
         let m1 = l
             .start_request(NodeId::new(1), add_req(1), SimTime::ZERO)
             .unwrap();
@@ -338,7 +324,7 @@ mod tests {
 
     #[test]
     fn stale_response_ignored() {
-        let mut l = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+        let mut l = SixtopLayer::new(NodeId::new(2));
         let m = l
             .start_request(NodeId::new(1), add_req(1), SimTime::ZERO)
             .unwrap();
@@ -354,7 +340,7 @@ mod tests {
 
     #[test]
     fn error_code_fails_transaction() {
-        let mut l = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+        let mut l = SixtopLayer::new(NodeId::new(2));
         let m = l
             .start_request(NodeId::new(1), add_req(1), SimTime::ZERO)
             .unwrap();
@@ -378,28 +364,22 @@ mod tests {
 
     #[test]
     fn timeout_retries_then_fails() {
-        let cfg = SixtopConfig {
-            timeout: SimDuration::from_secs(1),
-            max_retries: 2,
-        };
-        let mut l = SixtopLayer::new(NodeId::new(2), cfg);
+        let mut l = SixtopLayer::new(NodeId::new(2));
         let m = l
             .start_request(NodeId::new(1), add_req(1), SimTime::ZERO)
             .unwrap();
+        let retries = u64::from(SIXP_MAX_RETRIES);
 
-        // First timeout: retry with the same seqnum.
-        let (resend, events) = l.poll(SimTime::from_secs(1));
-        assert_eq!(resend.len(), 1);
-        assert_eq!(resend[0].1.seqnum, m.seqnum);
-        assert!(events.is_empty());
+        // Each timeout retries with the same seqnum while retries last.
+        for k in 1..=retries {
+            let (resend, events) = l.poll(SimTime::ZERO + SIXP_TIMEOUT * k);
+            assert_eq!(resend.len(), 1, "retry {k}");
+            assert_eq!(resend[0].1.seqnum, m.seqnum);
+            assert!(events.is_empty());
+        }
 
-        // Second timeout: last retry.
-        let (resend, events) = l.poll(SimTime::from_secs(2));
-        assert_eq!(resend.len(), 1);
-        assert!(events.is_empty());
-
-        // Third: out of retries → failure.
-        let (resend, events) = l.poll(SimTime::from_secs(3));
+        // The next timeout finds no retry left → failure.
+        let (resend, events) = l.poll(SimTime::ZERO + SIXP_TIMEOUT * (retries + 1));
         assert!(resend.is_empty());
         assert_eq!(events.len(), 1);
         assert!(matches!(
@@ -414,26 +394,23 @@ mod tests {
 
     #[test]
     fn next_deadline_tracks_earliest_pending() {
-        let mut l = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+        let mut l = SixtopLayer::new(NodeId::new(2));
         assert_eq!(l.next_deadline(), None);
         l.start_request(NodeId::new(1), add_req(1), SimTime::ZERO);
         l.start_request(NodeId::new(3), add_req(1), SimTime::from_secs(1));
-        assert_eq!(
-            l.next_deadline(),
-            Some(SimTime::ZERO + SixtopConfig::default().timeout)
-        );
+        assert_eq!(l.next_deadline(), Some(SimTime::ZERO + SIXP_TIMEOUT));
         // Completing the earlier transaction moves the deadline out.
         let m = SixpMessage::new(0, add_ok());
         l.handle_message(NodeId::new(1), m);
         assert_eq!(
             l.next_deadline(),
-            Some(SimTime::from_secs(1) + SixtopConfig::default().timeout)
+            Some(SimTime::from_secs(1) + SIXP_TIMEOUT)
         );
     }
 
     #[test]
     fn poll_before_deadline_is_quiet() {
-        let mut l = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+        let mut l = SixtopLayer::new(NodeId::new(2));
         l.start_request(NodeId::new(1), add_req(1), SimTime::ZERO);
         let (resend, events) = l.poll(SimTime::from_millis(10));
         assert!(resend.is_empty());
@@ -443,7 +420,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "request body")]
     fn start_request_rejects_response_bodies() {
-        let mut l = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+        let mut l = SixtopLayer::new(NodeId::new(2));
         l.start_request(NodeId::new(1), add_ok(), SimTime::ZERO);
     }
 }

@@ -14,7 +14,8 @@
 //!   mirroring the RFC 8480 header layout,
 //! * [`SixtopLayer`] — the per-node transaction engine: one outstanding
 //!   transaction per neighbor, per-neighbor sequence numbers, timeout and
-//!   retry handling,
+//!   retry handling (every run uses one [`SIXP_TIMEOUT`] and
+//!   [`SIXP_MAX_RETRIES`], so they are crate constants),
 //! * [`CellSpec`] — (slot offset, channel offset) pairs carried in
 //!   ADD/DELETE cell lists.
 //!
@@ -22,10 +23,10 @@
 //!
 //! ```
 //! use gtt_net::NodeId;
-//! use gtt_sixtop::{CellSpec, SixpBody, SixpMessage, SixtopConfig, SixtopLayer};
+//! use gtt_sixtop::{CellSpec, SixpBody, SixpMessage, SixtopLayer};
 //! use gtt_sim::SimTime;
 //!
-//! let mut child = SixtopLayer::new(NodeId::new(2), SixtopConfig::default());
+//! let mut child = SixtopLayer::new(NodeId::new(2));
 //! let msg = child
 //!     .start_request(
 //!         NodeId::new(1),
@@ -47,7 +48,7 @@
 pub mod layer;
 pub mod messages;
 
-pub use layer::{SixtopConfig, SixtopEvent, SixtopLayer};
+pub use layer::{SixtopEvent, SixtopLayer, SIXP_MAX_RETRIES, SIXP_TIMEOUT};
 pub use messages::{
     CellSpec, ReturnCode, SixpBody, SixpCellKind, SixpDecodeError, SixpMessage, SIXP_SFID_GT_TSCH,
 };

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// The Scheduling Function Identifier GT-TSCH registers with 6P.
 pub const SIXP_SFID_GT_TSCH: u8 = 0xA1;
 
@@ -290,31 +288,31 @@ impl SixpMessage {
     /// Layout: `[version<<4 | type, code, sfid, seqnum, body…]`, cell
     /// lists as `count:u16` then `(slot:u16, chan:u8)` entries, all
     /// big-endian.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(16);
         let type_nibble = if self.body.is_request() {
             TYPE_REQUEST
         } else {
             TYPE_RESPONSE
         };
-        buf.put_u8((SIXP_VERSION << 4) | type_nibble);
+        buf.push((SIXP_VERSION << 4) | type_nibble);
         // Requests carry the command code; responses the return code.
         match self.body.return_code() {
-            Some(rc) => buf.put_u8(rc.to_wire()),
-            None => buf.put_u8(self.body.command_code()),
+            Some(rc) => buf.push(rc.to_wire()),
+            None => buf.push(self.body.command_code()),
         }
-        buf.put_u8(self.sfid);
-        buf.put_u8(self.seqnum);
+        buf.push(self.sfid);
+        buf.push(self.seqnum);
         // Responses also need the command code to be self-describing
         // (RFC 8480 infers it from transaction state; carrying it keeps
         // the codec stateless).
-        buf.put_u8(self.body.command_code());
+        buf.push(self.body.command_code());
 
-        fn put_cells(buf: &mut BytesMut, cells: &[CellSpec]) {
-            buf.put_u16(cells.len() as u16);
+        fn put_cells(buf: &mut Vec<u8>, cells: &[CellSpec]) {
+            buf.extend_from_slice(&(cells.len() as u16).to_be_bytes());
             for c in cells {
-                buf.put_u16(c.slot);
-                buf.put_u8(c.channel_offset);
+                buf.extend_from_slice(&c.slot.to_be_bytes());
+                buf.push(c.channel_offset);
             }
         }
 
@@ -324,23 +322,23 @@ impl SixpMessage {
                 num_cells,
                 cells,
             } => {
-                buf.put_u8(kind.to_wire());
-                buf.put_u16(*num_cells);
+                buf.push(kind.to_wire());
+                buf.extend_from_slice(&num_cells.to_be_bytes());
                 put_cells(&mut buf, cells);
             }
             SixpBody::AddResponse { cells, .. } => put_cells(&mut buf, cells),
             SixpBody::DeleteRequest { kind, cells } => {
-                buf.put_u8(kind.to_wire());
+                buf.push(kind.to_wire());
                 put_cells(&mut buf, cells);
             }
             SixpBody::DeleteResponse { cells, .. } => put_cells(&mut buf, cells),
             SixpBody::ClearRequest | SixpBody::ClearResponse { .. } => {}
             SixpBody::AskChannelRequest => {}
             SixpBody::AskChannelResponse { channel_offset, .. } => {
-                buf.put_u8(*channel_offset);
+                buf.push(*channel_offset);
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a message encoded by [`SixpMessage::encode`].
@@ -349,53 +347,44 @@ impl SixpMessage {
     ///
     /// Returns a [`SixpDecodeError`] on truncation or unknown fields.
     pub fn decode(mut data: &[u8]) -> Result<Self, SixpDecodeError> {
-        fn need(data: &[u8], n: usize) -> Result<(), SixpDecodeError> {
-            if data.remaining() < n {
-                Err(SixpDecodeError::Truncated)
-            } else {
-                Ok(())
+        /// Splits the first `N` bytes off `data`.
+        fn take<const N: usize>(data: &mut &[u8]) -> Result<[u8; N], SixpDecodeError> {
+            if data.len() < N {
+                return Err(SixpDecodeError::Truncated);
             }
+            let (head, rest) = data.split_at(N);
+            *data = rest;
+            Ok(head.try_into().expect("split off exactly N bytes"))
         }
 
-        need(data, 5)?;
-        let vt = data.get_u8();
+        let [vt, code, sfid, seqnum, command] = take(&mut data)?;
         let version = vt >> 4;
         if version != SIXP_VERSION {
             return Err(SixpDecodeError::BadVersion(version));
         }
         let msg_type = vt & 0x0F;
-        let code = data.get_u8();
-        let sfid = data.get_u8();
-        let seqnum = data.get_u8();
-        let command = data.get_u8();
 
         fn get_cells(data: &mut &[u8]) -> Result<Vec<CellSpec>, SixpDecodeError> {
-            if data.remaining() < 2 {
+            let count = u16::from_be_bytes(take(data)?) as usize;
+            if data.len() < count * 3 {
                 return Err(SixpDecodeError::Truncated);
             }
-            let count = data.get_u16() as usize;
-            if data.remaining() < count * 3 {
-                return Err(SixpDecodeError::Truncated);
-            }
-            let mut cells = Vec::with_capacity(count);
-            for _ in 0..count {
-                let slot = data.get_u16();
-                let chan = data.get_u8();
-                cells.push(CellSpec::new(slot, chan));
-            }
-            Ok(cells)
+            let (list, rest) = data.split_at(count * 3);
+            *data = rest;
+            Ok(list
+                .chunks_exact(3)
+                .map(|c| CellSpec::new(u16::from_be_bytes([c[0], c[1]]), c[2]))
+                .collect())
         }
 
         let body = match (msg_type, command) {
             (TYPE_REQUEST, CMD_ADD) => {
-                need(data, 3)?;
-                let kind_raw = data.get_u8();
+                let [kind_raw, n_hi, n_lo] = take(&mut data)?;
                 let kind = SixpCellKind::from_wire(kind_raw)
                     .ok_or(SixpDecodeError::BadCellKind(kind_raw))?;
-                let num_cells = data.get_u16();
                 SixpBody::AddRequest {
                     kind,
-                    num_cells,
+                    num_cells: u16::from_be_bytes([n_hi, n_lo]),
                     cells: get_cells(&mut data)?,
                 }
             }
@@ -404,8 +393,7 @@ impl SixpMessage {
                 cells: get_cells(&mut data)?,
             },
             (TYPE_REQUEST, CMD_DELETE) => {
-                need(data, 1)?;
-                let kind_raw = data.get_u8();
+                let [kind_raw] = take(&mut data)?;
                 let kind = SixpCellKind::from_wire(kind_raw)
                     .ok_or(SixpDecodeError::BadCellKind(kind_raw))?;
                 SixpBody::DeleteRequest {
@@ -423,11 +411,11 @@ impl SixpMessage {
             },
             (TYPE_REQUEST, CMD_ASK_CHANNEL) => SixpBody::AskChannelRequest,
             (TYPE_RESPONSE, CMD_ASK_CHANNEL) => {
-                need(data, 1)?;
+                let [channel_offset] = take(&mut data)?;
                 SixpBody::AskChannelResponse {
                     code: ReturnCode::from_wire(code)
                         .ok_or(SixpDecodeError::BadReturnCode(code))?,
-                    channel_offset: data.get_u8(),
+                    channel_offset,
                 }
             }
             (TYPE_REQUEST | TYPE_RESPONSE, c) => return Err(SixpDecodeError::BadCommand(c)),
@@ -555,7 +543,7 @@ mod tests {
     #[test]
     fn bad_version_rejected() {
         let msg = SixpMessage::new(0, SixpBody::ClearRequest);
-        let mut bytes = msg.encode().to_vec();
+        let mut bytes = msg.encode();
         bytes[0] = (3 << 4) | (bytes[0] & 0x0F);
         assert_eq!(
             SixpMessage::decode(&bytes),
@@ -566,7 +554,7 @@ mod tests {
     #[test]
     fn bad_command_rejected() {
         let msg = SixpMessage::new(0, SixpBody::ClearRequest);
-        let mut bytes = msg.encode().to_vec();
+        let mut bytes = msg.encode();
         bytes[4] = 0x7F;
         assert_eq!(
             SixpMessage::decode(&bytes),
@@ -582,7 +570,7 @@ mod tests {
                 code: ReturnCode::Success,
             },
         );
-        let mut bytes = msg.encode().to_vec();
+        let mut bytes = msg.encode();
         bytes[1] = 0x6E;
         assert_eq!(
             SixpMessage::decode(&bytes),

@@ -48,6 +48,12 @@ pub enum DecodeError {
         /// The offending byte.
         tag: u8,
     },
+    /// A number lies outside what its field accepts (a crafted or
+    /// corrupted encoding: [`Experiment::encode`] never writes one).
+    BadValue {
+        /// Which field was being read.
+        what: &'static str,
+    },
     /// Bytes remained after the experiment was fully decoded.
     TrailingBytes,
     /// A length-prefixed string was not valid UTF-8.
@@ -68,6 +74,7 @@ impl fmt::Display for DecodeError {
                 )
             }
             DecodeError::BadTag { what, tag } => write!(f, "invalid {what} tag {tag:#04x}"),
+            DecodeError::BadValue { what } => write!(f, "invalid {what} value"),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after experiment"),
             DecodeError::BadUtf8 => write!(f, "non-UTF-8 string field"),
             DecodeError::BadHex => write!(f, "invalid hex armor"),
@@ -323,8 +330,20 @@ fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
         },
         9 => {
             let name = d.str()?;
+            // `TopologyBuilder` asserts these three; a crafted encoding
+            // must get an error, not a panic.
             let range = d.f64()?;
+            if !(range.is_finite() && range > 0.0) {
+                return Err(DecodeError::BadValue {
+                    what: "communication range",
+                });
+            }
             let interference_factor = d.f64()?;
+            if interference_factor.is_nan() || interference_factor < 1.0 {
+                return Err(DecodeError::BadValue {
+                    what: "interference factor",
+                });
+            }
             let link_model = dec_link_model(d)?;
             let n = d.u32()? as usize;
             let mut builder = TopologyBuilder::new(range)
@@ -337,7 +356,11 @@ fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
             for _ in 0..n_overrides {
                 let a = NodeId::new(d.u16()?);
                 let b = NodeId::new(d.u16()?);
-                builder = builder.link_prr(a, b, d.f64()?);
+                let prr = d.f64()?;
+                if !(0.0..=1.0).contains(&prr) {
+                    return Err(DecodeError::BadValue { what: "link PRR" });
+                }
+                builder = builder.link_prr(a, b, prr);
             }
             let n_roots = d.u32()? as usize;
             let mut roots = Vec::with_capacity(d.capacity_for(n_roots, 2));
@@ -746,8 +769,42 @@ mod tests {
         let mut wrong_magic = bytes;
         wrong_magic[0] = b'X';
         assert_eq!(Experiment::decode(&wrong_magic), Err(DecodeError::BadMagic));
+        // Values the topology builder would assert on.
+        for (old, new, what) in [
+            (40.0, 0.0, "communication range"),
+            (1.5, 0.5, "interference factor"),
+            (0.1 + 0.2, 2.0, "link PRR"),
+            (0.1 + 0.2, f64::NAN, "link PRR"),
+        ] {
+            let mut bytes = kitchen_sink().encode();
+            let pattern = f64::to_le_bytes(old);
+            let at: Vec<usize> = (0..=bytes.len() - 8)
+                .filter(|&i| bytes[i..i + 8] == pattern)
+                .collect();
+            assert_eq!(at.len(), 1, "{old} is encoded exactly once");
+            bytes[at[0]..at[0] + 8].copy_from_slice(&new.to_le_bytes());
+            assert_eq!(
+                Experiment::decode(&bytes),
+                Err(DecodeError::BadValue { what }),
+                "{what} = {new}"
+            );
+        }
         assert_eq!(Experiment::decode_hex("abc"), Err(DecodeError::BadHex));
         assert_eq!(Experiment::decode_hex("zz"), Err(DecodeError::BadHex));
+    }
+
+    #[test]
+    fn no_single_byte_mutation_panics() {
+        // Decoding is total: whatever a byte becomes, the result is an
+        // experiment or an error, never a panic.
+        let bytes = kitchen_sink().encode();
+        for at in 0..bytes.len() {
+            for value in 0..=u8::MAX {
+                let mut mutated = bytes.clone();
+                mutated[at] = value;
+                let _ = Experiment::decode(&mutated);
+            }
+        }
     }
 
     #[test]

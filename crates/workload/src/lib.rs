@@ -167,7 +167,7 @@ impl Experiment {
         let base = if self.run.low_power {
             EngineConfig::low_power()
         } else {
-            self.scheduler.engine_config()
+            EngineConfig::default()
         };
         EngineConfig {
             seed: self.run.seed,

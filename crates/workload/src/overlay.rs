@@ -24,6 +24,7 @@
 //! number of `Mobility` traces is fine, positions are last-write-wins).
 
 use gtt_engine::Network;
+use gtt_mac::SLOT_DURATION;
 use gtt_net::{NodeId, Position};
 use gtt_sim::{SimDuration, SimTime};
 
@@ -327,7 +328,7 @@ impl<'a> State<'a> {
                         net.set_app_throttled(NodeId::from_index(i), false);
                     }
                 } else {
-                    let slot_us = net.config().mac.slot_duration.as_micros();
+                    let slot_us = SLOT_DURATION.as_micros();
                     let budget_us = o.window.as_micros() as f64 * o.max_duty_percent / 100.0;
                     for (i, &base) in baseline.iter().enumerate() {
                         let node = &net.nodes()[i];

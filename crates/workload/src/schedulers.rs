@@ -1,7 +1,7 @@
 //! Scheduler selection for experiments.
 
 use gt_tsch::{GtTschConfig, GtTschSf};
-use gtt_engine::{EngineConfig, MinimalSchedule, SchedulingFunction};
+use gtt_engine::{MinimalSchedule, SchedulingFunction};
 use gtt_net::NodeId;
 use gtt_orchestra::{OrchestraConfig, OrchestraSf};
 
@@ -52,19 +52,10 @@ impl SchedulerKind {
         }
     }
 
-    /// Engine configuration appropriate for this scheduler (all use the
-    /// paper's Table II MAC settings; only the seed differs per run).
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig::default()
-    }
-
     /// Builds the per-node scheduling function.
     pub fn instantiate(&self, _id: NodeId, _is_root: bool) -> Box<dyn SchedulingFunction> {
         match self {
-            SchedulerKind::GtTsch(cfg) => {
-                // 8 channel offsets: the Table II hopping sequence.
-                Box::new(GtTschSf::new(cfg.clone(), 8))
-            }
+            SchedulerKind::GtTsch(cfg) => Box::new(GtTschSf::new(cfg.clone())),
             SchedulerKind::Orchestra(cfg) => Box::new(OrchestraSf::new(cfg.clone())),
             SchedulerKind::Minimal { slotframe_len } => {
                 Box::new(MinimalSchedule::new(*slotframe_len))

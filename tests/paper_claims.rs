@@ -156,7 +156,7 @@ fn retransmissions_are_capped_at_four() {
     let max = counts.values().copied().max().unwrap_or(0);
     assert!(
         counts.values().all(|&c| (1..=5).contains(&c)),
-        "a frame was transmitted {max} times — the cap is max_retries + 1 = 5"
+        "a frame was transmitted {max} times — the cap is MAX_RETRIES + 1 = 5"
     );
     assert!(
         counts.values().any(|&c| c > 1),

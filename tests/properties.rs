@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use gt_tsch::game::{GameInputs, GameWeights};
 use gt_tsch::ChannelAllocator;
-use gtt_mac::{Asn, ChannelOffset, HoppingSequence};
+use gtt_mac::{channel, Asn, ChannelOffset, HOPPING_SEQUENCE};
 use gtt_metrics::PacketTracker;
 use gtt_net::{
     Dest, DrawStreams, Frame, LinkModel, Listener, NodeId, PacketId, PacketQueue, PhysicalChannel,
@@ -424,10 +424,9 @@ proptest! {
     /// leaves the sequence.
     #[test]
     fn hopping_stays_in_sequence(asn in any::<u32>(), offset in 0u8..8) {
-        let hop = HoppingSequence::paper_default();
-        let ch = hop.channel(Asn::new(asn as u64), ChannelOffset::new(offset));
-        prop_assert!(hop.channels().contains(&ch));
-        let again = hop.channel(Asn::new(asn as u64 + 8), ChannelOffset::new(offset));
+        let ch = channel(Asn::new(asn as u64), ChannelOffset::new(offset));
+        prop_assert!(HOPPING_SEQUENCE.contains(&ch));
+        let again = channel(Asn::new(asn as u64 + 8), ChannelOffset::new(offset));
         prop_assert_eq!(ch, again, "period 8");
     }
 }
