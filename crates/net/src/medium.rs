@@ -194,9 +194,9 @@ pub struct RadioMedium {
 }
 
 /// Reusable per-slot buffers behind [`RadioMedium::resolve_slot_into`]:
-/// the per-channel transmitter index and the half-duplex bitset. All
-/// state is rebuilt each slot; keeping the allocations alive is what
-/// makes steady-state resolution allocation-free.
+/// the per-channel transmitter index and the per-node transmission
+/// index. All state is rebuilt each slot; keeping the allocations alive
+/// is what makes steady-state resolution allocation-free.
 #[derive(Debug, Clone, Default)]
 struct MediumScratch {
     /// `channel number → bucket index + 1` (0 = no transmission on that
@@ -214,8 +214,12 @@ struct MediumScratch {
     /// Transmission indices grouped by channel; supply order is preserved
     /// within each bucket so "first audible" matches a full linear scan.
     grouped: Vec<u32>,
-    /// Per node: transmits this slot (the O(1) half-duplex check).
-    is_tx: Vec<bool>,
+    /// Per node: `transmission index + 1` of its transmission this slot
+    /// (0 = silent). The O(1) half-duplex check, and what lets a
+    /// listener walk its audible row instead of its channel bucket.
+    /// Sized on the first slot; only transmitters' entries are ever
+    /// non-zero, so per-slot reset is O(transmissions).
+    tx_of: Vec<u32>,
     /// Per transmission: whether its unicast destination decoded it —
     /// the only membership question the ACK pass ever asks, collapsing
     /// the old per-transmission `Vec<NodeId>` decode sets.
@@ -246,6 +250,10 @@ impl RadioMedium {
 
     /// Resolves one timeslot (owning convenience wrapper around
     /// [`RadioMedium::resolve_slot_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transmitter or a listener is outside the topology.
     pub fn resolve_slot<P: Clone>(
         &mut self,
         transmissions: Vec<Transmission<P>>,
@@ -268,20 +276,31 @@ impl RadioMedium {
     /// decoded iff it is also within *communication* range and the link's
     /// Bernoulli(PRR) draw succeeds.
     ///
-    /// The per-listener work is output-sensitive: transmissions are
-    /// grouped by physical channel once (a counting sort over the ≤ 16
-    /// TSCH channels), each listener consults only its own channel's
-    /// bucket, and the overwhelmingly common single-transmitter bucket
-    /// skips the counting scan entirely. A listener on a channel with no
+    /// The per-listener work is output-sensitive, O(min(bucket, audible
+    /// row)): transmissions are grouped by physical channel once (a
+    /// counting sort over the ≤ 16 TSCH channels), and each listener
+    /// consults only its own channel's bucket — unless its audible row
+    /// ([`Topology::audible_neighbors`]) is shorter, in which case it
+    /// asks each audible peer whether it transmits on that channel. Both
+    /// walks find the same audible set (a node transmits at most once
+    /// per slot), hence the same count and, when exactly one is audible,
+    /// the same frame. The overwhelmingly common single-transmitter
+    /// bucket skips both walks entirely. A listener on a channel with no
     /// transmission is O(1).
     ///
     /// ACKs: a unicast transmission is acknowledged iff its destination
     /// appears among the listeners on the same channel, decoded the frame,
-    /// and the reverse-link draw succeeds (when ACK loss is enabled).
+    /// and the reverse-link draw succeeds.
     /// A transmitting node never simultaneously listens — TSCH radios are
     /// half-duplex — so any listener entry with the same id as a
     /// transmitter is resolved as if deaf (collision-free idle) and
-    /// flagged by a debug assertion.
+    /// flagged by a debug assertion. For the same reason a node
+    /// transmits at most once per slot (also debug-asserted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transmitter or a listener is outside the topology,
+    /// whatever else is on the air.
     pub fn resolve_slot_into<P: Clone>(
         &mut self,
         transmissions: &[Transmission<P>],
@@ -326,32 +345,25 @@ impl RadioMedium {
         scratch.grouped.resize(transmissions.len(), 0);
         scratch.dest_decoded.clear();
         scratch.dest_decoded.resize(transmissions.len(), false);
-        if scratch.is_tx.len() < topology.len() {
-            scratch.is_tx.resize(topology.len(), false);
+        if scratch.tx_of.len() < topology.len() {
+            scratch.tx_of.resize(topology.len(), 0);
         }
         for (i, t) in transmissions.iter().enumerate() {
             let bucket = scratch.chan_map[t.channel.number() as usize] as usize - 1;
             scratch.grouped[scratch.cursors[bucket] as usize] = i as u32;
             scratch.cursors[bucket] += 1;
-            scratch.is_tx[t.frame.src.index()] = true;
+            let entry = &mut scratch.tx_of[t.frame.src.index()];
+            debug_assert_eq!(*entry, 0, "a node transmits at most once per slot");
+            *entry = i as u32 + 1;
         }
 
         debug_assert!(
-            listeners
-                .iter()
-                .all(|l| !scratch.is_tx.get(l.node.index()).copied().unwrap_or(false)),
+            listeners.iter().all(|l| scratch.tx_of[l.node.index()] == 0),
             "a node cannot transmit and listen in the same slot (half-duplex)"
         );
 
         for listener in listeners {
-            // `get`: a listener outside the topology can only ever be
-            // idle, and must not index past the bitset.
-            if scratch
-                .is_tx
-                .get(listener.node.index())
-                .copied()
-                .unwrap_or(false)
-            {
+            if scratch.tx_of[listener.node.index()] != 0 {
                 out.rx.push((listener.node, RxOutcome::Idle));
                 continue;
             }
@@ -369,6 +381,21 @@ impl RadioMedium {
                     } else {
                         (0, usize::MAX)
                     }
+                } else if topology.audible_neighbors(listener.node).len() < len as usize {
+                    // Row walk: fewer audible peers than transmissions on
+                    // the channel, so ask each peer instead. `first` is
+                    // read only when exactly one transmission is audible,
+                    // so the order peers are met in does not matter.
+                    let mut audible = 0usize;
+                    let mut first = usize::MAX;
+                    for peer in topology.audible_neighbors(listener.node) {
+                        let t = scratch.tx_of[peer.index()] as usize;
+                        if t != 0 && transmissions[t - 1].channel == listener.channel {
+                            audible += 1;
+                            first = t - 1;
+                        }
+                    }
+                    (audible, first)
                 } else {
                     let mut audible = 0usize;
                     let mut first = usize::MAX;
@@ -423,7 +450,7 @@ impl RadioMedium {
         }
 
         for t in transmissions {
-            scratch.is_tx[t.frame.src.index()] = false;
+            scratch.tx_of[t.frame.src.index()] = 0;
         }
     }
 }
@@ -668,6 +695,13 @@ mod tests {
         );
         assert_eq!(out.rx[0].1, RxOutcome::Collision(3));
         assert_eq!(out.acked, vec![Some(false), None, Some(false)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn listener_outside_the_topology_panics_on_a_quiet_channel() {
+        let mut m = RadioMedium::new(line4(), Pcg32::new(1));
+        m.resolve_slot(vec![tx(0, Dest::Broadcast, CH)], vec![listener(9, CH2)]);
     }
 
     #[test]

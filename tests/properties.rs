@@ -503,15 +503,29 @@ proptest! {
     /// observationally identical to the brute-force scan it replaced:
     /// same outcomes, same ACKs, same RNG draw order — across random
     /// topologies, channel assignments (collisions included) and
-    /// multi-slot sequences through one reused outcome buffer.
+    /// multi-slot sequences through one reused outcome buffer, with one
+    /// random node moved between slots. Dense cases (4–12 nodes in a
+    /// 60–120 m square) resolve listeners on quiet channels, single
+    /// transmitters and bucket scans, and seldom walk a row. Sparse
+    /// cases (12–60 nodes over 150–400 m, two in three transmitting on
+    /// 2–3 channels) make channel buckets longer than audible rows, so
+    /// listeners walk their rows, meet collisions there, and read rows
+    /// that mobility has patched.
     #[test]
     fn medium_resolve_matches_brute_force_reference(
         seed in 0u64..1_000_000,
-        n in 4usize..12,
+        sparse in any::<bool>(),
         slots in 1usize..8,
     ) {
         let mut layout = Pcg32::new(seed ^ 0x9e37_79b9);
-        let side = 60.0 + layout.gen_f64() * 60.0;
+        let (n, side, tx_p, channel_count) = if sparse {
+            let n = 12 + layout.gen_range_u32(0, 49) as usize;
+            let side = 150.0 + layout.gen_f64() * 250.0;
+            (n, side, 2.0 / 3.0, 2 + layout.gen_range_u32(0, 2))
+        } else {
+            let n = 4 + layout.gen_range_u32(0, 8) as usize;
+            (n, 60.0 + layout.gen_f64() * 60.0, 1.0 / 3.0, 3)
+        };
         let topology = TopologyBuilder::new(45.0)
             .link_model(LinkModel::DistanceFalloff { plateau: 0.4, edge_prr: 0.6 })
             .interference_factor(1.0 + layout.gen_f64())
@@ -519,15 +533,20 @@ proptest! {
                 Position::new(layout.gen_f64() * side, layout.gen_f64() * side)
             }))
             .build();
-        // Three channels force same-channel collisions regularly.
+        // Few channels force same-channel collisions regularly.
         let channels = [17u8, 23, 15].map(PhysicalChannel::new);
 
-        let mut medium = RadioMedium::new(topology.clone(), Pcg32::new(seed));
-        let mut reference_draws = DrawStreams::new(Pcg32::new(seed), topology.len());
+        let mut medium = RadioMedium::new(topology, Pcg32::new(seed));
+        let mut reference_draws = DrawStreams::new(Pcg32::new(seed), n);
         let mut out = SlotOutcomes::default();
 
         for slot in 0..slots {
-            // Random slot inputs: each node transmits (p = 1/3), with a
+            if slot > 0 {
+                let node = NodeId::from_index(layout.gen_range_u32(0, n as u32) as usize);
+                let to = Position::new(layout.gen_f64() * side, layout.gen_f64() * side);
+                medium.topology_mut().set_position(node, to);
+            }
+            // Random slot inputs: each node transmits (p = tx_p), with a
             // random channel and destination; every non-transmitter
             // listens (p = 3/4) on a random channel. Half-duplex holds
             // by construction, as in the engine.
@@ -535,7 +554,7 @@ proptest! {
             let mut listeners = Vec::new();
             for i in 0..n {
                 let id = NodeId::from_index(i);
-                if layout.gen_f64() < 1.0 / 3.0 {
+                if layout.gen_f64() < tx_p {
                     let dst = if layout.gen_f64() < 0.5 {
                         Dest::Broadcast
                     } else {
@@ -546,7 +565,7 @@ proptest! {
                         Dest::Unicast(NodeId::from_index(peer))
                     };
                     transmissions.push(Transmission {
-                        channel: channels[layout.gen_range_u32(0, 3) as usize],
+                        channel: channels[layout.gen_range_u32(0, channel_count) as usize],
                         frame: Frame::new(
                             PacketId::new(slot as u64),
                             id,
@@ -558,13 +577,17 @@ proptest! {
                 } else if layout.gen_f64() < 0.75 {
                     listeners.push(Listener {
                         node: id,
-                        channel: channels[layout.gen_range_u32(0, 3) as usize],
+                        channel: channels[layout.gen_range_u32(0, channel_count) as usize],
                     });
                 }
             }
 
-            let (expected_rx, expected_acked) =
-                reference_resolve(&topology, &mut reference_draws, &transmissions, &listeners);
+            let (expected_rx, expected_acked) = reference_resolve(
+                medium.topology(),
+                &mut reference_draws,
+                &transmissions,
+                &listeners,
+            );
             medium.resolve_slot_into(&transmissions, &listeners, &mut out);
             prop_assert_eq!(&out.rx, &expected_rx, "slot {} rx diverged", slot);
             prop_assert_eq!(&out.acked, &expected_acked, "slot {} acks diverged", slot);
