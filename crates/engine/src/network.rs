@@ -15,24 +15,32 @@
 //! audible neighbors listening on its channel
 //! ([`Topology::audible_neighbors`] × [`TschMac::listen_channel_at`]),
 //! and every skipped slot's sleeps *and* idle listens are accounted
-//! lazily and exactly ([`TschMac::count_listen_slots`]). Multi-slotframe
-//! schedules (Orchestra) are covered by the same machinery: the MAC's
-//! cyclic-union Rx index merges the per-frame wake chains by exact
-//! cyclic arithmetic, so Orchestra nodes sleep through inaudible Rx
-//! slots just like single-slotframe nodes. The control plane is fully
-//! deadline-driven — there is no periodic RPL poll; wake-ups are
-//! exclusively tx opportunities, audible listens and exact layer
-//! deadlines. The pre-refactor exhaustive loop survives as an oracle
+//! lazily and exactly ([`TschMac::count_listen_slots`]). A woken listen
+//! that decodes nothing for its node (a collision, a fade, or a unicast
+//! for another node, [`RxOutcome::Overheard`]) is lazy too: it adds one
+//! to a dense per-node count and never touches the node, and
+//! [`Network::sync_accounting`] moves those listens from idle to busy
+//! ([`TschMac::account_busy_listens`]). So the MAC counters' idle/busy
+//! split and their collision and overheard counts are exact only after
+//! a sync, which every public stepping call runs on return.
+//! Multi-slotframe schedules (Orchestra) are covered by the same
+//! machinery: the MAC's cyclic-union Rx index merges the per-frame wake
+//! chains by exact cyclic arithmetic, so Orchestra nodes sleep through
+//! inaudible Rx slots just like single-slotframe nodes. The control
+//! plane is fully deadline-driven — there is no periodic RPL poll;
+//! wake-ups are exclusively tx opportunities, audible listens and exact
+//! layer deadlines. The pre-refactor exhaustive loop survives as an oracle
 //! behind [`NetworkBuilder::naive_stepping`]: both cores must produce
 //! byte-identical [`NetworkReport`]s for the same seed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use gtt_mac::{Asn, MacCounters, SlotAction, SlotResult, TschMac};
+use gtt_mac::{Asn, BusyListens, MacCounters, SlotAction, SlotResult, TschMac};
 use gtt_metrics::PacketTracker;
 use gtt_net::{
-    Dest, Frame, Listener, NodeId, PacketId, RadioMedium, SlotOutcomes, Topology, Transmission,
+    Dest, Frame, Listener, NodeId, PacketId, RadioMedium, RxOutcome, SlotOutcomes, Topology,
+    Transmission,
 };
 use gtt_rpl::RplNode;
 use gtt_sim::{Pcg32, SimDuration, SimTime};
@@ -170,6 +178,11 @@ pub struct Network {
     /// refreshing the earliest-expiry neighbor, an EB re-arm) leave a
     /// trail of stale wake-ups that each cost a full no-op upkeep.
     wake_slot: Vec<u64>,
+    /// Per-node probed listens that decoded nothing for the node, not
+    /// yet folded into its MAC. Lazy accounting counts each of them as
+    /// an idle listen; [`Network::sync_accounting`] and
+    /// [`Network::kill_node`] move them to busy.
+    busy_listens: Vec<BusyListens>,
     /// Per-node slot of the *timer* component of the last scheduled
     /// wake (`u64::MAX` = no timer pending). Deadlines only move while a
     /// node is processed, and every processing reschedules, so a wake
@@ -534,10 +547,6 @@ impl Network {
                 }
             }
             s.extras.sort_unstable_by_key(|&(j, _)| j);
-            for &(j, _) in &s.extras {
-                self.settle_node(j, asn_raw);
-                self.nodes[j].accounted_asn = asn_raw + 1;
-            }
         }
 
         // Phase 3: merge due and probed entries in node-id order — the
@@ -629,47 +638,50 @@ impl Network {
         for &(i, ref p) in &s.planned {
             if let Planned::ProbedListen(l) = *p {
                 // A probed listen completes without a plan/finish
-                // round-trip; only a delivery that left traffic queued or
-                // moved a timer deadline invalidates the listener's
-                // existing heap entry. Its probe-index row expires on its
-                // own (the cached listen slot is *this* slot).
+                // round-trip, and its probe-index row expires on its own
+                // (the cached listen slot is *this* slot). One that
+                // decodes nothing for the node is only recorded in its
+                // `busy_listens` entry: lazy accounting counts the slot as
+                // an idle listen until a sync folds the record in, and its
+                // backoff settles exactly at the node's next settle
+                // (queues and schedule are frozen until then, and the
+                // window shrinks by a saturating subtraction).
                 let outcome = s.outcomes.take_rx(l);
-                // Only a decoded frame can reach the upper layers; for
-                // every other outcome the before/after bookkeeping below
-                // would be dead weight on the hot path.
-                let may_deliver = matches!(outcome, gtt_net::RxOutcome::Received(_));
-                let (deadline_before, schedule_before, queued_before) = if may_deliver {
-                    (
-                        self.nodes[i].next_timer_deadline(),
-                        self.nodes[i].mac.schedule().version(),
-                        self.nodes[i].mac.data_queue_len() + self.nodes[i].mac.control_queue_len(),
-                    )
-                } else {
-                    (None, 0, 0)
+                debug_assert!(
+                    !matches!(outcome, RxOutcome::Idle),
+                    "the probe admits only listeners that hear a transmission"
+                );
+                let Some(frame) = self.busy_listens[i].record(outcome) else {
+                    continue;
                 };
-                if let Some(frame) = self.nodes[i].mac.finish_probed_listen(self.asn, outcome) {
-                    self.deliver(i, frame, now);
-                    // A schedule mutation also invalidates the heap
-                    // entry *and* the probe-index row: the delivery may
-                    // have changed the node's Rx union or even demoted
-                    // it from passive to always-wake, in which case the
-                    // probe stops covering its listens. Pre-existing
-                    // queued traffic does neither — the standing wake
-                    // entry was computed with it — so only queue
-                    // *growth* re-queues.
-                    let schedule_changed =
-                        self.nodes[i].mac.schedule().version() != schedule_before;
-                    if schedule_changed {
-                        self.probe_stale[i] = true;
-                    }
-                    if schedule_changed
-                        || self.nodes[i].mac.data_queue_len()
-                            + self.nodes[i].mac.control_queue_len()
-                            > queued_before
-                        || self.nodes[i].next_timer_deadline() != deadline_before
-                    {
-                        s.resched.push(i);
-                    }
+                // A received frame settles the node and delivers; only a
+                // delivery that left traffic queued or moved a timer
+                // deadline invalidates its existing heap entry.
+                self.settle_node(i, asn_raw);
+                self.nodes[i].accounted_asn = asn_raw + 1;
+                let deadline_before = self.nodes[i].next_timer_deadline();
+                let schedule_before = self.nodes[i].mac.schedule().version();
+                let queued_before =
+                    self.nodes[i].mac.data_queue_len() + self.nodes[i].mac.control_queue_len();
+                self.nodes[i].mac.finish_probed_listen(self.asn, &frame);
+                self.deliver(i, frame, now);
+                // A schedule mutation also invalidates the heap entry
+                // *and* the probe-index row: the delivery may have
+                // changed the node's Rx union or even demoted it from
+                // passive to always-wake, in which case the probe stops
+                // covering its listens. Pre-existing queued traffic does
+                // neither — the standing wake entry was computed with it
+                // — so only queue *growth* re-queues.
+                let schedule_changed = self.nodes[i].mac.schedule().version() != schedule_before;
+                if schedule_changed {
+                    self.probe_stale[i] = true;
+                }
+                if schedule_changed
+                    || self.nodes[i].mac.data_queue_len() + self.nodes[i].mac.control_queue_len()
+                        > queued_before
+                    || self.nodes[i].next_timer_deadline() != deadline_before
+                {
+                    s.resched.push(i);
                 }
                 continue;
             }
@@ -804,16 +816,29 @@ impl Network {
         }
     }
 
+    /// Folds node `i`'s pending busy listens into its MAC. Lazy
+    /// accounting has counted them as idle listens, so the node must be
+    /// settled past the last of them first: both callers settle it to
+    /// the current slot, and every probed listen lies before that.
+    fn fold_busy_listens(&mut self, i: usize) {
+        let pending = std::mem::take(&mut self.busy_listens[i]);
+        if pending != BusyListens::default() {
+            self.nodes[i].mac.account_busy_listens(pending);
+        }
+    }
+
     /// Brings every alive node's MAC counters up to the current ASN by
-    /// accounting the sleep and idle-listen slots the event core skipped.
-    /// Idempotent; called at the end of every public stepping call and at
-    /// measurement boundaries so external observers never see stale
-    /// duty-cycle numbers.
+    /// accounting the sleep and idle-listen slots the event core skipped,
+    /// and folding in the probed listens that decoded nothing for their
+    /// node. Idempotent; called at the end of every public stepping call
+    /// and at measurement boundaries so external observers never see
+    /// stale duty-cycle numbers.
     pub fn sync_accounting(&mut self) {
         let asn_raw = self.asn.raw();
         for i in 0..self.nodes.len() {
             if self.nodes[i].alive {
                 self.settle_node(i, asn_raw);
+                self.fold_busy_listens(i);
             }
         }
     }
@@ -875,6 +900,7 @@ impl Network {
         // current one while the node was still alive.
         if self.nodes[i].alive {
             self.settle_node(i, self.asn.raw());
+            self.fold_busy_listens(i);
         }
         self.nodes[i].alive = false;
         // The probe index may still predict a listen for this node; the
@@ -962,8 +988,11 @@ impl Network {
     }
 
     /// Dispatches a frame the MAC accepted to the right upper layer.
-    fn deliver(&mut self, i: usize, frame: Frame<Payload>, now: SimTime) {
-        match frame.payload.clone() {
+    fn deliver(&mut self, i: usize, mut frame: Frame<Payload>, now: SimTime) {
+        // Move the payload out rather than clone it (a 6P message owns a
+        // cell list). `Data` carries nothing, so leaving it behind keeps
+        // the frame intact for the Data arm's forwarding copy.
+        match std::mem::replace(&mut frame.payload, Payload::Data) {
             Payload::Data => {
                 if self.nodes[i].rpl.is_root() {
                     // +1: `hops` counts completed forwards; this reception
@@ -1138,6 +1167,7 @@ impl NetworkBuilder {
             probe_index: vec![ProbeEntry::NEVER; n],
             probe_stale: vec![true; n],
             wake_slot: vec![u64::MAX; n],
+            busy_listens: vec![BusyListens::default(); n],
             timer_wake: vec![u64::MAX; n],
             scratch: SlotScratch::default(),
             tap: None,

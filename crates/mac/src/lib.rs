@@ -57,8 +57,9 @@ pub use backoff::SharedCellBackoff;
 pub use cell::{Cell, CellClass, CellOptions};
 pub use hopping::{channel, ChannelOffset, HOPPING_SEQUENCE};
 pub use mac::{
-    MacCounters, SlotAction, SlotResult, TschMac, CONTROL_QUEUE_CAPACITY, DATA_QUEUE_CAPACITY,
-    IDLE_LISTEN_FRACTION, MAX_BACKOFF_EXPONENT, MAX_RETRIES, MIN_BACKOFF_EXPONENT,
+    BusyListens, MacCounters, SlotAction, SlotResult, TschMac, CONTROL_QUEUE_CAPACITY,
+    DATA_QUEUE_CAPACITY, IDLE_LISTEN_FRACTION, MAX_BACKOFF_EXPONENT, MAX_RETRIES,
+    MIN_BACKOFF_EXPONENT,
 };
 pub use slotframe::{Schedule, Slotframe, SlotframeHandle};
 pub use stats::{EtxEstimator, LinkStats, ETX_ALPHA};

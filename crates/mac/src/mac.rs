@@ -111,6 +111,42 @@ pub struct MacCounters {
     pub rx_overheard: u64,
 }
 
+/// Listens that heard energy but decoded nothing for the node, recorded
+/// outside the MAC by an event-driven engine ([`BusyListens::record`])
+/// and folded in with [`TschMac::account_busy_listens`]. One count per
+/// outcome kind, so a listen costs one increment; 24 bytes, so an engine
+/// can keep one per node in a dense array. The counts are `u64` like
+/// [`MacCounters`]: they cannot wrap however long the engine runs
+/// between folds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BusyListens {
+    /// Single audible transmissions lost to link error.
+    faded: u64,
+    /// Two or more audible transmissions.
+    collisions: u64,
+    /// Decoded unicasts addressed to another node.
+    overheard: u64,
+}
+
+impl BusyListens {
+    /// Records a listen that decoded nothing for the node: a
+    /// [`RxOutcome::Faded`], [`RxOutcome::Collision`] or
+    /// [`RxOutcome::Overheard`] one. A [`RxOutcome::Received`] frame is
+    /// handed back unrecorded, for the caller to finish through
+    /// [`TschMac::finish_probed_listen`]. An [`RxOutcome::Idle`] listen
+    /// needs no record: lazy accounting counts every listen as idle.
+    pub fn record<P>(&mut self, outcome: RxOutcome<P>) -> Option<Frame<P>> {
+        match outcome {
+            RxOutcome::Received(frame) => return Some(frame),
+            RxOutcome::Overheard => self.overheard += 1,
+            RxOutcome::Collision(_) => self.collisions += 1,
+            RxOutcome::Faded => self.faded += 1,
+            RxOutcome::Idle => {}
+        }
+        None
+    }
+}
+
 impl MacCounters {
     /// Fraction of the counted slots the radio was on, using slot-fraction
     /// accounting: Tx and busy-Rx slots cost a full slot, idle listens
@@ -371,6 +407,13 @@ impl<P: Clone> TschMac<P> {
     }
 
     /// Counters accumulated so far.
+    ///
+    /// Under an event-driven engine that accounts skipped slots lazily
+    /// (`gtt_engine::Network`), the counts are exact only after the
+    /// engine's `Network::sync_accounting`, which every public stepping
+    /// call runs on return. Between syncs, slot totals lag, and a
+    /// listen that decoded nothing for the node may still count as
+    /// idle, with its busy, collision and overheard counts pending.
     pub fn counters(&self) -> MacCounters {
         self.counters
     }
@@ -520,9 +563,9 @@ impl<P: Clone> TschMac<P> {
         cell.options.rx || (cell.options.tx && self.has_frame_for(cell))
     }
 
-    /// Bulk-accounts `slots` skipped slots, of which `idle_listens` were
-    /// scheduled listens that would have resolved to
-    /// [`RxOutcome::Idle`] (nothing audible) and the rest were sleeps.
+    /// Bulk-accounts `slots` skipped slots, of which `listens` were
+    /// scheduled listens and the rest were sleeps. Every listen is
+    /// counted as [`RxOutcome::Idle`] (nothing audible).
     ///
     /// Equivalent to `slots` consecutive `plan_slot`/`finish_slot` rounds
     /// in which the node either slept or idle-listened: both touch only
@@ -530,15 +573,50 @@ impl<P: Clone> TschMac<P> {
     /// state — which is what makes them safe to skip. The caller (the
     /// event-driven engine) is responsible for the count being exact;
     /// [`TschMac::count_listen_slots`] computes it for passive listeners.
-    pub fn account_skipped(&mut self, slots: u64, idle_listens: u64) {
+    /// A listen in the range that heard energy but decoded nothing for
+    /// the node is still counted idle here, and moved to busy by
+    /// [`TschMac::account_busy_listens`].
+    pub fn account_skipped(&mut self, slots: u64, listens: u64) {
         debug_assert!(
             self.in_flight.is_none(),
             "cannot skip slots with a packet in flight"
         );
-        debug_assert!(idle_listens <= slots, "more listens than slots");
+        debug_assert!(listens <= slots, "more listens than slots");
         self.counters.slots += slots;
-        self.counters.rx_idle_slots += idle_listens;
-        self.counters.sleep_slots += slots - idle_listens;
+        self.counters.rx_idle_slots += listens;
+        self.counters.sleep_slots += slots - listens;
+    }
+
+    /// Folds in listens that heard energy but decoded nothing for the
+    /// node, which an event-driven engine resolved without touching the
+    /// MAC: moves them from `rx_idle_slots`, where
+    /// [`TschMac::account_skipped`] counted them, to `rx_busy_slots`,
+    /// and adds the collision and overheard counts.
+    ///
+    /// Together with `account_skipped`, equivalent to `finish_slot`
+    /// with `Listened(outcome)` for each such listen: those outcomes
+    /// touch only these counters. Their backoff settlement needs no
+    /// extra step: the shared-cell window shrinks by a saturating
+    /// subtraction, so [`TschMac::settle_backoff_to`] over the whole
+    /// range consumes exactly what per-slot settling would have.
+    ///
+    /// The listens must already be accounted: call it after
+    /// `account_skipped` has covered every slot they happened in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are fewer idle listens on record than `listens`
+    /// holds, which means the caller folded them too early.
+    pub fn account_busy_listens(&mut self, listens: BusyListens) {
+        let busy = listens.faded + listens.collisions + listens.overheard;
+        self.counters.rx_idle_slots = self
+            .counters
+            .rx_idle_slots
+            .checked_sub(busy)
+            .expect("busy listens folded before their slots were accounted");
+        self.counters.rx_busy_slots += busy;
+        self.counters.collisions_heard += listens.collisions;
+        self.counters.rx_overheard += listens.overheard;
     }
 
     /// Rebuilds the schedule-derived wake tables if the schedule changed.
@@ -803,27 +881,31 @@ impl<P: Clone> TschMac<P> {
             && self.listen_channel_at(asn).is_none()
     }
 
-    /// Completes a probed listen slot in one call: exactly
+    /// Completes a probed listen slot that received `frame`, a frame
+    /// addressed to this node, in one call: exactly
     /// [`TschMac::plan_slot`] selecting the slot's listen cell (which
     /// only increments the slot counter and settles backoff, including
     /// this slot's own consumption if a blocked shared Tx+Rx cell with a
     /// queued frame is what schedules the listen) followed by
-    /// [`TschMac::finish_slot`] with `Listened(outcome)`.
+    /// [`TschMac::finish_slot`] with `Listened(Received(frame))`, except
+    /// that the caller keeps the frame to deliver it.
     ///
     /// Only valid when the node would listen at slot `asn`
     /// ([`TschMac::listen_channel_at`] returned the channel) — the
-    /// engine's listener probe guarantees it.
-    pub fn finish_probed_listen(&mut self, asn: Asn, outcome: RxOutcome<P>) -> Option<Frame<P>> {
+    /// engine's listener probe guarantees it. A probed listen that
+    /// decodes nothing for the node never comes here: the engine records
+    /// it in [`BusyListens`] for [`TschMac::account_busy_listens`].
+    pub fn finish_probed_listen(&mut self, asn: Asn, frame: &Frame<P>) {
         debug_assert!(
             self.in_flight.is_none(),
             "probed listen with a packet in flight"
         );
-        // Settle *through* this slot before the delivery below can touch
-        // the queues: a probed node never transmits here, so its
-        // consumption (if any) is pure closed-form arithmetic.
+        // Settle *through* this slot before the delivery that follows
+        // can touch the queues: a probed node never transmits here, so
+        // its consumption (if any) is pure closed-form arithmetic.
         self.settle_backoff_to(asn.raw() + 1);
         self.counters.slots += 1;
-        self.handle_rx_outcome(outcome)
+        self.count_received(frame);
     }
 
     /// How many slots in `[from, to)` this passive listener would listen
@@ -1098,22 +1180,28 @@ impl<P: Clone> TschMac<P> {
                 self.counters.collisions_heard += 1;
                 None
             }
-            RxOutcome::Received(frame) => {
+            RxOutcome::Overheard => {
                 self.counters.rx_busy_slots += 1;
-                let accept = match frame.dst {
-                    Dest::Broadcast => true,
-                    Dest::Unicast(dst) => dst == self.id,
-                };
-                if accept {
-                    self.counters.rx_accepted += 1;
-                    self.stats_entry(frame.src).rx_frames += 1;
-                    Some(frame)
-                } else {
-                    self.counters.rx_overheard += 1;
-                    None
-                }
+                self.counters.rx_overheard += 1;
+                None
+            }
+            RxOutcome::Received(frame) => {
+                self.count_received(&frame);
+                Some(frame)
             }
         }
+    }
+
+    /// Counts a received frame. The medium has already filtered by
+    /// address ([`RxOutcome::Overheard`]), so every frame is accepted.
+    fn count_received(&mut self, frame: &Frame<P>) {
+        debug_assert!(
+            frame.dst == Dest::Broadcast || frame.dst == Dest::Unicast(self.id),
+            "received a frame addressed to another node"
+        );
+        self.counters.rx_busy_slots += 1;
+        self.counters.rx_accepted += 1;
+        self.stats_entry(frame.src).rx_frames += 1;
     }
 }
 
@@ -1259,19 +1347,17 @@ mod tests {
 
     #[test]
     fn overheard_unicast_is_filtered() {
+        // The medium filters by address: a unicast to another node
+        // arrives as the frameless `Overheard`.
         let mut m = mac();
         install_schedule(&mut m);
         m.plan_slot(Asn::new(2));
-        let incoming = Frame::new(
-            PacketId::new(51),
-            NodeId::new(2),
-            Dest::Unicast(NodeId::new(9)), // not us
-            SimTime::ZERO,
-            51,
-        );
-        let delivered = m.finish_slot(SlotResult::Listened(RxOutcome::Received(incoming)));
+        let delivered = m.finish_slot(SlotResult::Listened(RxOutcome::Overheard));
         assert!(delivered.is_none());
-        assert_eq!(m.counters().rx_overheard, 1);
+        let c = m.counters();
+        assert_eq!(c.rx_overheard, 1);
+        assert_eq!(c.rx_busy_slots, 1);
+        assert_eq!(c.rx_accepted, 0);
     }
 
     #[test]
@@ -1456,12 +1542,28 @@ mod tests {
         let mut a = mac();
         install_schedule(&mut a);
         let mut b = a.clone();
-        // a: plan/finish slots 2..6 — slot 2 is an idle listen (data Rx),
-        // 3 is cell-free, 4 is the broadcast listen, 5 is an empty Tx.
-        for raw in 2u64..6 {
+        // a: plan/finish slots 2..18 — even slots listen (data Rx at 2
+        // mod 4, broadcast at 0 mod 4), odd slots are cell-free or an
+        // empty Tx. The listens hear nothing, fade, collide or overhear,
+        // and `pending` records the same outcomes for b.
+        let mut pending = BusyListens::default();
+        let heard = [
+            RxOutcome::Idle,
+            RxOutcome::Faded,
+            RxOutcome::Collision(2),
+            RxOutcome::Overheard,
+            RxOutcome::Idle,
+            RxOutcome::Overheard,
+            RxOutcome::Collision(3),
+            RxOutcome::Overheard,
+        ];
+        let mut heard = heard.into_iter();
+        for raw in 2u64..18 {
             match a.plan_slot(Asn::new(raw)) {
                 SlotAction::Listen { .. } => {
-                    a.finish_slot(SlotResult::Listened(RxOutcome::Idle));
+                    let outcome = heard.next().expect("eight listens");
+                    assert!(pending.record(outcome.clone()).is_none());
+                    assert!(a.finish_slot(SlotResult::Listened(outcome)).is_none());
                 }
                 SlotAction::Sleep => {
                     a.finish_slot(SlotResult::Slept);
@@ -1469,12 +1571,25 @@ mod tests {
                 other => panic!("unexpected action {other:?}"),
             }
         }
-        // b: bulk-account the same four slots (2 listens, 2 sleeps) —
-        // count_listen_slots must agree with what plan_slot did.
-        let listens = b.count_listen_slots(Asn::new(2), Asn::new(6));
-        assert_eq!(listens, 2);
-        b.account_skipped(4, listens);
+        assert!(heard.next().is_none(), "every outcome was heard");
+        // b: bulk-account the same sixteen slots (8 listens, 8 sleeps) —
+        // count_listen_slots must agree with what plan_slot did — then
+        // fold in the listens that heard something.
+        let listens = b.count_listen_slots(Asn::new(2), Asn::new(18));
+        assert_eq!(listens, 8);
+        b.account_skipped(16, listens);
+        assert_eq!(
+            pending,
+            BusyListens {
+                faded: 1,
+                collisions: 2,
+                overheard: 3,
+            }
+        );
+        b.account_busy_listens(pending);
         assert_eq!(a.counters(), b.counters());
+        assert_eq!(b.counters().rx_idle_slots, 2);
+        assert_eq!(b.counters().rx_busy_slots, 6);
     }
 
     #[test]

@@ -86,12 +86,23 @@ pub struct Listener {
 }
 
 /// What a listener's radio saw during the slot.
+///
+/// The medium makes the addressing decision: a decoded frame is
+/// [`RxOutcome::Received`] only when the listener is one of its
+/// destinations (a broadcast, or a unicast to the listener), and
+/// [`RxOutcome::Overheard`] otherwise. So the frame is cloned only for
+/// listeners that read it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RxOutcome<P> {
     /// Nothing audible on the listened channel: idle listen.
     Idle,
-    /// Exactly one audible transmission, decoded successfully.
+    /// Exactly one audible transmission, decoded successfully, and
+    /// addressed to the listener: a broadcast or a unicast to it.
     Received(Frame<P>),
+    /// Exactly one audible transmission, decoded successfully, but a
+    /// unicast addressed to another node. Carries no frame: nothing
+    /// above the radio reads it.
+    Overheard,
     /// Exactly one audible transmission, lost to link error
     /// (Bernoulli `1 − PRR`).
     Faded,
@@ -274,7 +285,12 @@ impl RadioMedium {
     /// on its channel that are audible at its position (interference
     /// range). Zero ⇒ idle; two or more ⇒ collision; exactly one ⇒
     /// decoded iff it is also within *communication* range and the link's
-    /// Bernoulli(PRR) draw succeeds.
+    /// Bernoulli(PRR) draw succeeds. A decoded frame is
+    /// [`RxOutcome::Received`] (a clone of the frame) when it is a
+    /// broadcast or a unicast to the listener, and the frameless
+    /// [`RxOutcome::Overheard`] when it is a unicast to another node.
+    /// The forward draw comes first either way, so addressing never
+    /// changes a draw.
     ///
     /// The per-listener work is output-sensitive, O(min(bucket, audible
     /// row)): transmissions are grouped by physical channel once (a
@@ -417,10 +433,14 @@ impl RadioMedium {
                         let prr = topology.prr(tx.frame.src, listener.node);
                         // Forward draw: keyed by the listening node.
                         if prr > 0.0 && draws.gen_bool(listener.node, prr) {
-                            if tx.frame.dst == Dest::Unicast(listener.node) {
-                                scratch.dest_decoded[first] = true;
+                            match tx.frame.dst {
+                                Dest::Unicast(dst) if dst != listener.node => RxOutcome::Overheard,
+                                Dest::Unicast(_) => {
+                                    scratch.dest_decoded[first] = true;
+                                    RxOutcome::Received(tx.frame.clone())
+                                }
+                                Dest::Broadcast => RxOutcome::Received(tx.frame.clone()),
                             }
-                            RxOutcome::Received(tx.frame.clone())
                         } else {
                             RxOutcome::Faded
                         }
@@ -502,6 +522,44 @@ mod tests {
         );
         assert!(matches!(out.rx[0].1, RxOutcome::Received(_)));
         assert_eq!(out.acked, vec![Some(true)]);
+    }
+
+    #[test]
+    fn unicast_is_received_by_its_destination_and_overheard_by_others() {
+        // 1 → 0 on the line; nodes 0 and 2 both hear node 1. Lossy links
+        // make every listener draw, and a medium without the overhearer
+        // is the reference for the destination's side.
+        let lossy = || {
+            TopologyBuilder::new(35.0)
+                .link_model(LinkModel::Fixed(0.8))
+                .nodes((0..4).map(|i| Position::new(i as f64 * 30.0, 0.0)))
+                .build()
+        };
+        let mut both = RadioMedium::new(lossy(), Pcg32::new(5));
+        let mut alone = RadioMedium::new(lossy(), Pcg32::new(5));
+        let unicast = || vec![tx(1, Dest::Unicast(NodeId::new(0)), CH)];
+        let (mut received, mut overheard) = (0, 0);
+        for _ in 0..200 {
+            let out = both.resolve_slot(unicast(), vec![listener(0, CH), listener(2, CH)]);
+            let reference = alone.resolve_slot(unicast(), vec![listener(0, CH)]);
+            assert_eq!(out.rx[0], reference.rx[0], "destination outcome moved");
+            assert_eq!(out.acked, reference.acked, "destination ACK moved");
+            match &out.rx[0].1 {
+                RxOutcome::Received(f) => {
+                    assert_eq!(f.src, NodeId::new(1));
+                    received += 1;
+                }
+                other => assert_eq!(*other, RxOutcome::Faded),
+            }
+            match out.rx[1].1 {
+                RxOutcome::Overheard => overheard += 1,
+                ref other => assert_eq!(*other, RxOutcome::Faded),
+            }
+        }
+        assert!(
+            received > 100 && overheard > 100,
+            "{received} / {overheard}"
+        );
     }
 
     #[test]
@@ -750,5 +808,7 @@ mod tests {
         assert!(!RxOutcome::<u8>::Idle.heard_energy());
         assert!(RxOutcome::<u8>::Collision(2).heard_energy());
         assert!(RxOutcome::<u8>::Faded.frame().is_none());
+        assert!(RxOutcome::<u8>::Overheard.heard_energy());
+        assert!(RxOutcome::<u8>::Overheard.frame().is_none());
     }
 }

@@ -439,7 +439,9 @@ proptest! {
 /// streams. Forward draws are keyed by the listening node and ACK draws
 /// by the transmitting node, exactly as the production path keys them,
 /// so the streams stay aligned without depending on any cross-node
-/// iteration order.
+/// iteration order. A decoded frame is addressed the same way too:
+/// `Received` for a broadcast or a unicast to the listener, `Overheard`
+/// for a unicast to another node.
 #[allow(clippy::type_complexity)]
 fn reference_resolve(
     topology: &Topology,
@@ -471,7 +473,10 @@ fn reference_resolve(
                 let prr = topology.prr(tx.frame.src, listener.node);
                 if prr > 0.0 && draws.gen_bool(listener.node, prr) {
                     decoded[first].push(listener.node);
-                    RxOutcome::Received(tx.frame.clone())
+                    match tx.frame.dst {
+                        Dest::Unicast(dst) if dst != listener.node => RxOutcome::Overheard,
+                        _ => RxOutcome::Received(tx.frame.clone()),
+                    }
                 } else {
                     RxOutcome::Faded
                 }
@@ -501,7 +506,8 @@ fn reference_resolve(
 proptest! {
     /// The per-channel-grouped, zero-alloc `resolve_slot_into` is
     /// observationally identical to the brute-force scan it replaced:
-    /// same outcomes, same ACKs, same RNG draw order — across random
+    /// same outcomes (the `Received`/`Overheard` addressing split
+    /// included), same ACKs, same RNG draw order — across random
     /// topologies, channel assignments (collisions included) and
     /// multi-slot sequences through one reused outcome buffer, with one
     /// random node moved between slots. Dense cases (4–12 nodes in a

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gtt_engine::{EngineConfig, MinimalSchedule, Network};
 use gtt_net::{
     Dest, Frame, LinkModel, Listener, NodeId, PacketId, PhysicalChannel, Position, RadioMedium,
-    SlotOutcomes, Topology, TopologyBuilder, Transmission,
+    RxOutcome, SlotOutcomes, Topology, TopologyBuilder, Transmission,
 };
 use gtt_sim::{Pcg32, SimDuration, SimTime};
 
@@ -104,8 +104,9 @@ fn tx(src: u16, dst: Dest, ch: u8) -> Transmission<u64> {
     }
 }
 
-/// Both assertions live in one `#[test]`, each wrapped in
-/// [`count_allocs`] so only this thread's allocations are measured.
+/// Every leg lives in one `#[test]`, each wrapped in [`count_allocs`]:
+/// the counter is process-wide, so a second counting test on another
+/// test thread would add its allocations to this one's count.
 #[test]
 fn steady_state_slot_path_performs_zero_allocations() {
     // --- Medium: resolve_slot_into is allocation-free once warm. ---
@@ -132,6 +133,43 @@ fn steady_state_slot_path_performs_zero_allocations() {
     assert_eq!(
         during, 0,
         "resolve_slot_into must not allocate once its buffers are warm"
+    );
+
+    // --- Medium: an overheard frame is never cloned. ---
+    // A listener that decodes a unicast for another node gets the
+    // frameless `Overheard`. Heap-carrying payloads to a node that does
+    // not listen make every decode an overhearing, so a clone would
+    // allocate.
+    let mut medium = RadioMedium::new(clique(12), Pcg32::new(42));
+    let unicast = |src: u16, ch: u8| Transmission {
+        channel: PhysicalChannel::new(ch),
+        frame: Frame::new(
+            PacketId::new(0),
+            NodeId::new(src),
+            Dest::Unicast(NodeId::new(1)),
+            SimTime::ZERO,
+            vec![0u8; 64],
+        ),
+    };
+    let transmissions = vec![unicast(0, 17), unicast(2, 23)];
+    let mut out = SlotOutcomes::default();
+    medium.resolve_slot_into(&transmissions, &listeners, &mut out);
+    let mut overheard = 0;
+    let during = count_allocs(|| {
+        for _ in 0..100 {
+            medium.resolve_slot_into(&transmissions, &listeners, &mut out);
+            overheard += out
+                .rx
+                .iter()
+                .filter(|(_, rx)| *rx == RxOutcome::Overheard)
+                .count();
+        }
+    });
+    // Links have PRR 0.9, so about 810 of the 900 listens decode.
+    assert!(overheard > 700, "only {overheard} overheard listens");
+    assert_eq!(
+        during, 0,
+        "resolve_slot_into allocated {during} times in 100 slots of overheard unicasts"
     );
 
     // --- Engine: a converged network's slots are allocation-free. ---
