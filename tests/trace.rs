@@ -9,13 +9,19 @@
 //! pcap pipeline; if it moves, either the codec changed (bump the
 //! golden deliberately) or determinism broke (fix the engine).
 
+use gt_tsch::GtTschConfig;
 use gtt_workload::{Experiment, NoiseBurst, Overlay, RunSpec, ScenarioSpec, SchedulerKind};
 
 /// The reference experiment of this suite: the fig8 topology family at
 /// light load with a noise overlay (so retransmissions, queue churn and
 /// link flaps all appear in the capture), shrunk to test-sized windows.
 fn traced_experiment() -> Experiment {
-    Experiment::new(ScenarioSpec::two_dodag(6), SchedulerKind::gt_tsch_default())
+    traced_under(SchedulerKind::gt_tsch_default())
+}
+
+/// [`traced_experiment`] with a different scheduler.
+fn traced_under(scheduler: SchedulerKind) -> Experiment {
+    Experiment::new(ScenarioSpec::two_dodag(6), scheduler)
         .with_run(RunSpec {
             traffic_ppm: 30.0,
             warmup_secs: 30,
@@ -74,34 +80,43 @@ fn trace_is_a_structurally_valid_pcap() {
     );
 }
 
-/// The committed golden fingerprint of [`traced_experiment`]'s capture.
-///
-/// This hash is a deliberate ratchet: it moves **only** when the wire
-/// codec, the tap seam, or the engine's transmission schedule changes.
-/// If you changed the 802.15.4 encoding on purpose, re-run with
-/// `BLESS=1 cargo test -p gtt-tests --test trace -- golden` and commit
-/// the printed value; if you didn't, a moved hash means a determinism
-/// regression.
-const GOLDEN_TRACE_FNV1A: u64 = 0xd1e0_0f4f_6f79_f1c2;
+/// The committed golden fingerprints of [`traced_experiment`]'s capture
+/// under GT-TSCH's default, Orchestra's default (its EB and common
+/// slotframe lengths) and GT-TSCH at Fig. 10's largest slotframe (its
+/// derived broadcast-slot count). A deliberate ratchet: a hash moves
+/// **only** when the wire codec, the tap seam, a slotframe layout or the
+/// engine's transmission schedule changes. If you changed one on
+/// purpose, re-run with `BLESS=1 cargo test -p gtt-tests --test trace --
+/// golden --nocapture` and commit the printed values; if you didn't, a
+/// moved hash means a determinism regression.
+const GOLDEN_TRACES: [(fn() -> SchedulerKind, u64); 3] = [
+    (SchedulerKind::gt_tsch_default, 0xd1e0_0f4f_6f79_f1c2),
+    (SchedulerKind::orchestra_default, 0x404e_791f_d757_42b9),
+    (
+        || SchedulerKind::GtTsch(GtTschConfig::with_slotframe_len(80)),
+        0x87ba_953f_5ffe_d529,
+    ),
+];
 
 #[test]
 fn golden_trace_fingerprint() {
-    let (_, capture) = traced_experiment().run_traced();
-    let hash = fnv1a(&capture);
-    if std::env::var_os("BLESS").is_some() {
-        println!(
-            "GOLDEN_TRACE_FNV1A: 0x{hash:016x} ({} bytes)",
+    let bless = std::env::var_os("BLESS").is_some();
+    for (scheduler, golden) in GOLDEN_TRACES {
+        let scheduler = scheduler();
+        let (_, capture) = traced_under(scheduler.clone()).run_traced();
+        let hash = fnv1a(&capture);
+        if bless {
+            println!("{scheduler:?}: 0x{hash:016x} ({} bytes)", capture.len());
+            continue;
+        }
+        assert_eq!(
+            hash,
+            golden,
+            "{scheduler:?}: golden trace fingerprint moved (got 0x{hash:016x}, {} bytes) — \
+             see GOLDEN_TRACES' doc comment for whether to bless or bisect",
             capture.len()
         );
-        return;
     }
-    assert_eq!(
-        hash,
-        GOLDEN_TRACE_FNV1A,
-        "golden trace fingerprint moved (got 0x{hash:016x}, {} bytes) — \
-         see the constant's doc comment for whether to bless or bisect",
-        capture.len()
-    );
 }
 
 /// On the naive-step oracle, the exhaustive per-slot loop must emit the
