@@ -3,7 +3,7 @@
 //!
 //! Usage: `diagnose [PPM] [gt|orch|min]` — traffic per node (default
 //! 30 ppm) and scheduler (default GT-TSCH) on the Fig. 8 network. An
-//! unparsable or non-positive rate, a rate above
+//! unparsable rate, a rate below [`AppTraffic::MIN_RATE_PPM`] or above
 //! [`AppTraffic::MAX_RATE_PPM`], an unknown scheduler, an extra argument
 //! or any flag but `--help` prints the usage and exits 2.
 
@@ -36,8 +36,9 @@ fn parse_args() -> (f64, SchedulerKind) {
         None => 30.0,
         Some(Ok(ppm)) if AppTraffic::is_valid_rate(ppm) => ppm,
         Some(_) => bad_usage(&format!(
-            "PPM must be a positive number of at most {} (one packet per simulated \
-             microsecond), got {}",
+            "PPM must be a number from {} (one packet per u32::MAX µs) to {} (one packet \
+             per simulated microsecond), got {}",
+            AppTraffic::MIN_RATE_PPM,
             AppTraffic::MAX_RATE_PPM,
             args[0]
         )),

@@ -53,8 +53,19 @@ fn figure_binaries_reject_bad_flags() {
 fn diagnose_rejects_a_bad_rate() {
     let diagnose = env!("CARGO_BIN_EXE_diagnose");
     // `1.3e8` is above one packet per microsecond, the clock's
-    // resolution: its period would round to 0 µs.
-    for rate in ["abc", "0", "-5", "inf", "NaN", "1.3e8"] {
+    // resolution: its period would round to 0 µs. The last two are
+    // below one packet per `u32::MAX` µs: a period of exactly 2^32 µs
+    // and one of 6,000 s, too long for the phase draw.
+    for rate in [
+        "abc",
+        "0",
+        "-5",
+        "inf",
+        "NaN",
+        "1.3e8",
+        "0.013969838619232178",
+        "0.01",
+    ] {
         assert_input_error(&run(diagnose, &[rate]), "PPM must be");
     }
 }

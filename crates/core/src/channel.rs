@@ -17,6 +17,8 @@ use std::collections::BTreeMap;
 
 use gtt_net::NodeId;
 
+use crate::config::FBCAST;
+
 /// Per-parent allocator answering `ASK-CHANNEL` requests (Algorithm 1,
 /// lines 8–22).
 ///
@@ -31,7 +33,7 @@ use gtt_net::NodeId;
 /// use gt_tsch::ChannelAllocator;
 /// use gtt_net::NodeId;
 ///
-/// let mut alloc = ChannelAllocator::new(8, 0); // 8 offsets, f_bcast = 0
+/// let mut alloc = ChannelAllocator::new(8); // 8 offsets, f_bcast = 0
 /// let a = alloc.allocate(NodeId::new(5), Some(1), Some(2)).unwrap();
 /// let b = alloc.allocate(NodeId::new(6), Some(1), Some(2)).unwrap();
 /// assert_ne!(a, b);
@@ -40,24 +42,20 @@ use gtt_net::NodeId;
 #[derive(Debug, Clone, Default)]
 pub struct ChannelAllocator {
     n_offsets: u8,
-    fbcast: u8,
     assigned: BTreeMap<NodeId, u8>,
 }
 
 impl ChannelAllocator {
     /// Creates an allocator over `n_offsets` channel offsets with the
-    /// broadcast channel `fbcast` reserved.
+    /// broadcast channel [`FBCAST`] reserved.
     ///
     /// # Panics
     ///
-    /// Panics if `fbcast` is not a valid offset or fewer than 2 offsets
-    /// exist.
-    pub fn new(n_offsets: u8, fbcast: u8) -> Self {
+    /// Panics if fewer than 2 offsets exist.
+    pub fn new(n_offsets: u8) -> Self {
         assert!(n_offsets >= 2, "need at least two channel offsets");
-        assert!(fbcast < n_offsets, "f_bcast outside the offset space");
         ChannelAllocator {
             n_offsets,
-            fbcast,
             assigned: BTreeMap::new(),
         }
     }
@@ -102,7 +100,7 @@ impl ChannelAllocator {
             return Some(existing);
         }
         let reserved =
-            |z: u8| z == self.fbcast || Some(z) == f_self_parent || Some(z) == f_self_children;
+            |z: u8| z == FBCAST || Some(z) == f_self_parent || Some(z) == f_self_children;
 
         // Algorithm 1: first offset not reserved and not used by a
         // sibling (deterministic smallest-first keeps runs replayable).
@@ -141,7 +139,7 @@ mod tests {
 
     #[test]
     fn allocations_avoid_reserved_channels() {
-        let mut a = ChannelAllocator::new(8, 0);
+        let mut a = ChannelAllocator::new(8);
         for i in 0..5 {
             let z = a.allocate(id(i), Some(3), Some(4)).unwrap();
             assert!(
@@ -153,7 +151,7 @@ mod tests {
 
     #[test]
     fn siblings_get_distinct_channels() {
-        let mut a = ChannelAllocator::new(8, 0);
+        let mut a = ChannelAllocator::new(8);
         let mut seen = std::collections::BTreeSet::new();
         // max_children = 5 distinct allocations.
         for i in 0..5 {
@@ -165,7 +163,7 @@ mod tests {
 
     #[test]
     fn allocation_is_stable_per_child() {
-        let mut a = ChannelAllocator::new(8, 0);
+        let mut a = ChannelAllocator::new(8);
         let first = a.allocate(id(9), Some(1), Some(2)).unwrap();
         let second = a.allocate(id(9), Some(1), Some(2)).unwrap();
         assert_eq!(first, second);
@@ -174,7 +172,7 @@ mod tests {
 
     #[test]
     fn overflow_reuses_least_used() {
-        let mut a = ChannelAllocator::new(8, 0);
+        let mut a = ChannelAllocator::new(8);
         for i in 0..5 {
             a.allocate(id(i), Some(1), Some(2)).unwrap();
         }
@@ -186,7 +184,7 @@ mod tests {
 
     #[test]
     fn release_frees_channel_for_reuse() {
-        let mut a = ChannelAllocator::new(5, 0); // offsets 1..5 minus 2 reserved
+        let mut a = ChannelAllocator::new(5); // offsets 1..5 minus 2 reserved
         let z1 = a.allocate(id(1), Some(1), Some(2)).unwrap();
         a.release(id(1));
         assert_eq!(a.channel_of(id(1)), None);
@@ -196,7 +194,7 @@ mod tests {
 
     #[test]
     fn root_allocates_without_parent_channel() {
-        let mut a = ChannelAllocator::new(8, 0);
+        let mut a = ChannelAllocator::new(8);
         let z = a.allocate(id(1), None, Some(5)).unwrap();
         assert!(z != 0 && z != 5);
     }
@@ -207,12 +205,12 @@ mod tests {
         // its children must differ from A's children channel and from
         // root's children channel — exactly what excluding
         // {f_self_parent, f_self_children} at each hop produces.
-        let mut root = ChannelAllocator::new(8, 0);
+        let mut root = ChannelAllocator::new(8);
         let root_children_ch = 1u8; // root picked f_root,cs = 1
         let a_children_ch = root.allocate(id(10), None, Some(root_children_ch)).unwrap();
         assert_ne!(a_children_ch, root_children_ch);
 
-        let mut node_a = ChannelAllocator::new(8, 0);
+        let mut node_a = ChannelAllocator::new(8);
         // A's parent-facing channel is root_children_ch; its child-facing
         // channel is a_children_ch.
         let g_children_ch = node_a
@@ -225,13 +223,13 @@ mod tests {
     #[test]
     fn impossible_allocation_returns_none() {
         // 2 offsets, fbcast=0, parent channel 1: nothing remains.
-        let mut a = ChannelAllocator::new(2, 0);
+        let mut a = ChannelAllocator::new(2);
         assert_eq!(a.allocate(id(1), Some(1), None), None);
     }
 
     #[test]
     #[should_panic(expected = "at least two")]
     fn tiny_offset_space_rejected() {
-        let _ = ChannelAllocator::new(1, 0);
+        let _ = ChannelAllocator::new(1);
     }
 }

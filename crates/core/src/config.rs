@@ -1,31 +1,42 @@
-//! GT-TSCH configuration.
+//! GT-TSCH configuration: the settings an experiment varies, and the
+//! paper's fixed values as constants.
+
+use gtt_mac::HOPPING_SEQUENCE;
 
 use crate::game::GameWeights;
+use crate::layout;
 
-/// Parameters of the GT-TSCH scheduling function.
+/// Number of shared timeslots (§IV rule 4): half the maximum number of
+/// children, each slot shared by two children. A parent keeps one
+/// channel for broadcast and two for its own links (§III), so with the
+/// 8-channel hopping sequence it serves `8 − 3 = 5` children over
+/// ⌈5/2⌉ = 3 shared slots.
+pub const SHARED_SLOTS: u16 = (HOPPING_SEQUENCE.len() as u16 - 3).div_ceil(2);
+
+/// Queue-metric smoothing factor ζ (eq. 6).
+pub const ZETA: f64 = 0.3;
+
+/// The broadcast channel offset `f_bcast`.
+pub const FBCAST: u8 = 0;
+
+/// Cap on the Rx capacity a node advertises in its DIO `l_rx` option;
+/// bounds the per-transaction grant so one greedy child cannot claim the
+/// parent's whole slotframe in one round.
+pub const RX_ADVERTISE_CAP: u16 = 8;
+
+/// Tx cells beyond demand tolerated before a DELETE is issued (§IV rule
+/// 3: release cells under light load).
+pub const DELETE_SLACK: u16 = 1;
+
+/// The settings of the GT-TSCH scheduling function that experiments
+/// vary; everything else is a crate constant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GtTschConfig {
     /// Slotframe size `m` (§IV rule 1; Table II: 32). GT-TSCH uses a
     /// single slotframe for all traffic planes.
     pub slotframe_len: u16,
-    /// Number of broadcast timeslots `k`, uniformly spread (§IV rule 1).
-    pub broadcast_slots: u16,
-    /// Number of shared timeslots (§IV rule 4: half the maximum number
-    /// of children, each shared by two children).
-    pub shared_slots: u16,
     /// Game weights α, β, γ (eq. 8).
     pub weights: GameWeights,
-    /// Queue-metric smoothing factor ζ (eq. 6).
-    pub zeta: f64,
-    /// The broadcast channel offset `f_bcast`.
-    pub fbcast: u8,
-    /// Cap on the Rx capacity a node advertises in its DIO `l_rx` option;
-    /// bounds the per-transaction grant so one greedy child cannot claim
-    /// the parent's whole slotframe in one round.
-    pub rx_advertise_cap: u16,
-    /// Tx cells beyond demand tolerated before a DELETE is issued (§IV
-    /// rule 3: release cells under light load).
-    pub delete_slack: u16,
     /// **Ablation switch**: replace Algorithm 1 with hash-based channel
     /// selection (`hash(node) mod |F|`), the strawman the paper's §III
     /// analyses. Disables `ASK-CHANNEL`; used by the `ablation_channel`
@@ -36,59 +47,57 @@ pub struct GtTschConfig {
 impl GtTschConfig {
     /// The configuration used in the paper's evaluation (slotframe 32).
     pub fn paper_default() -> Self {
-        GtTschConfig {
-            slotframe_len: 32,
-            broadcast_slots: 4,
-            // Paper: max children = 8 channels − 3 = 5; shared slots =
-            // ⌈5/2⌉.
-            shared_slots: 3,
-            weights: GameWeights::default(),
-            zeta: 0.3,
-            fbcast: 0,
-            rx_advertise_cap: 8,
-            delete_slack: 1,
-            hash_channels: false,
-        }
+        GtTschConfig::with_slotframe_len(32)
     }
 
-    /// Same proportions, different slotframe length — used by the Fig. 10
-    /// sweep where GT-TSCH runs at 4× Orchestra's unicast slotframe.
+    /// The paper's configuration with a different slotframe length —
+    /// used by the Fig. 10 sweep where GT-TSCH runs at 4× Orchestra's
+    /// unicast slotframe.
     ///
     /// # Panics
     ///
-    /// Panics if `m < 8` (no room for broadcast + shared + data slots).
+    /// Panics unless [`GtTschConfig::is_valid`] accepts the result.
     pub fn with_slotframe_len(m: u16) -> Self {
-        assert!(m >= 8, "GT-TSCH needs at least 8 slots, got {m}");
-        GtTschConfig {
+        let cfg = GtTschConfig {
             slotframe_len: m,
-            broadcast_slots: (m / 8).max(2),
-            ..GtTschConfig::paper_default()
-        }
+            weights: GameWeights::default(),
+            hash_channels: false,
+        };
+        cfg.validate();
+        cfg
+    }
+
+    /// Number of broadcast timeslots `k`, uniformly spread (§IV rule 1):
+    /// one per 8 slots, and at least 2.
+    pub fn broadcast_slots(&self) -> u16 {
+        (self.slotframe_len / 8).max(2)
+    }
+
+    /// True if GT-TSCH can run with this configuration: the weights pass
+    /// [`GameWeights::validate`], and the slotframe has at least 8 slots
+    /// and a broadcast slot ahead of each of the [`SHARED_SLOTS`] shared
+    /// slots (§IV rule 4 places each right after one). Even lengths
+    /// below 24 fail that rule: their 2 broadcast slots are half a
+    /// slotframe apart.
+    pub fn is_valid(&self) -> bool {
+        let m = self.slotframe_len;
+        m >= 8
+            && layout::broadcast_offsets(m, self.broadcast_slots()).len() >= SHARED_SLOTS.into()
+            && self.weights.is_valid()
     }
 
     /// Validates invariants.
     ///
     /// # Panics
     ///
-    /// Panics on invalid values.
+    /// Panics unless [`GtTschConfig::is_valid`] accepts the
+    /// configuration.
     pub fn validate(&self) {
-        assert!(self.slotframe_len >= 8, "slotframe too short");
         assert!(
-            self.broadcast_slots >= 1 && self.broadcast_slots < self.slotframe_len,
-            "broadcast slot count out of range"
+            self.is_valid(),
+            "GT-TSCH cannot run {self:?}: it needs at least 8 slots, a broadcast slot ahead of \
+             each of its {SHARED_SLOTS} shared slots, and valid game weights"
         );
-        assert!(
-            self.broadcast_slots + self.shared_slots < self.slotframe_len,
-            "no slots left for data"
-        );
-        assert!((0.0..1.0).contains(&self.zeta), "ζ must be in [0,1)");
-        self.weights.validate();
-    }
-}
-
-impl Default for GtTschConfig {
-    fn default() -> Self {
-        GtTschConfig::paper_default()
     }
 }
 
@@ -98,7 +107,10 @@ mod tests {
 
     #[test]
     fn paper_default_is_valid() {
-        GtTschConfig::paper_default().validate();
+        let cfg = GtTschConfig::paper_default();
+        cfg.validate();
+        assert_eq!((cfg.slotframe_len, cfg.broadcast_slots()), (32, 4));
+        assert_eq!(SHARED_SLOTS, 3, "⌈(8 − 3)/2⌉");
     }
 
     #[test]
@@ -107,7 +119,7 @@ mod tests {
             let cfg = GtTschConfig::with_slotframe_len(m);
             cfg.validate();
             assert_eq!(cfg.slotframe_len, m);
-            assert!(cfg.broadcast_slots >= 2);
+            assert!(cfg.broadcast_slots() >= 2);
         }
     }
 

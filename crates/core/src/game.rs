@@ -40,23 +40,28 @@ impl Default for GameWeights {
 }
 
 impl GameWeights {
-    /// Validates the weights (all non-negative, α positive).
+    /// True if the weights are finite, α positive and β, γ
+    /// non-negative.
+    pub(crate) fn is_valid(&self) -> bool {
+        self.alpha > 0.0
+            && self.alpha.is_finite()
+            && self.beta >= 0.0
+            && self.beta.is_finite()
+            && self.gamma >= 0.0
+            && self.gamma.is_finite()
+    }
+
+    /// Validates the weights.
     ///
     /// # Panics
     ///
-    /// Panics on invalid weights.
+    /// Panics unless the weights are finite, α positive and β, γ
+    /// non-negative.
     pub fn validate(&self) {
         assert!(
-            self.alpha > 0.0 && self.alpha.is_finite(),
-            "alpha must be positive"
-        );
-        assert!(
-            self.beta >= 0.0 && self.beta.is_finite(),
-            "beta must be non-negative"
-        );
-        assert!(
-            self.gamma >= 0.0 && self.gamma.is_finite(),
-            "gamma must be non-negative"
+            self.is_valid(),
+            "game weights must be finite, with alpha positive and beta, gamma non-negative; \
+             got {self:?}"
         );
     }
 }

@@ -50,7 +50,7 @@ pub mod queue_metric;
 pub mod sf;
 
 pub use channel::ChannelAllocator;
-pub use config::GtTschConfig;
+pub use config::{GtTschConfig, DELETE_SLACK, FBCAST, RX_ADVERTISE_CAP, SHARED_SLOTS, ZETA};
 pub use game::{BestResponse, Bound, GameInputs, GameWeights};
 pub use queue_metric::QueueEwma;
 pub use sf::GtTschSf;

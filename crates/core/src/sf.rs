@@ -31,7 +31,7 @@ use gtt_rpl::RplNode;
 use gtt_sixtop::{CellSpec, ReturnCode, SixpBody, SixpCellKind, SixtopEvent};
 
 use crate::channel::ChannelAllocator;
-use crate::config::GtTschConfig;
+use crate::config::{GtTschConfig, DELETE_SLACK, FBCAST, RX_ADVERTISE_CAP, SHARED_SLOTS, ZETA};
 use crate::game::GameInputs;
 use crate::layout;
 use crate::queue_metric::QueueEwma;
@@ -44,15 +44,11 @@ const N_OFFSETS: u8 = HOPPING_SEQUENCE.len() as u8;
 
 /// Hash-based channel pick for the `hash_channels` ablation: mimics the
 /// §III strawman where schedulers derive channels from node addresses.
-fn hash_channel(node: NodeId, fbcast: u8) -> u8 {
+/// Picks among the offsets after `f_bcast`, cyclically.
+fn hash_channel(node: NodeId) -> u8 {
     let h = ((node.raw() as u32).wrapping_mul(2654435761) >> 16) as u8;
-    let usable = N_OFFSETS - 1; // everything except f_bcast
-    let pick = h % usable;
-    if pick >= fbcast {
-        pick + 1
-    } else {
-        pick
-    }
+    let pick = h % (N_OFFSETS - 1); // everything except f_bcast
+    (FBCAST + 1 + pick) % N_OFFSETS
 }
 
 /// The paper's scheduling function. See the [module docs](self).
@@ -96,10 +92,9 @@ impl GtTschSf {
     /// Panics if `cfg` is invalid.
     pub fn new(cfg: GtTschConfig) -> Self {
         cfg.validate();
-        let allocator = ChannelAllocator::new(N_OFFSETS, cfg.fbcast);
         GtTschSf {
-            allocator,
-            queue_metric: QueueEwma::new(cfg.zeta),
+            allocator: ChannelAllocator::new(N_OFFSETS),
+            queue_metric: QueueEwma::new(ZETA),
             cfg,
             f_to_parent: None,
             f_my_children: None,
@@ -113,11 +108,6 @@ impl GtTschSf {
             excess_streak: 0,
             demand_signal_backoff: None,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &GtTschConfig {
-        &self.cfg
     }
 
     /// The channel my children use towards me, once allocated.
@@ -168,7 +158,7 @@ impl GtTschSf {
     /// above Rx on forwarders; roots are bounded by free slots only.
     fn rx_capacity(&self, mac: &TschMac<Payload>, rpl: &RplNode) -> u16 {
         let free = layout::free_slots(self.frame(mac)).len() as u16;
-        let cap = free.min(self.cfg.rx_advertise_cap);
+        let cap = free.min(RX_ADVERTISE_CAP);
         if rpl.is_root() {
             cap
         } else {
@@ -207,36 +197,23 @@ impl GtTschSf {
 
     // ----- join-time negotiation --------------------------------------
 
-    /// The shared-slot offsets this node uses *towards its parent*
-    /// (paper §IV rule 4). A node is simultaneously a child (contending
-    /// towards its parent) and a parent (listening for its children), but
-    /// one radio does one thing per slot — the global shared-slot list is
-    /// therefore split by hop-depth parity: a node at depth `d` transmits
-    /// to its parent in slots whose index parity is `(d+1) mod 2` and
-    /// listens for its depth-`d+1` children in the complementary ones,
-    /// which is exactly where those children transmit.
-    fn shared_slots_towards_parent(&self, depth: u16) -> Vec<u16> {
+    /// The shared-slot offsets (§IV rule 4) whose index has `parity`.
+    /// A node is simultaneously a child (contending towards its parent)
+    /// and a parent (listening for its children), but one radio does one
+    /// thing per slot — the shared-slot list is therefore split by
+    /// hop-depth parity: a node at depth `d` transmits to its parent in
+    /// the slots of parity `d` and listens for its depth-`d+1` children
+    /// in those of parity `d + 1`, which is exactly where those children
+    /// transmit.
+    fn shared_slots(&self, parity: u16) -> Vec<u16> {
         layout::shared_offsets(
             self.cfg.slotframe_len,
-            self.cfg.broadcast_slots,
-            self.cfg.shared_slots,
+            self.cfg.broadcast_slots(),
+            SHARED_SLOTS,
         )
         .into_iter()
         .enumerate()
-        .filter(|(i, _)| (*i as u16) % 2 == depth % 2)
-        .map(|(_, s)| s)
-        .collect()
-    }
-
-    fn shared_slots_for_children(&self, depth: u16) -> Vec<u16> {
-        layout::shared_offsets(
-            self.cfg.slotframe_len,
-            self.cfg.broadcast_slots,
-            self.cfg.shared_slots,
-        )
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| (*i as u16) % 2 == (depth + 1) % 2)
+        .filter(|(i, _)| (*i as u16) % 2 == parity % 2)
         .map(|(_, s)| s)
         .collect()
     }
@@ -248,7 +225,7 @@ impl GtTschSf {
             return;
         };
         let ch = if self.cfg.hash_channels {
-            hash_channel(parent, self.cfg.fbcast)
+            hash_channel(parent)
         } else {
             let Some(&ch) = self.eb_channels.get(&parent) else {
                 return;
@@ -270,7 +247,7 @@ impl GtTschSf {
         });
         // Shared Tx slots toward the parent (own-parity half).
         let depth = ctx.rpl.rank().approx_hops();
-        for slot in self.shared_slots_towards_parent(depth) {
+        for slot in self.shared_slots(depth) {
             self.install_cell(
                 ctx.mac,
                 Cell::new(
@@ -305,7 +282,7 @@ impl GtTschSf {
         });
         let depth = ctx.rpl.rank().approx_hops();
         let depth = if ctx.rpl.is_root() { 0 } else { depth };
-        for slot in self.shared_slots_for_children(depth) {
+        for slot in self.shared_slots(depth + 1) {
             self.install_cell(
                 ctx.mac,
                 Cell::new(
@@ -454,7 +431,7 @@ impl GtTschSf {
             ) {
                 ctx.send_sixp(parent, msg);
             }
-        } else if (-deficit) > self.cfg.delete_slack as i32 {
+        } else if (-deficit) > DELETE_SLACK as i32 {
             // Light load: release cells beyond demand + slack (§IV rule
             // 3) — but only after the surplus persists for three periods,
             // so a queue that was just drained by a pressure-grant does
@@ -464,7 +441,7 @@ impl GtTschSf {
                 return;
             }
             self.excess_streak = 0;
-            let excess = ((-deficit) - self.cfg.delete_slack as i32) as usize;
+            let excess = ((-deficit) - DELETE_SLACK as i32) as usize;
             let mut tx_cells: Vec<Cell> = self
                 .frame(ctx.mac)
                 .cells()
@@ -704,10 +681,10 @@ impl SchedulingFunction for GtTschSf {
 
     fn init(&mut self, ctx: &mut SfContext<'_>) {
         let mut sf = Slotframe::new(self.cfg.slotframe_len);
-        for slot in layout::broadcast_offsets(self.cfg.slotframe_len, self.cfg.broadcast_slots) {
+        for slot in layout::broadcast_offsets(self.cfg.slotframe_len, self.cfg.broadcast_slots()) {
             sf.add(Cell::broadcast(
                 SlotOffset::new(slot),
-                ChannelOffset::new(self.cfg.fbcast),
+                ChannelOffset::new(FBCAST),
             ));
         }
         ctx.mac.schedule_mut().add_slotframe(SF_HANDLE, sf);
@@ -715,7 +692,7 @@ impl SchedulingFunction for GtTschSf {
         if self.cfg.hash_channels {
             // Ablation: every node derives its children-facing channel
             // from its own address; no coordination at all.
-            self.f_my_children = Some(hash_channel(ctx.mac.id(), self.cfg.fbcast));
+            self.f_my_children = Some(hash_channel(ctx.mac.id()));
             self.ask_channel_done = true;
             if ctx.rpl.is_root() {
                 self.install_children_shared_rx(ctx);
@@ -726,7 +703,7 @@ impl SchedulingFunction for GtTschSf {
             // Algorithm 1 line 2: the root picks a random children
             // channel from F − {f_bcast}.
             let mut ch = ctx.rng.gen_range_u32(0, u32::from(N_OFFSETS)) as u8;
-            if ch == self.cfg.fbcast {
+            if ch == FBCAST {
                 ch = (ch + 1) % N_OFFSETS;
             }
             self.f_my_children = Some(ch);
@@ -935,9 +912,13 @@ mod tests {
         }
 
         fn build(id: u16, root: bool) -> Self {
+            Self::build_with(id, root, GtTschConfig::paper_default())
+        }
+
+        fn build_with(id: u16, root: bool, cfg: GtTschConfig) -> Self {
             let id = NodeId::new(id);
             let mut h = Harness {
-                sf: GtTschSf::new(GtTschConfig::paper_default()),
+                sf: GtTschSf::new(cfg),
                 mac: TschMac::new(id, Pcg32::new(id.raw() as u64 + 100)),
                 rpl: if root {
                     RplNode::new_root(id, SimTime::ZERO)
@@ -1035,6 +1016,36 @@ mod tests {
         let slots: Vec<u16> = bcast.iter().map(|c| c.slot.raw()).collect();
         assert_eq!(slots, vec![0, 8, 16, 24]);
         assert!(bcast.iter().all(|c| c.channel_offset.raw() == 0));
+    }
+
+    #[test]
+    fn every_slotframe_length_validates_or_initialises() {
+        // Each length fails validation or lays out working nodes: a root
+        // listening in its children's shared slot, and a joined child
+        // transmitting there. The even lengths below 24 have two
+        // broadcast slots half a slotframe apart, too few for the third
+        // shared slot.
+        let mut rejected = Vec::new();
+        for m in 8..=128 {
+            let cfg = GtTschConfig {
+                slotframe_len: m,
+                ..GtTschConfig::paper_default()
+            };
+            if std::panic::catch_unwind(|| cfg.validate()).is_err() {
+                rejected.push(m);
+                continue;
+            }
+            let root = Harness::build_with(0, true, cfg.clone());
+            let mut child = Harness::build_with(2, false, cfg);
+            child.join(0, 5);
+            let (rx, tx) = (
+                root.cells(CellClass::Shared),
+                child.cells(CellClass::Shared),
+            );
+            assert_eq!(rx.len(), 1, "m = {m}");
+            assert_eq!(rx[0].slot, tx[0].slot, "m = {m}");
+        }
+        assert_eq!(rejected, (8..=22).step_by(2).collect::<Vec<u16>>());
     }
 
     #[test]
@@ -1251,7 +1262,7 @@ mod tests {
         let h = Harness::new_root(0);
         let adv = h.sf.dio_rx_free(&h.mac, &h.rpl);
         assert!(adv > 0, "root must advertise capacity, got {adv}");
-        assert!(adv <= h.sf.config().rx_advertise_cap);
+        assert!(adv <= RX_ADVERTISE_CAP);
     }
 
     #[test]

@@ -25,14 +25,21 @@ pub struct MinimalSchedule {
 }
 
 impl MinimalSchedule {
+    /// The shortest slotframe: slot 0 is the broadcast cell, and at
+    /// least one shared data slot is needed.
+    pub const MIN_SLOTFRAME_LEN: u16 = 2;
+
     /// Creates the SF with the given slotframe length.
     ///
     /// # Panics
     ///
-    /// Panics if `slotframe_len < 2` (slot 0 is the broadcast cell; at
-    /// least one shared data slot is needed).
+    /// Panics if `slotframe_len` is below
+    /// [`MinimalSchedule::MIN_SLOTFRAME_LEN`].
     pub fn new(slotframe_len: u16) -> Self {
-        assert!(slotframe_len >= 2, "minimal schedule needs ≥ 2 slots");
+        assert!(
+            slotframe_len >= Self::MIN_SLOTFRAME_LEN,
+            "minimal schedule needs ≥ 2 slots"
+        );
         MinimalSchedule { slotframe_len }
     }
 }

@@ -9,13 +9,17 @@
 //! deadlines, and the clock jumps straight to the next slot in which
 //! anything can *happen*. Idle listening is not an event: a scheduled
 //! listen with nothing audible resolves to `Idle` without touching the
-//! medium RNG or any state beyond two duty-cycle counters, so
-//! single-slotframe nodes (*passive listeners*) are not woken for their
-//! Rx slots at all. Instead, each planned transmission wakes exactly the
-//! audible neighbors listening on its channel
-//! ([`Topology::audible_neighbors`] × [`TschMac::listen_channel_at`]),
-//! and every skipped slot's sleeps *and* idle listens are accounted
-//! lazily and exactly ([`TschMac::count_listen_slots`]). A woken listen
+//! medium RNG or any state beyond two duty-cycle counters, so *passive
+//! listeners* — nodes whose listen slots the MAC's cyclic-union Rx index
+//! enumerates exactly — are not woken for their Rx slots at all.
+//! Instead, each planned transmission wakes exactly the audible
+//! neighbors listening on its channel: the engine walks
+//! [`Topology::audible_neighbors`] and reads each peer's next listen
+//! slot and channel offset from a dense probe index, which
+//! [`TschMac::next_listen`] refills only once that slot has passed or
+//! the peer was processed. Every skipped slot's sleeps *and* idle
+//! listens are accounted lazily and exactly
+//! ([`TschMac::count_listen_slots`]). A woken listen
 //! that decodes nothing for its node (a collision, a fade, or a unicast
 //! for another node, [`RxOutcome::Overheard`]) is lazy too: it adds one
 //! to a dense per-node count and never touches the node, and
@@ -24,9 +28,9 @@
 //! split and their collision and overheard counts are exact only after
 //! a sync, which every public stepping call runs on return.
 //! Multi-slotframe schedules (Orchestra) are covered by the same
-//! machinery: the MAC's cyclic-union Rx index merges the per-frame wake
-//! chains by exact cyclic arithmetic, so Orchestra nodes sleep through
-//! inaudible Rx slots just like single-slotframe nodes. The control
+//! machinery: the Rx index merges the per-frame wake chains by exact
+//! cyclic arithmetic, so Orchestra nodes sleep through inaudible Rx
+//! slots just like GT-TSCH's single-slotframe nodes. The control
 //! plane is fully deadline-driven — there is no periodic RPL poll;
 //! wake-ups are exclusively tx opportunities, audible listens and exact
 //! layer deadlines. The pre-refactor exhaustive loop survives as an oracle
@@ -1049,6 +1053,12 @@ impl NetworkBuilder {
         self
     }
 
+    /// True if `roots` can root a network of `nodes` nodes: there is at
+    /// least one, and each is one of the nodes.
+    pub fn are_valid_roots(roots: &[NodeId], nodes: usize) -> bool {
+        !roots.is_empty() && roots.iter().all(|r| r.index() < nodes)
+    }
+
     /// Gives every non-root node a CBR source of `ppm` packets/minute.
     pub fn traffic_ppm(mut self, ppm: f64) -> Self {
         self.traffic_ppm = Some(ppm);
@@ -1080,22 +1090,21 @@ impl NetworkBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when no roots or no factory were configured, when a root id
-    /// is out of range, or when the configuration is invalid.
+    /// Panics unless [`NetworkBuilder::are_valid_roots`] accepts the
+    /// roots, when no factory was configured, or when the configuration
+    /// is invalid.
     pub fn build(self) -> Network {
         self.config.validate();
-        assert!(!self.roots.is_empty(), "a network needs at least one root");
+        assert!(
+            Self::are_valid_roots(&self.roots, self.topology.len()),
+            "a network needs at least one root, each inside the topology, got {:?}",
+            self.roots
+        );
         assert!(
             self.factory.is_some(),
             "a scheduler factory must be configured"
         );
         let factory = self.factory.expect("checked above");
-        for r in &self.roots {
-            assert!(
-                r.index() < self.topology.len(),
-                "root {r} outside the topology"
-            );
-        }
 
         let mut master = Pcg32::new(self.config.seed);
         let medium_rng = master.split();

@@ -23,30 +23,36 @@ pub struct AppTraffic {
 }
 
 impl AppTraffic {
+    /// The lowest rate a source supports: one packet per `u32::MAX` µs
+    /// (about 71.6 minutes), the longest period the initial phase can be
+    /// drawn from.
+    pub const MIN_RATE_PPM: f64 = 60_000_000.0 / u32::MAX as f64;
+
     /// The highest rate a source supports: one packet per microsecond
     /// of simulated time, the clock's resolution.
     pub const MAX_RATE_PPM: f64 = 60_000_000.0;
 
-    /// True if `rate_ppm` is a rate [`AppTraffic::new`] accepts:
-    /// positive and at most [`AppTraffic::MAX_RATE_PPM`] (so neither
-    /// NaN nor infinite).
+    /// True if `rate_ppm` is a rate [`AppTraffic::new`] accepts: from
+    /// [`AppTraffic::MIN_RATE_PPM`] to [`AppTraffic::MAX_RATE_PPM`] (so
+    /// neither NaN nor infinite).
     pub fn is_valid_rate(rate_ppm: f64) -> bool {
-        rate_ppm > 0.0 && rate_ppm <= Self::MAX_RATE_PPM
+        (Self::MIN_RATE_PPM..=Self::MAX_RATE_PPM).contains(&rate_ppm)
     }
 
     /// Creates a CBR source with a random initial phase.
     ///
     /// # Panics
     ///
-    /// Panics unless [`AppTraffic::is_valid_rate`] accepts `rate_ppm`:
-    /// it must be positive and at most [`AppTraffic::MAX_RATE_PPM`] (a
-    /// faster source's period would round to 0 µs and it would never
-    /// stop generating).
+    /// Panics unless [`AppTraffic::is_valid_rate`] accepts `rate_ppm`.
+    /// A faster source's period would round to 0 µs and it would never
+    /// stop generating; a slower one's period would not fit the `u32`
+    /// the phase is drawn in.
     pub fn new(rate_ppm: f64, rng: &mut Pcg32) -> Self {
         assert!(
             Self::is_valid_rate(rate_ppm),
-            "traffic rate must be positive and at most {} ppm (one packet per simulated \
-             microsecond), got {rate_ppm}",
+            "traffic rate must be positive, at least {} ppm (one packet per u32::MAX µs) and \
+             at most {} ppm (one packet per simulated microsecond), got {rate_ppm}",
+            Self::MIN_RATE_PPM,
             Self::MAX_RATE_PPM
         );
         let period = SimDuration::from_secs_f64(60.0 / rate_ppm);
@@ -479,5 +485,10 @@ mod tests {
         assert_eq!(app.period.as_micros(), 1);
         let start = app.next_due();
         assert_eq!(app.due(start + SimDuration::from_micros(9)), 10);
+        // The lower limit: below one packet per `u32::MAX` µs the phase
+        // draw's range would truncate, to nothing at a 2^32 µs period.
+        let app = AppTraffic::new(AppTraffic::MIN_RATE_PPM, &mut rng);
+        assert_eq!(app.period.as_micros(), u64::from(u32::MAX));
+        assert!(!AppTraffic::is_valid_rate(60e6 / 2f64.powi(32)));
     }
 }

@@ -192,10 +192,12 @@ struct WakeCache {
     /// fall back to waking on every active slot.
     rx_union: Option<crate::slotframe::RxUnion>,
     /// Listen-miss memo `(covered_from, next_listen)`: the node provably
-    /// has no Rx slot in `[covered_from, next_listen)`. The engine's
-    /// listener probe asks [`TschMac::listen_channel_at`] for every
-    /// audible peer of every busy slot, and in dense slots the common
-    /// answer — "not listening" — becomes O(1) instead of a union query.
+    /// has no Rx slot in `[covered_from, next_listen)`. The engine asks
+    /// [`TschMac::sleeps_at`], and so [`TschMac::listen_channel_at`],
+    /// whenever the node is due on a timer, and across a quiet gap the
+    /// common answer — "not listening" — is O(1) instead of a union
+    /// query. (The engine's listener probe of busy slots does not come
+    /// here: it reads its own index, fed by [`TschMac::next_listen`].)
     /// Rebuilt with the cache, so schedule changes invalidate it.
     listen_miss_memo: (u64, u64),
 }
@@ -824,9 +826,8 @@ impl<P: Clone> TschMac<P> {
         if let Some(offset) = union.channel_offset_at(a) {
             return Some(hopping::channel(asn, offset));
         }
-        // Not listening at `a`: memoize the whole quiet gap, so the
-        // engine's per-slot probes of this node answer in O(1) until its
-        // next actual Rx slot.
+        // Not listening at `a`: memoize the whole quiet gap, so later
+        // queries answer in O(1) until its next actual Rx slot.
         let next = union.next_listen_at_or_after(a + 1).unwrap_or(u64::MAX);
         cache.listen_miss_memo = (a, next);
         None
@@ -890,8 +891,8 @@ impl<P: Clone> TschMac<P> {
     /// [`TschMac::finish_slot`] with `Listened(Received(frame))`, except
     /// that the caller keeps the frame to deliver it.
     ///
-    /// Only valid when the node would listen at slot `asn`
-    /// ([`TschMac::listen_channel_at`] returned the channel) — the
+    /// Only valid when the node would listen at slot `asn` (its
+    /// [`TschMac::next_listen`] from `asn` is `asn` itself) — the
     /// engine's listener probe guarantees it. A probed listen that
     /// decodes nothing for the node never comes here: the engine records
     /// it in [`BusyListens`] for [`TschMac::account_busy_listens`].

@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+/// Number of distinct node ids: no topology holds more nodes.
+pub const MAX_NODES: usize = u16::MAX as usize + 1;
+
 /// Identifier of a simulated IoT node.
 ///
 /// Ids are dense indices assigned by [`TopologyBuilder`](crate::TopologyBuilder)
@@ -40,12 +43,9 @@ impl NodeId {
     ///
     /// # Panics
     ///
-    /// Panics if `index` exceeds `u16::MAX`.
+    /// Panics unless `index` is below [`MAX_NODES`].
     pub fn from_index(index: usize) -> Self {
-        assert!(
-            index <= u16::MAX as usize,
-            "node index {index} out of range"
-        );
+        assert!(index < MAX_NODES, "node index {index} out of range");
         NodeId(index as u16)
     }
 }

@@ -196,10 +196,10 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `prr` is outside `[0, 1]`.
+    /// Panics unless [`TopologyBuilder::is_valid_prr`] accepts `prr`.
     pub fn set_link_prr(&mut self, a: NodeId, b: NodeId, prr: f64) {
         assert!(
-            (0.0..=1.0).contains(&prr),
+            TopologyBuilder::is_valid_prr(prr),
             "PRR must be in [0,1], got {prr}"
         );
         self.prr_overrides.insert((a, b), prr);
@@ -392,10 +392,10 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `range` is not finite and positive.
+    /// Panics unless [`TopologyBuilder::is_valid_range`] accepts `range`.
     pub fn new(range: f64) -> Self {
         assert!(
-            range.is_finite() && range > 0.0,
+            Self::is_valid_range(range),
             "communication range must be positive, got {range}"
         );
         TopologyBuilder {
@@ -405,6 +405,24 @@ impl TopologyBuilder {
             link_model: LinkModel::default(),
             prr_overrides: BTreeMap::new(),
         }
+    }
+
+    /// True if `range` can be a communication range: finite and
+    /// positive.
+    pub fn is_valid_range(range: f64) -> bool {
+        range.is_finite() && range > 0.0
+    }
+
+    /// True if `factor` can scale the communication range into the
+    /// interference range: at least 1 (so not NaN).
+    pub fn is_valid_interference_factor(factor: f64) -> bool {
+        factor >= 1.0
+    }
+
+    /// True if `prr` is a packet-reception ratio: in `[0, 1]` (so not
+    /// NaN).
+    pub fn is_valid_prr(prr: f64) -> bool {
+        (0.0..=1.0).contains(&prr)
     }
 
     /// Adds a node at `position`; ids are assigned in insertion order.
@@ -430,10 +448,11 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `factor < 1.0`.
+    /// Panics unless [`TopologyBuilder::is_valid_interference_factor`]
+    /// accepts `factor`.
     pub fn interference_factor(mut self, factor: f64) -> Self {
         assert!(
-            factor >= 1.0,
+            Self::is_valid_interference_factor(factor),
             "interference range cannot be smaller than communication range"
         );
         self.interference_factor = factor;
@@ -444,12 +463,9 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `prr` is outside `[0, 1]`.
+    /// Panics unless [`TopologyBuilder::is_valid_prr`] accepts `prr`.
     pub fn link_prr(mut self, a: NodeId, b: NodeId, prr: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&prr),
-            "PRR must be in [0,1], got {prr}"
-        );
+        assert!(Self::is_valid_prr(prr), "PRR must be in [0,1], got {prr}");
         self.prr_overrides.insert((a, b), prr);
         self
     }

@@ -47,16 +47,19 @@ const EB_SF: SlotframeHandle = SlotframeHandle::new(0);
 const COMMON_SF: SlotframeHandle = SlotframeHandle::new(1);
 const UNICAST_SF: SlotframeHandle = SlotframeHandle::new(2);
 
-/// Orchestra configuration (lengths of the three slotframes).
+/// EB slotframe length (sender-based EB cells), as in Contiki-NG.
+pub const EB_LEN: u16 = 41;
+
+/// Common/broadcast slotframe length (one shared slot), as in
+/// Contiki-NG.
+pub const COMMON_LEN: u16 = 31;
+
+/// The Orchestra settings experiments vary; the EB and common slotframe
+/// lengths are the constants [`EB_LEN`] and [`COMMON_LEN`].
 ///
-/// Defaults follow the Contiki-NG rule set scaled to the paper's
-/// experiments; Fig. 10 sweeps `unicast_len` in {8, 12, 16, 20}.
+/// Fig. 10 sweeps `unicast_len` in {8, 12, 16, 20}.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrchestraConfig {
-    /// EB slotframe length (sender-based EB cells).
-    pub eb_len: u16,
-    /// Common/broadcast slotframe length (one shared slot).
-    pub common_len: u16,
     /// Unicast slotframe length (receiver-based cells).
     pub unicast_len: u16,
     /// Use sender-based instead of receiver-based unicast cells
@@ -69,15 +72,9 @@ impl OrchestraConfig {
     /// The configuration matching the paper's Fig. 8/9 setup: the
     /// classic Orchestra unicast period 7 (prime, so receiver-based
     /// cells actually hop across the 8-entry channel sequence instead of
-    /// locking to one frequency), EB and common slotframes as in
-    /// Contiki-NG.
+    /// locking to one frequency).
     pub fn paper_default() -> Self {
-        OrchestraConfig {
-            eb_len: 41,
-            common_len: 31,
-            unicast_len: 7,
-            sender_based: false,
-        }
+        OrchestraConfig::with_unicast_len(7)
     }
 
     /// Same rule set with a different unicast slotframe length (Fig. 10).
@@ -86,28 +83,28 @@ impl OrchestraConfig {
     ///
     /// Panics if `unicast_len` is zero.
     pub fn with_unicast_len(unicast_len: u16) -> Self {
-        assert!(unicast_len > 0, "unicast slotframe cannot be empty");
-        OrchestraConfig {
+        let cfg = OrchestraConfig {
             unicast_len,
-            ..OrchestraConfig::paper_default()
-        }
+            sender_based: false,
+        };
+        cfg.validate();
+        cfg
+    }
+
+    /// True if Orchestra can run with this configuration: the unicast
+    /// slotframe is not empty.
+    pub fn is_valid(&self) -> bool {
+        self.unicast_len > 0
     }
 
     /// Validates the lengths.
     ///
     /// # Panics
     ///
-    /// Panics when any slotframe length is zero.
+    /// Panics unless [`OrchestraConfig::is_valid`] accepts the
+    /// configuration.
     pub fn validate(&self) {
-        assert!(self.eb_len > 0, "EB slotframe cannot be empty");
-        assert!(self.common_len > 0, "common slotframe cannot be empty");
-        assert!(self.unicast_len > 0, "unicast slotframe cannot be empty");
-    }
-}
-
-impl Default for OrchestraConfig {
-    fn default() -> Self {
-        OrchestraConfig::paper_default()
+        assert!(self.is_valid(), "unicast slotframe cannot be empty");
     }
 }
 
@@ -141,14 +138,9 @@ impl OrchestraSf {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &OrchestraConfig {
-        &self.cfg
-    }
-
     /// The node's own EB transmission slot.
     pub fn eb_tx_slot(&self, node: NodeId) -> u16 {
-        orchestra_hash(node) % self.cfg.eb_len
+        orchestra_hash(node) % EB_LEN
     }
 
     /// The node's receiver-based unicast Rx slot.
@@ -170,7 +162,7 @@ impl SchedulingFunction for OrchestraSf {
         let me = ctx.mac.id();
 
         // EB slotframe: sender-based Tx cell for our own beacons.
-        let mut eb = Slotframe::new(self.cfg.eb_len);
+        let mut eb = Slotframe::new(EB_LEN);
         eb.add(Cell::new(
             SlotOffset::new(self.eb_tx_slot(me)),
             ChannelOffset::new(0),
@@ -181,7 +173,7 @@ impl SchedulingFunction for OrchestraSf {
         ctx.mac.schedule_mut().add_slotframe(EB_SF, eb);
 
         // Common slotframe: one shared broadcast/fallback slot.
-        let mut common = Slotframe::new(self.cfg.common_len);
+        let mut common = Slotframe::new(COMMON_LEN);
         common.add(Cell::new(
             SlotOffset::new(0),
             ChannelOffset::new(1),
@@ -217,7 +209,7 @@ impl SchedulingFunction for OrchestraSf {
         }
 
         // Listen for the new time source's EBs (sender-based).
-        let eb_rx_slot = orchestra_hash(new) % self.cfg.eb_len;
+        let eb_rx_slot = orchestra_hash(new) % EB_LEN;
         if let Some(f) = ctx.mac.schedule_mut().frame_mut(EB_SF) {
             // Tolerate hash collisions with our own EB Tx slot: Tx wins
             // by Contiki's rule, so skip the Rx cell then.

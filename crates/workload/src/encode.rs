@@ -12,22 +12,28 @@
 //! Schema evolution: bump [`ENCODING_VERSION`] whenever the layout *or
 //! the meaning* of any encoded field changes; decoders reject foreign
 //! versions, so an old encoding is never misread as a new one.
+//!
+//! Decoding is total: a value a constructor would reject with a panic
+//! is a [`DecodeError::BadValue`], found by that constructor's check.
 
 use std::fmt;
 
+use gtt_engine::AppTraffic;
 use gtt_net::{LinkModel, NodeId, Position, TopologyBuilder};
 use gtt_orchestra::OrchestraConfig;
 use gtt_sim::SimDuration;
 
 use gt_tsch::{GameWeights, GtTschConfig};
 
-use crate::overlay::{DutyCycleBudget, NoiseBurst, Overlay, StepMobility, WaypointHop};
+use crate::overlay::{self, DutyCycleBudget, NoiseBurst, Overlay, StepMobility, WaypointHop};
 use crate::scenario::Scenario;
-use crate::spec::{ScenarioSpec, TopologySpec};
+use crate::spec::ScenarioSpec;
 use crate::{Experiment, RunSpec, SchedulerKind};
 
 /// Version of the canonical encoding. Part of every encoded experiment.
-pub const ENCODING_VERSION: u16 = 2;
+/// Version 3 dropped the link-model override and the scheduler settings
+/// that became constants.
+pub const ENCODING_VERSION: u16 = 3;
 
 /// Leading magic of every encoded experiment.
 const MAGIC: &[u8; 4] = b"GTTX";
@@ -60,6 +66,15 @@ pub enum DecodeError {
     BadUtf8,
     /// Hex armor contained a non-hex character or odd length.
     BadHex,
+}
+
+/// A [`DecodeError::BadValue`] naming `what` unless `ok`.
+fn ensure(ok: bool, what: &'static str) -> Result<(), DecodeError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(DecodeError::BadValue { what })
+    }
 }
 
 impl fmt::Display for DecodeError {
@@ -214,32 +229,25 @@ fn dec_link_model(d: &mut Dec) -> Result<LinkModel, DecodeError> {
 }
 
 fn enc_scenario_spec(e: &mut Enc, s: &ScenarioSpec) {
-    match &s.link {
-        None => e.u8(0),
-        Some(m) => {
-            e.u8(1);
-            enc_link_model(e, m);
-        }
-    }
-    match &s.topology {
-        TopologySpec::SingleDodag { n } => {
+    match s {
+        ScenarioSpec::SingleDodag { n } => {
             e.u8(0);
             e.usize(*n);
         }
-        TopologySpec::TwoDodag { nodes_per_dodag } => {
+        ScenarioSpec::TwoDodag { nodes_per_dodag } => {
             e.u8(1);
             e.usize(*nodes_per_dodag);
         }
-        TopologySpec::Line { n, spacing } => {
+        ScenarioSpec::Line { n, spacing } => {
             e.u8(2);
             e.usize(*n);
             e.f64(*spacing);
         }
-        TopologySpec::Star { leaves } => {
+        ScenarioSpec::Star { leaves } => {
             e.u8(3);
             e.usize(*leaves);
         }
-        TopologySpec::Grid {
+        ScenarioSpec::Grid {
             cols,
             rows,
             spacing,
@@ -249,16 +257,15 @@ fn enc_scenario_spec(e: &mut Enc, s: &ScenarioSpec) {
             e.usize(*rows);
             e.f64(*spacing);
         }
-        TopologySpec::LargeGrid => e.u8(5),
-        TopologySpec::LargeStar => e.u8(6),
-        TopologySpec::InterferenceGrid => e.u8(7),
-        TopologySpec::Random { n, side, seed } => {
+        ScenarioSpec::LargeGrid => e.u8(5),
+        ScenarioSpec::LargeStar => e.u8(6),
+        ScenarioSpec::Random { n, side, seed } => {
             e.u8(8);
             e.usize(*n);
             e.f64(*side);
             e.u64(*seed);
         }
-        TopologySpec::Custom(scenario) => {
+        ScenarioSpec::Custom(scenario) => {
             e.u8(9);
             e.str(&scenario.name);
             let topo = &scenario.topology;
@@ -283,7 +290,7 @@ fn enc_scenario_spec(e: &mut Enc, s: &ScenarioSpec) {
                 e.u16(r.raw());
             }
         }
-        TopologySpec::City {
+        ScenarioSpec::City {
             dodags,
             nodes_per_dodag,
         } => {
@@ -295,35 +302,25 @@ fn enc_scenario_spec(e: &mut Enc, s: &ScenarioSpec) {
 }
 
 fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
-    let link = match d.u8()? {
-        0 => None,
-        1 => Some(dec_link_model(d)?),
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "link override",
-                tag,
-            })
-        }
-    };
-    let topology = match d.u8()? {
-        0 => TopologySpec::SingleDodag { n: d.usize()? },
-        1 => TopologySpec::TwoDodag {
+    Ok(match d.u8()? {
+        0 => ScenarioSpec::SingleDodag { n: d.usize()? },
+        1 => ScenarioSpec::TwoDodag {
             nodes_per_dodag: d.usize()?,
         },
-        2 => TopologySpec::Line {
+        2 => ScenarioSpec::Line {
             n: d.usize()?,
             spacing: d.f64()?,
         },
-        3 => TopologySpec::Star { leaves: d.usize()? },
-        4 => TopologySpec::Grid {
+        3 => ScenarioSpec::Star { leaves: d.usize()? },
+        4 => ScenarioSpec::Grid {
             cols: d.usize()?,
             rows: d.usize()?,
             spacing: d.f64()?,
         },
-        5 => TopologySpec::LargeGrid,
-        6 => TopologySpec::LargeStar,
-        7 => TopologySpec::InterferenceGrid,
-        8 => TopologySpec::Random {
+        5 => ScenarioSpec::LargeGrid,
+        6 => ScenarioSpec::LargeStar,
+        // Tag 7 named the 120-node grid a second time until schema v3.
+        8 => ScenarioSpec::Random {
             n: d.usize()?,
             side: d.f64()?,
             seed: d.u64()?,
@@ -333,21 +330,19 @@ fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
             // `TopologyBuilder` asserts these three; a crafted encoding
             // must get an error, not a panic.
             let range = d.f64()?;
-            if !(range.is_finite() && range > 0.0) {
-                return Err(DecodeError::BadValue {
-                    what: "communication range",
-                });
-            }
-            let interference_factor = d.f64()?;
-            if interference_factor.is_nan() || interference_factor < 1.0 {
-                return Err(DecodeError::BadValue {
-                    what: "interference factor",
-                });
-            }
+            ensure(
+                TopologyBuilder::is_valid_range(range),
+                "communication range",
+            )?;
+            let factor = d.f64()?;
+            ensure(
+                TopologyBuilder::is_valid_interference_factor(factor),
+                "interference factor",
+            )?;
             let link_model = dec_link_model(d)?;
             let n = d.u32()? as usize;
             let mut builder = TopologyBuilder::new(range)
-                .interference_factor(interference_factor)
+                .interference_factor(factor)
                 .link_model(link_model);
             for _ in 0..n {
                 builder = builder.node(Position::new(d.f64()?, d.f64()?));
@@ -357,9 +352,7 @@ fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
                 let a = NodeId::new(d.u16()?);
                 let b = NodeId::new(d.u16()?);
                 let prr = d.f64()?;
-                if !(0.0..=1.0).contains(&prr) {
-                    return Err(DecodeError::BadValue { what: "link PRR" });
-                }
+                ensure(TopologyBuilder::is_valid_prr(prr), "link PRR")?;
                 builder = builder.link_prr(a, b, prr);
             }
             let n_roots = d.u32()? as usize;
@@ -367,7 +360,7 @@ fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
             for _ in 0..n_roots {
                 roots.push(NodeId::new(d.u16()?));
             }
-            TopologySpec::Custom(Box::new(Scenario {
+            ScenarioSpec::Custom(Box::new(Scenario {
                 name,
                 topology: builder.build(),
                 roots,
@@ -376,7 +369,7 @@ fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
         // Tag 10 (`City`) is new in schema v2; v1 streams can never
         // carry it because `Experiment::decode` rejects foreign versions
         // before any tag is read.
-        10 => TopologySpec::City {
+        10 => ScenarioSpec::City {
             dodags: d.usize()?,
             nodes_per_dodag: d.usize()?,
         },
@@ -386,8 +379,7 @@ fn dec_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, DecodeError> {
                 tag,
             })
         }
-    };
-    Ok(ScenarioSpec { topology, link })
+    })
 }
 
 fn enc_scheduler(e: &mut Enc, s: &SchedulerKind) {
@@ -395,21 +387,13 @@ fn enc_scheduler(e: &mut Enc, s: &SchedulerKind) {
         SchedulerKind::GtTsch(cfg) => {
             e.u8(0);
             e.u16(cfg.slotframe_len);
-            e.u16(cfg.broadcast_slots);
-            e.u16(cfg.shared_slots);
             e.f64(cfg.weights.alpha);
             e.f64(cfg.weights.beta);
             e.f64(cfg.weights.gamma);
-            e.f64(cfg.zeta);
-            e.u8(cfg.fbcast);
-            e.u16(cfg.rx_advertise_cap);
-            e.u16(cfg.delete_slack);
             e.bool(cfg.hash_channels);
         }
         SchedulerKind::Orchestra(cfg) => {
             e.u8(1);
-            e.u16(cfg.eb_len);
-            e.u16(cfg.common_len);
             e.u16(cfg.unicast_len);
             e.bool(cfg.sender_based);
         }
@@ -424,22 +408,14 @@ fn dec_scheduler(d: &mut Dec) -> Result<SchedulerKind, DecodeError> {
     Ok(match d.u8()? {
         0 => SchedulerKind::GtTsch(GtTschConfig {
             slotframe_len: d.u16()?,
-            broadcast_slots: d.u16()?,
-            shared_slots: d.u16()?,
             weights: GameWeights {
                 alpha: d.f64()?,
                 beta: d.f64()?,
                 gamma: d.f64()?,
             },
-            zeta: d.f64()?,
-            fbcast: d.u8()?,
-            rx_advertise_cap: d.u16()?,
-            delete_slack: d.u16()?,
             hash_channels: d.bool()?,
         }),
         1 => SchedulerKind::Orchestra(OrchestraConfig {
-            eb_len: d.u16()?,
-            common_len: d.u16()?,
             unicast_len: d.u16()?,
             sender_based: d.bool()?,
         }),
@@ -584,6 +560,12 @@ impl Experiment {
         if !d.rest.is_empty() {
             return Err(DecodeError::TrailingBytes);
         }
+        // The checks building and running the experiment assert.
+        ensure(scenario.is_valid(), "scenario")?;
+        ensure(scheduler.is_valid(), "scheduler settings")?;
+        ensure(AppTraffic::is_valid_rate(run.traffic_ppm), "traffic rate")?;
+        ensure(overlays.iter().all(Overlay::is_valid), "overlay")?;
+        ensure(overlay::stacks(&overlays), "overlay combination")?;
         Ok(Experiment {
             scenario,
             scheduler,
@@ -645,14 +627,13 @@ mod tests {
             roots: vec![NodeId::new(0)],
         };
         Experiment {
-            scenario: ScenarioSpec::custom(custom).with_link_model(LinkModel::Fixed(0.75)),
+            scenario: ScenarioSpec::custom(custom),
             scheduler: SchedulerKind::GtTsch(GtTschConfig {
                 weights: GameWeights {
                     alpha: 1.0,
                     beta: f64::MIN_POSITIVE,
                     gamma: -0.0,
                 },
-                zeta: 0.3,
                 ..GtTschConfig::paper_default()
             }),
             run: RunSpec {
@@ -692,10 +673,11 @@ mod tests {
 
     #[test]
     fn negative_zero_survives() {
-        let mut exp = crate::Experiment::new(ScenarioSpec::star(2), SchedulerKind::minimal(8));
-        exp.run.traffic_ppm = -0.0;
-        let decoded = Experiment::decode(&exp.encode()).unwrap();
-        assert_eq!(decoded.run.traffic_ppm.to_bits(), (-0.0f64).to_bits());
+        let decoded = Experiment::decode(&kitchen_sink().encode()).unwrap();
+        let SchedulerKind::GtTsch(cfg) = decoded.scheduler else {
+            panic!("{:?}", decoded.scheduler);
+        };
+        assert_eq!(cfg.weights.gamma.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -708,9 +690,9 @@ mod tests {
             ScenarioSpec::grid(3, 4, 30.0),
             ScenarioSpec::large_grid(),
             ScenarioSpec::large_star(),
-            ScenarioSpec::interference_grid(),
             ScenarioSpec::random(10, 120.0, 5),
             ScenarioSpec::city(4, 25),
+            ScenarioSpec::custom(Scenario::star(2).with_link_model(LinkModel::Fixed(0.75))),
         ];
         for spec in specs {
             let exp = crate::Experiment::new(spec, SchedulerKind::orchestra_default());
@@ -720,16 +702,18 @@ mod tests {
 
     #[test]
     fn city_spec_is_rejected_from_older_version_streams() {
-        // `City` (tag 10) arrived with schema v2. A v1 decoder could
-        // misparse its bytes, so the version gate — checked before any
-        // tag — must wholesale-reject streams stamped with an older
-        // version rather than attempt tag-level decoding.
+        // `City` (tag 10) arrived with schema v2, and v3 dropped fields
+        // from the scenario and scheduler layouts. An older decoder
+        // would misparse such bytes, so the version gate — checked
+        // before any tag — must wholesale-reject streams stamped with
+        // an older version rather than attempt tag-level decoding.
         let exp = crate::Experiment::new(ScenarioSpec::city(10, 100), SchedulerKind::minimal(8));
-        let v1 = exp.encode_with_version(1);
-        assert_eq!(
-            Experiment::decode(&v1),
-            Err(DecodeError::UnsupportedVersion(1))
-        );
+        for old in 1..ENCODING_VERSION {
+            assert_eq!(
+                Experiment::decode(&exp.encode_with_version(old)),
+                Err(DecodeError::UnsupportedVersion(old))
+            );
+        }
     }
 
     #[test]
@@ -789,6 +773,34 @@ mod tests {
                 "{what} = {new}"
             );
         }
+        // Values an experiment's constructors would assert on: generator
+        // sizes out of range (a star needs a leaf; node ids are `u16`s,
+        // also when the size overflows), a rootless custom scenario, and
+        // a noise burst's PRR factor outside [0, 1].
+        let mut rootless = Scenario::line(3, 25.0);
+        rootless.roots.clear();
+        for spec in [
+            ScenarioSpec::star(0),
+            ScenarioSpec::grid(usize::MAX, 2, 30.0),
+            ScenarioSpec::city(700, 100),
+            ScenarioSpec::custom(rootless),
+        ] {
+            let exp = crate::Experiment::new(spec, SchedulerKind::minimal(8));
+            assert_eq!(
+                Experiment::decode(&exp.encode()),
+                Err(DecodeError::BadValue { what: "scenario" })
+            );
+        }
+        let mut bytes = kitchen_sink().encode();
+        let pattern = f64::to_le_bytes(NoiseBurst::wifi_like().prr_factor);
+        let at = (0..=bytes.len() - 8)
+            .find(|&i| bytes[i..i + 8] == pattern)
+            .expect("prr_factor encoded");
+        bytes[at..at + 8].copy_from_slice(&1.5f64.to_le_bytes());
+        assert_eq!(
+            Experiment::decode(&bytes),
+            Err(DecodeError::BadValue { what: "overlay" })
+        );
         assert_eq!(Experiment::decode_hex("abc"), Err(DecodeError::BadHex));
         assert_eq!(Experiment::decode_hex("zz"), Err(DecodeError::BadHex));
     }
@@ -796,13 +808,20 @@ mod tests {
     #[test]
     fn no_single_byte_mutation_panics() {
         // Decoding is total: whatever a byte becomes, the result is an
-        // experiment or an error, never a panic.
+        // error, or an experiment whose network builds without a panic.
         let bytes = kitchen_sink().encode();
         for at in 0..bytes.len() {
             for value in 0..=u8::MAX {
                 let mut mutated = bytes.clone();
                 mutated[at] = value;
-                let _ = Experiment::decode(&mutated);
+                if let Ok(exp) = Experiment::decode(&mutated) {
+                    let built = std::panic::catch_unwind(|| exp.build_network());
+                    assert!(
+                        built.is_ok(),
+                        "byte {at} = {value:#04x} decodes to {}, which panics in build",
+                        exp.encode_hex()
+                    );
+                }
             }
         }
     }
@@ -841,8 +860,8 @@ mod tests {
                 seed: 1,
                 ..RunSpec::default()
             });
-        let golden = "47545458020000030200000000000000020800000000000000244014000000000000001e\
-                      0000000000000001000000000000000000000000";
+        let golden = "475454580300030200000000000000020800000000000000244014000000000000001e00\
+                      00000000000001000000000000000000000000";
         assert_eq!(exp.encode_hex(), golden);
         assert_eq!(Experiment::decode_hex(golden).unwrap(), exp);
     }

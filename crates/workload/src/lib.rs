@@ -2,7 +2,7 @@
 //!
 //! One self-describing value, [`Experiment`], is the only way figures,
 //! benches, examples and cross-crate tests describe a run: a
-//! [`ScenarioSpec`] (topology generator + link model), a
+//! [`ScenarioSpec`] (topology generator and its parameters), a
 //! [`SchedulerKind`], a [`RunSpec`] (traffic model + timing + seed) and
 //! a composable [`Overlay`] timeline (interference bursts, step
 //! mobility, duty-cycle budgets). Experiments are plain data —
@@ -49,7 +49,7 @@ pub use encode::{DecodeError, ENCODING_VERSION};
 pub use overlay::{DutyCycleBudget, NoiseBurst, Overlay, StepMobility, WaypointHop};
 pub use scenario::Scenario;
 pub use schedulers::SchedulerKind;
-pub use spec::{ScenarioSpec, TopologySpec};
+pub use spec::ScenarioSpec;
 
 use gtt_engine::{EngineConfig, Network, NetworkBuilder, NetworkReport};
 use gtt_sim::SimDuration;
@@ -59,10 +59,11 @@ use gtt_sim::SimDuration;
 /// cadence preset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
-    /// Application rate per non-root node (packets/minute). Must be
-    /// positive and at most [`gtt_engine::AppTraffic::MAX_RATE_PPM`],
-    /// one packet per simulated microsecond; building the network
-    /// panics otherwise.
+    /// Application rate per non-root node (packets/minute). Must be at
+    /// least [`gtt_engine::AppTraffic::MIN_RATE_PPM`], one packet per
+    /// `u32::MAX` µs, and at most
+    /// [`gtt_engine::AppTraffic::MAX_RATE_PPM`], one packet per
+    /// simulated microsecond; building the network panics otherwise.
     pub traffic_ppm: f64,
     /// Warm-up (network formation + schedule convergence), seconds.
     /// Overlays do not run during warm-up — the network always forms

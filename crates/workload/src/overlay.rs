@@ -20,8 +20,8 @@
 //! the stateful overlays do not stack — two noise timelines would
 //! corrupt each other's PRR save/restore and two duty budgets would
 //! fight over the throttle flags — so an experiment carries at most one
-//! `Noise` and one `DutyCycle` overlay (enforced at run time; any
-//! number of `Mobility` traces is fine, positions are last-write-wins).
+//! `Noise` and one `DutyCycle` overlay (any number of `Mobility`
+//! traces is fine, positions are last-write-wins).
 
 use gtt_engine::Network;
 use gtt_mac::SLOT_DURATION;
@@ -63,16 +63,10 @@ impl NoiseBurst {
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.prr_factor),
-            "prr_factor must be in [0, 1], got {}",
-            self.prr_factor
-        );
-        assert!(
-            !self.quiet.is_zero() || !self.burst.is_zero(),
-            "noise windows must have positive length"
-        );
+    /// True if `prr_factor` is in `[0, 1]` and a quiet time plus burst
+    /// is positive.
+    pub(crate) fn is_valid(&self) -> bool {
+        (0.0..=1.0).contains(&self.prr_factor) && !(self.quiet.is_zero() && self.burst.is_zero())
     }
 }
 
@@ -112,11 +106,9 @@ impl StepMobility {
         self
     }
 
-    fn validate(&self) {
-        assert!(
-            self.hops.windows(2).all(|w| w[0].at <= w[1].at),
-            "mobility hops must be ordered by time"
-        );
+    /// True if the hops are ordered by time.
+    pub(crate) fn is_valid(&self) -> bool {
+        self.hops.windows(2).all(|w| w[0].at <= w[1].at)
     }
 }
 
@@ -144,14 +136,13 @@ pub struct DutyCycleBudget {
 }
 
 impl DutyCycleBudget {
-    fn validate(&self) {
-        assert!(!self.window.is_zero(), "budget window must be positive");
-        assert!(!self.check.is_zero(), "check period must be positive");
-        assert!(
-            self.max_duty_percent > 0.0 && self.max_duty_percent <= 100.0,
-            "duty budget must be in (0, 100]%, got {}",
-            self.max_duty_percent
-        );
+    /// True if the window and check period are positive and the budget
+    /// is in `(0, 100]`%.
+    pub(crate) fn is_valid(&self) -> bool {
+        !self.window.is_zero()
+            && !self.check.is_zero()
+            && self.max_duty_percent > 0.0
+            && self.max_duty_percent <= 100.0
     }
 }
 
@@ -164,6 +155,28 @@ pub enum Overlay {
     Mobility(StepMobility),
     /// Radio-on budgets that throttle application traffic.
     DutyCycle(DutyCycleBudget),
+}
+
+impl Overlay {
+    /// True if the overlay's parameters are valid for its kind
+    /// ([`NoiseBurst::is_valid`], [`StepMobility::is_valid`],
+    /// [`DutyCycleBudget::is_valid`]).
+    pub(crate) fn is_valid(&self) -> bool {
+        match self {
+            Overlay::Noise(o) => o.is_valid(),
+            Overlay::Mobility(o) => o.is_valid(),
+            Overlay::DutyCycle(o) => o.is_valid(),
+        }
+    }
+}
+
+/// True if `overlays` can run together: at most one `Noise` and at
+/// most one `DutyCycle` overlay (see the module docs — those kinds hold
+/// save/restore state that does not stack).
+pub(crate) fn stacks(overlays: &[Overlay]) -> bool {
+    let count = |f: fn(&Overlay) -> bool| overlays.iter().filter(|o| f(o)).count();
+    count(|o| matches!(o, Overlay::Noise(_))) <= 1
+        && count(|o| matches!(o, Overlay::DutyCycle(_))) <= 1
 }
 
 /// Runtime state of one overlay while the driver runs.
@@ -224,32 +237,29 @@ fn audible_links(net: &Network) -> Vec<(NodeId, NodeId)> {
 impl<'a> State<'a> {
     fn new(overlay: &'a Overlay, net: &Network) -> State<'a> {
         let start = net.now();
+        assert!(
+            overlay.is_valid(),
+            "invalid overlay {overlay:?}: noise needs a prr_factor in [0, 1] and a positive \
+             period, mobility hops ordered by time, a duty budget positive periods and a \
+             budget in (0, 100]%"
+        );
         match overlay {
-            Overlay::Noise(o) => {
-                o.validate();
-                State::Noise {
-                    o,
-                    next: start + o.quiet,
-                    on: false,
-                    links: Vec::new(),
-                    saved: Vec::new(),
-                }
-            }
-            Overlay::Mobility(o) => {
-                o.validate();
-                State::Mobility { o, start, idx: 0 }
-            }
-            Overlay::DutyCycle(o) => {
-                o.validate();
-                State::Duty {
-                    o,
-                    window_start: start,
-                    next_check: start + o.check,
-                    baseline: (0..net.nodes().len())
-                        .map(|i| awake_slots(net, i))
-                        .collect(),
-                }
-            }
+            Overlay::Noise(o) => State::Noise {
+                o,
+                next: start + o.quiet,
+                on: false,
+                links: Vec::new(),
+                saved: Vec::new(),
+            },
+            Overlay::Mobility(o) => State::Mobility { o, start, idx: 0 },
+            Overlay::DutyCycle(o) => State::Duty {
+                o,
+                window_start: start,
+                next_check: start + o.check,
+                baseline: (0..net.nodes().len())
+                    .map(|i| awake_slots(net, i))
+                    .collect(),
+            },
         }
     }
 
@@ -378,23 +388,17 @@ impl<'a> State<'a> {
 ///
 /// # Panics
 ///
-/// Panics if any overlay's parameters are invalid (each kind documents
-/// its own constraints), or if the experiment carries more than one
-/// `Noise` or more than one `DutyCycle` overlay (see the module docs —
-/// those kinds hold save/restore state that does not stack).
+/// Panics unless [`Overlay::is_valid`] accepts every overlay and
+/// [`stacks`] accepts their combination.
 pub(crate) fn drive(net: &mut Network, overlays: &[Overlay], window: SimDuration) {
     if overlays.is_empty() {
         net.run_for(window);
         return;
     }
-    let count = |f: fn(&Overlay) -> bool| overlays.iter().filter(|o| f(o)).count();
     assert!(
-        count(|o| matches!(o, Overlay::Noise(_))) <= 1,
-        "at most one Noise overlay per experiment (wideband bursts do not stack)"
-    );
-    assert!(
-        count(|o| matches!(o, Overlay::DutyCycle(_))) <= 1,
-        "at most one DutyCycle overlay per experiment (throttle windows do not stack)"
+        stacks(overlays),
+        "at most one Noise and one DutyCycle overlay per experiment (wideband bursts and \
+         throttle windows do not stack)"
     );
     let end = net.now() + window;
     let mut states: Vec<State> = overlays.iter().map(|o| State::new(o, net)).collect();

@@ -7,8 +7,12 @@
 //! [`ScenarioSpec`]: crate::ScenarioSpec
 //! [`Overlay`]: crate::Overlay
 
+use std::ops::RangeInclusive;
+
 use gtt_net::{LinkModel, NodeId, Position, Topology, TopologyBuilder};
 use gtt_sim::Pcg32;
+
+use crate::ScenarioSpec;
 
 /// A named topology with its DODAG roots.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +41,21 @@ const CITY_RING: f64 = 12.0;
 /// align, giving a near-uniform deterministic disc packing.
 const GOLDEN_ANGLE: f64 = 2.399_963_229_728_653;
 
+/// Asserts that a generator's parameters lie in the range `spec`'s
+/// variant documents.
+fn check(spec: ScenarioSpec) {
+    assert!(
+        spec.is_valid(),
+        "{spec:?} lies outside its documented range: too few nodes, a spacing that is not \
+         positive, or a size that overflows the u16 id space"
+    );
+}
+
 impl Scenario {
+    /// Node counts [`Scenario::single_dodag`] accepts, and
+    /// [`Scenario::two_dodag`] per DODAG.
+    pub(crate) const DODAG_SIZES: RangeInclusive<usize> = 2..=10;
+
     /// One DODAG of `n` nodes (root + rings), rooted at the first node.
     ///
     /// Layout (§VIII's building-automation shape): up to 3 first-ring
@@ -84,10 +102,11 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
+    /// Panics unless the line has 2 to 65,536 nodes (the `u16` id space)
+    /// and a positive, finite spacing.
     pub fn line(n: usize, spacing: f64) -> Scenario {
-        assert!(n >= 2, "a line needs at least 2 nodes");
-        let topology = TopologyBuilder::new(spacing * 1.2)
+        check(ScenarioSpec::line(n, spacing));
+        let topology = TopologyBuilder::new(Scenario::line_range(spacing))
             .nodes((0..n).map(|i| Position::new(i as f64 * spacing, 0.0)))
             .build();
         Scenario {
@@ -101,9 +120,9 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if `leaves` is zero.
+    /// Panics unless the star has 1 to 65,535 leaves.
     pub fn star(leaves: usize) -> Scenario {
-        assert!(leaves >= 1, "a star needs at least one leaf");
+        check(ScenarioSpec::star(leaves));
         let mut b = TopologyBuilder::new(RANGE).node(Position::ORIGIN);
         for i in 0..leaves {
             let angle = i as f64 * std::f64::consts::TAU / leaves as f64;
@@ -126,9 +145,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics unless both dimensions are positive and the grid has at
+    /// most 65,536 nodes.
     pub fn grid(cols: usize, rows: usize, spacing: f64) -> Scenario {
-        assert!(cols >= 1 && rows >= 1, "grid needs positive dimensions");
+        check(ScenarioSpec::grid(cols, rows, spacing));
         let positions = (0..rows).flat_map(|r| {
             (0..cols).map(move |c| Position::new(c as f64 * spacing, r as f64 * spacing))
         });
@@ -163,8 +183,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if no connected placement is found within 1000 draws.
+    /// Panics if `n` exceeds 65,536, or if no connected placement is
+    /// found within 1000 draws.
     pub fn random(n: usize, side: f64, seed: u64) -> Scenario {
+        check(ScenarioSpec::random(n, side, seed));
         let mut rng = Pcg32::new(seed);
         for _ in 0..1000 {
             let mut b = TopologyBuilder::new(RANGE).node(Position::new(side / 2.0, side / 2.0));
@@ -202,18 +224,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics unless `dodags ≥ 1`, `nodes_per_dodag ≥ 2`, and the total
-    /// node count fits a `u16` id space.
+    /// Panics unless `dodags ≥ 1`, `nodes_per_dodag ≥ 2`, and the city
+    /// has at most 65,536 nodes in all (the `u16` id space).
     pub fn city(dodags: usize, nodes_per_dodag: usize) -> Scenario {
-        assert!(dodags >= 1, "a city needs at least one dodag");
-        assert!(
-            nodes_per_dodag >= 2,
-            "each city dodag needs at least 2 nodes"
-        );
-        assert!(
-            dodags * nodes_per_dodag <= usize::from(u16::MAX) + 1,
-            "city of {dodags}x{nodes_per_dodag} nodes overflows the u16 id space"
-        );
+        check(ScenarioSpec::city(dodags, nodes_per_dodag));
         let cols = (dodags as f64).sqrt().ceil() as usize;
         let mut positions = Vec::with_capacity(dodags * nodes_per_dodag);
         let mut roots = Vec::with_capacity(dodags);
@@ -258,22 +272,15 @@ impl Scenario {
         self.topology.len() - self.roots.len()
     }
 
-    /// The interference-burst scenario: the 120-node grid sharing its
-    /// band with a periodic wideband interferer (Wi-Fi beacons, a duty-
-    /// cycled jammer). Pair it with an
-    /// [`Overlay::Noise`](crate::Overlay) timeline, which overlays the
-    /// noise windows on any of these topologies.
-    pub fn interference_grid() -> Scenario {
-        // Derived from the headline grid so the interference runs always
-        // cover the same topology the engine benches gate on.
-        let mut s = Scenario::large_grid();
-        s.name = "interference-grid-120".into();
-        s
+    /// The communication range of a [`Scenario::line`] with `spacing`
+    /// metres between neighbours: only the next node is in range.
+    pub(crate) fn line_range(spacing: f64) -> f64 {
+        spacing * 1.2
     }
 
     fn dodag_positions(n: usize, origin: Position) -> Vec<Position> {
         assert!(
-            (2..=10).contains(&n),
+            Self::DODAG_SIZES.contains(&n),
             "dodag size must be in 2..=10, got {n}"
         );
         let mut positions = vec![origin];
@@ -447,13 +454,5 @@ mod tests {
     #[should_panic(expected = "overflows the u16 id space")]
     fn oversized_city_rejected() {
         let _ = Scenario::city(700, 100);
-    }
-
-    #[test]
-    fn interference_grid_reuses_the_large_grid_shape() {
-        let s = Scenario::interference_grid();
-        assert_eq!(s.topology.len(), 120);
-        assert_eq!(s.name, "interference-grid-120");
-        assert!(s.topology.is_connected());
     }
 }

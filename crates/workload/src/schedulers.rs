@@ -52,6 +52,18 @@ impl SchedulerKind {
         }
     }
 
+    /// True if the settings are ones the scheduler's constructor
+    /// accepts.
+    pub(crate) fn is_valid(&self) -> bool {
+        match self {
+            SchedulerKind::GtTsch(cfg) => cfg.is_valid(),
+            SchedulerKind::Orchestra(cfg) => cfg.is_valid(),
+            SchedulerKind::Minimal { slotframe_len } => {
+                *slotframe_len >= MinimalSchedule::MIN_SLOTFRAME_LEN
+            }
+        }
+    }
+
     /// Builds the per-node scheduling function.
     pub fn instantiate(&self, _id: NodeId, _is_root: bool) -> Box<dyn SchedulingFunction> {
         match self {

@@ -1,24 +1,30 @@
 //! Declarative scenario specifications.
 //!
-//! A [`ScenarioSpec`] is *data*: a topology generator plus an optional
-//! link-model override, comparable, cloneable and canonically encodable
-//! (see [`Experiment::encode`](crate::Experiment::encode)). Calling
+//! A [`ScenarioSpec`] is *data*: a topology generator and its
+//! parameters, comparable, cloneable and canonically encodable (see
+//! [`Experiment::encode`](crate::Experiment::encode)). Calling
 //! [`ScenarioSpec::build`] materializes it into the [`Scenario`] value
 //! (positions, roots, precomputed audibility) the engine consumes — so
 //! every experiment input stays a compact description rather than a
 //! multi-kilobyte topology dump, and two processes that build the same
 //! spec get byte-identical networks.
 
-use gtt_net::LinkModel;
+use gtt_engine::NetworkBuilder;
+use gtt_net::{TopologyBuilder, MAX_NODES};
 
 use crate::scenario::Scenario;
 
-/// Which topology generator a scenario uses, with its parameters.
+/// Which network an experiment runs on: a topology generator with its
+/// parameters.
 ///
 /// Variants mirror the [`Scenario`] constructors one-to-one; `Custom`
-/// is the escape hatch for hand-built topologies (encoded in full).
+/// is the escape hatch for hand-built topologies (encoded in full), a
+/// non-default link model included (see [`Scenario::with_link_model`]).
+/// The traffic model (per-node CBR rate) lives in
+/// [`RunSpec::traffic_ppm`](crate::RunSpec) next to the timing it is
+/// meaningless without.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TopologySpec {
+pub enum ScenarioSpec {
     /// [`Scenario::single_dodag`].
     SingleDodag {
         /// Nodes in the DODAG (root + rings), `2..=10`.
@@ -31,19 +37,19 @@ pub enum TopologySpec {
     },
     /// [`Scenario::line`].
     Line {
-        /// Node count (≥ 2).
+        /// Node count, from 2 to [`MAX_NODES`].
         n: usize,
-        /// Spacing between neighbours, metres.
+        /// Spacing between neighbours, metres (positive and finite).
         spacing: f64,
     },
     /// [`Scenario::star`].
     Star {
-        /// Leaf count (≥ 1).
+        /// Leaf count, from 1 to [`MAX_NODES`] − 1.
         leaves: usize,
     },
     /// [`Scenario::grid`].
     Grid {
-        /// Columns (≥ 1).
+        /// Columns (≥ 1; at most [`MAX_NODES`] nodes in all).
         cols: usize,
         /// Rows (≥ 1).
         rows: usize,
@@ -54,136 +60,134 @@ pub enum TopologySpec {
     LargeGrid,
     /// [`Scenario::large_star`] — the 120-node dense star.
     LargeStar,
-    /// [`Scenario::interference_grid`].
-    InterferenceGrid,
     /// [`Scenario::random`].
     Random {
-        /// Node count.
+        /// Node count (at most [`MAX_NODES`]).
         n: usize,
         /// Side of the placement square, metres.
         side: f64,
         /// Placement seed (independent of the run seed).
         seed: u64,
     },
-    /// A hand-built scenario, carried (and encoded) in full. Boxed so
-    /// the common generator variants stay a few words wide.
+    /// A hand-built scenario, carried (and encoded) in full: at most
+    /// [`MAX_NODES`] nodes, with at least one root, each of them a
+    /// node. Boxed so the common generator variants stay a few words
+    /// wide.
     Custom(Box<Scenario>),
     /// [`Scenario::city`] — multi-DODAG clustered layouts at 1k/10k
     /// nodes, one border-router root per cluster.
     City {
-        /// Cluster (DODAG) count (≥ 1).
+        /// Cluster (DODAG) count (≥ 1; at most [`MAX_NODES`] nodes in
+        /// all).
         dodags: usize,
         /// Nodes per cluster including its root (≥ 2).
         nodes_per_dodag: usize,
     },
 }
 
-/// Declarative description of the network an experiment runs on: a
-/// topology generator plus an optional link-model override.
-///
-/// The traffic model (per-node CBR rate) lives in
-/// [`RunSpec::traffic_ppm`](crate::RunSpec) next to the timing it is
-/// meaningless without.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpec {
-    /// Topology generator.
-    pub topology: TopologySpec,
-    /// Link-model override (`None` keeps the generator's default —
-    /// see [`Scenario::with_link_model`]).
-    pub link: Option<LinkModel>,
-}
-
 impl ScenarioSpec {
-    /// Wraps a topology generator with the default link model.
-    pub fn new(topology: TopologySpec) -> Self {
-        ScenarioSpec {
-            topology,
-            link: None,
-        }
-    }
-
     /// [`Scenario::single_dodag`] as a spec.
     pub fn single_dodag(n: usize) -> Self {
-        Self::new(TopologySpec::SingleDodag { n })
+        ScenarioSpec::SingleDodag { n }
     }
 
     /// [`Scenario::two_dodag`] as a spec.
     pub fn two_dodag(nodes_per_dodag: usize) -> Self {
-        Self::new(TopologySpec::TwoDodag { nodes_per_dodag })
+        ScenarioSpec::TwoDodag { nodes_per_dodag }
     }
 
     /// [`Scenario::line`] as a spec.
     pub fn line(n: usize, spacing: f64) -> Self {
-        Self::new(TopologySpec::Line { n, spacing })
+        ScenarioSpec::Line { n, spacing }
     }
 
     /// [`Scenario::star`] as a spec.
     pub fn star(leaves: usize) -> Self {
-        Self::new(TopologySpec::Star { leaves })
+        ScenarioSpec::Star { leaves }
     }
 
     /// [`Scenario::grid`] as a spec.
     pub fn grid(cols: usize, rows: usize, spacing: f64) -> Self {
-        Self::new(TopologySpec::Grid {
+        ScenarioSpec::Grid {
             cols,
             rows,
             spacing,
-        })
+        }
     }
 
     /// [`Scenario::large_grid`] as a spec.
     pub fn large_grid() -> Self {
-        Self::new(TopologySpec::LargeGrid)
+        ScenarioSpec::LargeGrid
     }
 
     /// [`Scenario::large_star`] as a spec.
     pub fn large_star() -> Self {
-        Self::new(TopologySpec::LargeStar)
-    }
-
-    /// [`Scenario::interference_grid`] as a spec.
-    pub fn interference_grid() -> Self {
-        Self::new(TopologySpec::InterferenceGrid)
+        ScenarioSpec::LargeStar
     }
 
     /// [`Scenario::random`] as a spec.
     pub fn random(n: usize, side: f64, seed: u64) -> Self {
-        Self::new(TopologySpec::Random { n, side, seed })
+        ScenarioSpec::Random { n, side, seed }
     }
 
     /// Wraps a hand-built [`Scenario`].
     pub fn custom(scenario: Scenario) -> Self {
-        Self::new(TopologySpec::Custom(Box::new(scenario)))
+        ScenarioSpec::Custom(Box::new(scenario))
     }
 
     /// [`Scenario::city`] as a spec.
     pub fn city(dodags: usize, nodes_per_dodag: usize) -> Self {
-        Self::new(TopologySpec::City {
+        ScenarioSpec::City {
             dodags,
             nodes_per_dodag,
-        })
+        }
     }
 
-    /// Replaces the link model (builder style).
-    pub fn with_link_model(mut self, model: LinkModel) -> Self {
-        self.link = Some(model);
-        self
+    /// True if every parameter lies in the range its variant documents,
+    /// so [`ScenarioSpec::build`] and building a network on the result
+    /// do not panic on it; the [`Scenario`] constructors assert it. A
+    /// random placement that never connects still panics in
+    /// [`Scenario::random`]: only drawing it can tell.
+    pub(crate) fn is_valid(&self) -> bool {
+        // Node ids are `u16`s: at most `MAX_NODES` nodes.
+        let nodes =
+            |n: Option<usize>, min: usize| n.is_some_and(|n| (min..=MAX_NODES).contains(&n));
+        match self {
+            ScenarioSpec::SingleDodag { n } | ScenarioSpec::TwoDodag { nodes_per_dodag: n } => {
+                Scenario::DODAG_SIZES.contains(n)
+            }
+            ScenarioSpec::Line { n, spacing } => {
+                nodes(Some(*n), 2)
+                    && TopologyBuilder::is_valid_range(Scenario::line_range(*spacing))
+            }
+            ScenarioSpec::Star { leaves } => nodes(leaves.checked_add(1), 2),
+            ScenarioSpec::Grid { cols, rows, .. } => nodes(cols.checked_mul(*rows), 1),
+            ScenarioSpec::LargeGrid | ScenarioSpec::LargeStar => true,
+            ScenarioSpec::Random { n, .. } => nodes(Some(*n), 0),
+            ScenarioSpec::Custom(s) => {
+                let n = s.topology.len();
+                nodes(Some(n), 0) && NetworkBuilder::are_valid_roots(&s.roots, n)
+            }
+            ScenarioSpec::City {
+                dodags,
+                nodes_per_dodag,
+            } => *nodes_per_dodag >= 2 && nodes(dodags.checked_mul(*nodes_per_dodag), 2),
+        }
     }
 
     /// The scenario's human-readable name, without building it.
     pub fn name(&self) -> String {
-        match &self.topology {
-            TopologySpec::SingleDodag { n } => format!("single-dodag-{n}"),
-            TopologySpec::TwoDodag { nodes_per_dodag } => format!("two-dodag-{nodes_per_dodag}"),
-            TopologySpec::Line { n, .. } => format!("line-{n}"),
-            TopologySpec::Star { leaves } => format!("star-{leaves}"),
-            TopologySpec::Grid { cols, rows, .. } => format!("grid-{cols}x{rows}"),
-            TopologySpec::LargeGrid => "large-grid-120".into(),
-            TopologySpec::LargeStar => "large-star-120".into(),
-            TopologySpec::InterferenceGrid => "interference-grid-120".into(),
-            TopologySpec::Random { n, .. } => format!("random-{n}"),
-            TopologySpec::Custom(s) => s.name.clone(),
-            TopologySpec::City {
+        match self {
+            ScenarioSpec::SingleDodag { n } => format!("single-dodag-{n}"),
+            ScenarioSpec::TwoDodag { nodes_per_dodag } => format!("two-dodag-{nodes_per_dodag}"),
+            ScenarioSpec::Line { n, .. } => format!("line-{n}"),
+            ScenarioSpec::Star { leaves } => format!("star-{leaves}"),
+            ScenarioSpec::Grid { cols, rows, .. } => format!("grid-{cols}x{rows}"),
+            ScenarioSpec::LargeGrid => "large-grid-120".into(),
+            ScenarioSpec::LargeStar => "large-star-120".into(),
+            ScenarioSpec::Random { n, .. } => format!("random-{n}"),
+            ScenarioSpec::Custom(s) => s.name.clone(),
+            ScenarioSpec::City {
                 dodags,
                 nodes_per_dodag,
             } => format!("city-{dodags}x{nodes_per_dodag}"),
@@ -194,32 +198,28 @@ impl ScenarioSpec {
     ///
     /// # Panics
     ///
-    /// Panics when the generator's parameter constraints are violated
-    /// (each constructor documents its own).
+    /// Panics when a generator's parameters lie outside the ranges its
+    /// variant documents, and when [`Scenario::random`] finds no
+    /// connected placement.
     pub fn build(&self) -> Scenario {
-        let scenario = match &self.topology {
-            TopologySpec::SingleDodag { n } => Scenario::single_dodag(*n),
-            TopologySpec::TwoDodag { nodes_per_dodag } => Scenario::two_dodag(*nodes_per_dodag),
-            TopologySpec::Line { n, spacing } => Scenario::line(*n, *spacing),
-            TopologySpec::Star { leaves } => Scenario::star(*leaves),
-            TopologySpec::Grid {
+        match self {
+            ScenarioSpec::SingleDodag { n } => Scenario::single_dodag(*n),
+            ScenarioSpec::TwoDodag { nodes_per_dodag } => Scenario::two_dodag(*nodes_per_dodag),
+            ScenarioSpec::Line { n, spacing } => Scenario::line(*n, *spacing),
+            ScenarioSpec::Star { leaves } => Scenario::star(*leaves),
+            ScenarioSpec::Grid {
                 cols,
                 rows,
                 spacing,
             } => Scenario::grid(*cols, *rows, *spacing),
-            TopologySpec::LargeGrid => Scenario::large_grid(),
-            TopologySpec::LargeStar => Scenario::large_star(),
-            TopologySpec::InterferenceGrid => Scenario::interference_grid(),
-            TopologySpec::Random { n, side, seed } => Scenario::random(*n, *side, *seed),
-            TopologySpec::Custom(s) => (**s).clone(),
-            TopologySpec::City {
+            ScenarioSpec::LargeGrid => Scenario::large_grid(),
+            ScenarioSpec::LargeStar => Scenario::large_star(),
+            ScenarioSpec::Random { n, side, seed } => Scenario::random(*n, *side, *seed),
+            ScenarioSpec::Custom(s) => (**s).clone(),
+            ScenarioSpec::City {
                 dodags,
                 nodes_per_dodag,
             } => Scenario::city(*dodags, *nodes_per_dodag),
-        };
-        match self.link {
-            Some(model) => scenario.with_link_model(model),
-            None => scenario,
         }
     }
 }
@@ -227,7 +227,6 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtt_net::NodeId;
 
     #[test]
     fn specs_build_the_same_scenarios_as_the_constructors() {
@@ -240,27 +239,16 @@ mod tests {
             (ScenarioSpec::large_grid(), Scenario::large_grid()),
             (ScenarioSpec::large_star(), Scenario::large_star()),
             (
-                ScenarioSpec::interference_grid(),
-                Scenario::interference_grid(),
-            ),
-            (
                 ScenarioSpec::random(10, 120.0, 5),
                 Scenario::random(10, 120.0, 5),
             ),
             (ScenarioSpec::city(4, 25), Scenario::city(4, 25)),
         ];
         for (spec, scenario) in pairs {
+            assert!(spec.is_valid(), "{}", spec.name());
             assert_eq!(spec.build(), scenario, "{}", spec.name());
             assert_eq!(spec.name(), scenario.name);
         }
-    }
-
-    #[test]
-    fn link_override_applies() {
-        let spec = ScenarioSpec::star(3).with_link_model(LinkModel::Perfect);
-        let built = spec.build();
-        assert_eq!(built.topology.prr(NodeId::new(0), NodeId::new(1)), 1.0);
-        assert_eq!(built, Scenario::star(3).with_link_model(LinkModel::Perfect));
     }
 
     #[test]

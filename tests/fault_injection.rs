@@ -139,7 +139,8 @@ fn network_still_delivers_over_degraded_links() {
         seed: 5,
         ..RunSpec::default()
     };
-    let scenario = ScenarioSpec::two_dodag(6).with_link_model(LinkModel::Fixed(0.6));
+    let scenario =
+        ScenarioSpec::custom(Scenario::two_dodag(6).with_link_model(LinkModel::Fixed(0.6)));
     let mut net = network(scenario, spec);
     net.run_for(SimDuration::from_secs(spec.warmup_secs));
     assert!(net.join_ratio() > 0.8, "formation over lossy links");

@@ -156,7 +156,7 @@ proptest! {
         f_children in 1u8..8,
     ) {
         prop_assume!(f_parent != f_children);
-        let mut alloc = ChannelAllocator::new(8, 0);
+        let mut alloc = ChannelAllocator::new(8);
         // Distinctness is guaranteed only while the fan-out has *never*
         // exceeded max_children (the paper bounds it; beyond that the
         // allocator reuses channels gracefully and on purpose).

@@ -227,25 +227,22 @@ fn large_star_orchestra_equivalent() {
 
 #[test]
 fn interference_bursts_stay_equivalent() {
-    // The 120-node interference scenario: the noise overlay rewrites
+    // Interference on the 120-node grid: the noise overlay rewrites
     // every link PRR twice per window; both cores must absorb the
     // repeated mid-run mutations identically, at scale.
-    let exp = Experiment::new(
-        ScenarioSpec::interference_grid(),
-        SchedulerKind::gt_tsch_default(),
-    )
-    .with_run(RunSpec {
-        traffic_ppm: 6.0,
-        warmup_secs: 10,
-        measure_secs: 12,
-        seed: 17,
-        ..RunSpec::default()
-    })
-    .with_overlay(Overlay::Noise(NoiseBurst {
-        quiet: SimDuration::from_secs(3),
-        burst: SimDuration::from_secs(2),
-        prr_factor: 0.1,
-    }));
+    let exp = Experiment::new(ScenarioSpec::large_grid(), SchedulerKind::gt_tsch_default())
+        .with_run(RunSpec {
+            traffic_ppm: 6.0,
+            warmup_secs: 10,
+            measure_secs: 12,
+            seed: 17,
+            ..RunSpec::default()
+        })
+        .with_overlay(Overlay::Noise(NoiseBurst {
+            quiet: SimDuration::from_secs(3),
+            burst: SimDuration::from_secs(2),
+            prr_factor: 0.1,
+        }));
     assert_equivalent(&exp);
 }
 
