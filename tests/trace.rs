@@ -6,8 +6,9 @@
 //! (b) **pure** — the capture bytes are a deterministic function of the
 //! [`Experiment`] alone: two runs, two processes, two machines, same
 //! bytes. A committed FNV-1a hash pins the whole wire codec + tap +
-//! pcap pipeline; if it moves, either the codec changed (bump the
-//! golden deliberately) or determinism broke (fix the engine).
+//! pcap pipeline, and a second one the run's report; if one moves,
+//! either the codec or the metrics changed (bump the golden
+//! deliberately) or determinism broke (fix the engine).
 
 use gt_tsch::GtTschConfig;
 use gtt_workload::{Experiment, NoiseBurst, Overlay, RunSpec, ScenarioSpec, SchedulerKind};
@@ -81,40 +82,70 @@ fn trace_is_a_structurally_valid_pcap() {
 }
 
 /// The committed golden fingerprints of [`traced_experiment`]'s capture
-/// under GT-TSCH's default, Orchestra's default (its EB and common
-/// slotframe lengths) and GT-TSCH at Fig. 10's largest slotframe (its
-/// derived broadcast-slot count). A deliberate ratchet: a hash moves
-/// **only** when the wire codec, the tap seam, a slotframe layout or the
-/// engine's transmission schedule changes. If you changed one on
-/// purpose, re-run with `BLESS=1 cargo test -p gtt-tests --test trace --
-/// golden --nocapture` and commit the printed values; if you didn't, a
-/// moved hash means a determinism regression.
-const GOLDEN_TRACES: [(fn() -> SchedulerKind, u64); 3] = [
-    (SchedulerKind::gt_tsch_default, 0xd1e0_0f4f_6f79_f1c2),
-    (SchedulerKind::orchestra_default, 0x404e_791f_d757_42b9),
-    (
-        || SchedulerKind::GtTsch(GtTschConfig::with_slotframe_len(80)),
-        0x87ba_953f_5ffe_d529,
-    ),
+/// and of its [`gtt_engine::NetworkReport`], under GT-TSCH's default,
+/// Orchestra's default (its EB and common slotframe lengths) and GT-TSCH
+/// at Fig. 10's largest slotframe (its derived broadcast-slot count).
+/// The report hash is FNV-1a over the report's `Debug` string, the
+/// fingerprint perfbench prints, so it pins every reported value: PDR,
+/// delay statistics, rates and the per-node table. A deliberate ratchet:
+/// the trace hash moves **only** when the wire codec, the tap seam, a
+/// slotframe layout or the engine's transmission schedule changes, and
+/// the report hash when the traffic or the metrics do. If you changed
+/// one on purpose, re-run with `BLESS=1 cargo test -p gtt-tests --test
+/// trace -- golden --nocapture` and commit the printed values; if you
+/// didn't, a moved hash means a determinism regression.
+const GOLDEN_TRACES: [Golden; 3] = [
+    Golden {
+        scheduler: SchedulerKind::gt_tsch_default,
+        trace: 0xd1e0_0f4f_6f79_f1c2,
+        report: 0xbdc5_aae5_ff09_7da4,
+    },
+    Golden {
+        scheduler: SchedulerKind::orchestra_default,
+        trace: 0x404e_791f_d757_42b9,
+        report: 0xd80f_f9d5_35ea_f31d,
+    },
+    Golden {
+        scheduler: || SchedulerKind::GtTsch(GtTschConfig::with_slotframe_len(80)),
+        trace: 0x87ba_953f_5ffe_d529,
+        report: 0x5b88_d7f9_0471_bc24,
+    },
 ];
+
+/// One [`GOLDEN_TRACES`] row: the scheduler, and the fingerprints of
+/// the capture and of the report under it.
+struct Golden {
+    scheduler: fn() -> SchedulerKind,
+    trace: u64,
+    report: u64,
+}
 
 #[test]
 fn golden_trace_fingerprint() {
     let bless = std::env::var_os("BLESS").is_some();
-    for (scheduler, golden) in GOLDEN_TRACES {
-        let scheduler = scheduler();
-        let (_, capture) = traced_under(scheduler.clone()).run_traced();
+    for golden in GOLDEN_TRACES {
+        let scheduler = (golden.scheduler)();
+        let (report, capture) = traced_under(scheduler.clone()).run_traced();
         let hash = fnv1a(&capture);
+        let report_hash = fnv1a(format!("{report:?}").as_bytes());
         if bless {
-            println!("{scheduler:?}: 0x{hash:016x} ({} bytes)", capture.len());
+            println!(
+                "{scheduler:?}: trace 0x{hash:016x} ({} bytes), report 0x{report_hash:016x}",
+                capture.len()
+            );
             continue;
         }
         assert_eq!(
             hash,
-            golden,
+            golden.trace,
             "{scheduler:?}: golden trace fingerprint moved (got 0x{hash:016x}, {} bytes) — \
              see GOLDEN_TRACES' doc comment for whether to bless or bisect",
             capture.len()
+        );
+        assert_eq!(
+            report_hash, golden.report,
+            "{scheduler:?}: golden report fingerprint moved (got 0x{report_hash:016x}) — \
+             see GOLDEN_TRACES' doc comment for whether to bless or bisect"
         );
     }
 }
