@@ -847,14 +847,14 @@ impl Network {
         }
     }
 
-    /// Begins the measurement window: packets generated from now on are
-    /// tracked and per-node counters are snapshotted.
+    /// Begins the measurement window: a fresh tracker follows the
+    /// packets generated from now on, and per-node counters are
+    /// snapshotted.
     pub fn start_measurement(&mut self) {
         self.sync_accounting();
-        let now = self.now();
-        self.measure_start = Some(now);
+        self.measure_start = Some(self.now());
         self.measure_end = None;
-        self.tracker.set_window(now, SimTime::MAX);
+        self.tracker = PacketTracker::new(self.nodes.len());
         self.snapshots = self
             .nodes
             .iter()
@@ -866,19 +866,19 @@ impl Network {
             .collect();
     }
 
-    /// Ends the measurement window.
+    /// Ends the measurement window: packets generated from now on are
+    /// no longer tracked (deliveries of tracked ones still count).
     ///
     /// # Panics
     ///
     /// Panics if [`Network::start_measurement`] was not called.
     pub fn finish_measurement(&mut self) {
         self.sync_accounting();
-        let start = self
-            .measure_start
-            .expect("start_measurement must be called first");
-        let now = self.now();
-        self.measure_end = Some(now);
-        self.tracker.set_window(start, now);
+        assert!(
+            self.measure_start.is_some(),
+            "start_measurement must be called first"
+        );
+        self.measure_end = Some(self.now());
     }
 
     /// Produces the measurement report.
@@ -981,10 +981,11 @@ impl Network {
             // assignment never depends on which other nodes a core
             // processes in the slot (the event core skips nodes the
             // oracle processes).
-            let id = PacketId::new(((origin.index() as u64) << 48) | self.nodes[i].packet_seq);
-            self.nodes[i].packet_seq += 1;
-            self.tracker.record_generated(id, origin, now);
+            let id = PacketId::new(((origin.index() as u64) << 48) | self.nodes[i].generated_total);
             self.nodes[i].generated_total += 1;
+            if self.measure_start.is_some() && self.measure_end.is_none() {
+                self.tracker.record_generated(id);
+            }
             let frame = Frame::new(id, origin, Dest::Unicast(parent), now, Payload::Data);
             // Overflow is counted by the queue itself (queue loss).
             let _ = self.nodes[i].mac.enqueue_data(frame);
@@ -1001,8 +1002,12 @@ impl Network {
                 if self.nodes[i].rpl.is_root() {
                     // +1: `hops` counts completed forwards; this reception
                     // is one more link-layer hop.
-                    self.tracker
-                        .record_delivered(frame.id, now, frame.hops.saturating_add(1));
+                    self.tracker.record_delivered(
+                        frame.id,
+                        frame.generated_at,
+                        now,
+                        frame.hops.saturating_add(1),
+                    );
                 } else if let Some(parent) = self.nodes[i].rpl.parent() {
                     let fwd = frame.forwarded(self.nodes[i].id(), Dest::Unicast(parent));
                     let _ = self.nodes[i].mac.enqueue_data(fwd);
@@ -1165,7 +1170,7 @@ impl NetworkBuilder {
             config: self.config,
             nodes,
             medium: RadioMedium::new(self.topology, medium_rng),
-            tracker: PacketTracker::new(),
+            tracker: PacketTracker::default(),
             asn: Asn::ZERO,
             measure_start: None,
             measure_end: None,

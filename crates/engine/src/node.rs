@@ -138,13 +138,12 @@ pub struct Node {
     pub(crate) alive: bool,
     /// Data packets dropped because the node had no parent to forward to.
     pub(crate) routing_drops: u64,
-    /// Packets this node generated (lifetime, unwindowed).
-    pub(crate) generated_total: u64,
-    /// Next local sequence number for origin-keyed packet ids
+    /// Packets this node generated (lifetime, unwindowed), which is
+    /// also the sequence number of its next origin-keyed packet id
     /// (`id = origin << 48 | seq`): ids stay globally unique without a
     /// network-global counter, so id assignment is independent of which
     /// other nodes a core processes in the same slot.
-    pub(crate) packet_seq: u64,
+    pub(crate) generated_total: u64,
     /// First ASN not yet reflected in the MAC's slot counters: the
     /// event-driven engine accounts skipped sleep slots lazily, and this
     /// is the low-water mark (see `Network::sync_accounting`).
@@ -159,7 +158,7 @@ pub struct Node {
 #[derive(Debug, Default)]
 pub(crate) struct UpkeepOutput {
     /// Data packets generated this pass (the network assigns
-    /// origin-keyed ids from [`Node::packet_seq`]).
+    /// origin-keyed ids from [`Node::generated_total`]).
     pub generated_packets: u32,
     /// Parent changes to report to the scheduler (old, new).
     pub parent_changes: Vec<(Option<NodeId>, NodeId)>,
@@ -189,7 +188,6 @@ impl Node {
             alive: true,
             routing_drops: 0,
             generated_total: 0,
-            packet_seq: 0,
             accounted_asn: 0,
             timer_wake_memo: None,
         }

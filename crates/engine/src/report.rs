@@ -154,17 +154,18 @@ impl NetworkReport {
             });
         }
 
+        let minutes = (end - start).as_secs_f64() / 60.0;
         let row = FigureRow {
             pdr_percent: tracker.pdr_percent(),
             delay_ms: tracker.mean_delay_ms(),
-            loss_per_min: tracker.loss_per_minute(),
+            loss_per_min: tracker.lost() as f64 / minutes,
             duty_cycle_percent: 100.0 * duty_sum / net.nodes.len().max(1) as f64,
             queue_loss: if non_roots == 0 {
                 0.0
             } else {
                 queue_loss_sum / non_roots as f64
             },
-            received_per_min: tracker.received_per_minute(),
+            received_per_min: tracker.delivered() as f64 / minutes,
         };
 
         NetworkReport {

@@ -128,3 +128,43 @@ fn measurement_window_isolates_rates() {
         "warm-up length leaked into rates: {short:.1} vs {long:.1}"
     );
 }
+
+#[test]
+fn warmup_traffic_is_not_tracked() {
+    // `start_measurement` opens the window with a fresh tracker: warm-up
+    // packets never count, and once `finish_measurement` closes the
+    // window, new packets do not count either.
+    let mut net = diamond_net(13, 60.0);
+    net.run_for(SimDuration::from_secs(60));
+    let generated = |net: &Network| net.nodes().iter().map(|n| n.generated_total()).sum::<u64>();
+    let warmup = generated(&net);
+    assert!(warmup > 0, "warm-up generates traffic");
+    net.start_measurement();
+    assert_eq!(net.tracker().generated(), 0);
+    net.run_for(SimDuration::from_secs(60));
+    net.finish_measurement();
+    let in_window = generated(&net) - warmup;
+    assert!(in_window > 0);
+    assert_eq!(net.report().generated, in_window);
+    net.run_for(SimDuration::from_secs(30));
+    assert!(generated(&net) > warmup + in_window);
+    assert_eq!(net.tracker().generated(), in_window);
+}
+
+#[test]
+#[should_panic(expected = "report requires start_measurement()")]
+fn report_without_measurement_panics() {
+    // The per-minute rates need the measurement window.
+    let mut net = diamond_net(3, 30.0);
+    net.run_for(SimDuration::from_secs(5));
+    let _ = net.report();
+}
+
+#[test]
+#[should_panic(expected = "measurement window is empty")]
+fn empty_measurement_window_rejected() {
+    let mut net = diamond_net(3, 30.0);
+    net.start_measurement();
+    net.finish_measurement();
+    let _ = net.report();
+}

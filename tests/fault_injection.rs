@@ -174,9 +174,9 @@ fn root_death_is_not_catastrophic_for_the_other_dodag() {
     net.finish_measurement();
 
     // Packets of DODAG B (origins n6..n11) still arrive.
-    let by_origin = net.tracker().delivered_by_origin();
-    let dodag_b_delivered: u64 = (6..12u16)
-        .filter_map(|i| by_origin.get(&NodeId::new(i)))
+    let dodag_b_delivered: u64 = net.report().per_node[6..12]
+        .iter()
+        .map(|n| n.delivered)
         .sum();
     assert!(
         dodag_b_delivered > 300,

@@ -216,28 +216,9 @@ proptest! {
 
 // ------------------------------------------------------------ tracker
 
-proptest! {
-    /// PDR stays within [0, 100] and deliveries never exceed
-    /// generations, whatever the event interleaving.
-    #[test]
-    fn tracker_invariants(events in prop::collection::vec((any::<bool>(), 0u64..30), 1..150)) {
-        let mut t = PacketTracker::new();
-        for (i, (deliver, id)) in events.into_iter().enumerate() {
-            let now = SimTime::from_millis(i as u64 * 10);
-            if deliver {
-                t.record_delivered(PacketId::new(id), now, 1);
-            } else {
-                t.record_generated(PacketId::new(id), NodeId::new(0), now);
-            }
-        }
-        prop_assert!(t.delivered() <= t.generated());
-        prop_assert!((0.0..=100.0).contains(&t.pdr_percent()));
-        prop_assert_eq!(t.generated(), t.delivered() + t.lost());
-    }
-}
-
-/// The pre-SoA `PacketTracker`: two `BTreeMap<PacketId, …>`s, kept
-/// verbatim as a behavioral reference for `tracker_matches_reference`.
+/// The pre-SoA `PacketTracker`: two `BTreeMap<PacketId, …>`s and a
+/// generation-time window, kept as the behavioral reference of
+/// `tracker_matches_reference`.
 #[derive(Default)]
 struct ReferenceTracker {
     window: Option<(SimTime, SimTime)>,
@@ -308,21 +289,27 @@ impl ReferenceTracker {
         sum as f64 / self.delivered.len() as f64
     }
 
-    fn by_origin(&self, delivered_only: bool) -> std::collections::BTreeMap<NodeId, u64> {
-        let mut map = std::collections::BTreeMap::new();
-        for (id, (origin, _)) in &self.generated {
-            if !delivered_only || self.delivered.contains_key(id) {
-                *map.entry(*origin).or_insert(0) += 1;
+    /// `(generated, delivered)` counts of `origin`.
+    fn origin_stats(&self, origin: NodeId) -> (u64, u64) {
+        let mut stats = (0, 0);
+        for (id, (from, _)) in &self.generated {
+            if *from == origin {
+                stats.0 += 1;
+                stats.1 += u64::from(self.delivered.contains_key(id));
             }
         }
-        map
+        stats
     }
 }
 
-/// One tracker event: origin lane, per-origin sequence, and what happens.
-/// `Stray` delivers a sequence number far past anything generated.
+/// Origins of the tracker pin.
+const TRACKER_ORIGINS: u16 = 4;
+
+/// One tracker event: what happens (weighted, see
+/// `tracker_matches_reference`), an origin, a pick among its sequence
+/// numbers and a hop count.
 fn arb_tracker_op() -> impl Strategy<Value = (u8, u16, u64, u8)> {
-    (0u8..6, 1u16..4, 0u64..20, 1u8..5)
+    (0u8..8, 0u16..TRACKER_ORIGINS, 0u64..64, 1u8..5)
 }
 
 fn tracker_id(origin: u16, seq: u64) -> PacketId {
@@ -330,80 +317,88 @@ fn tracker_id(origin: u16, seq: u64) -> PacketId {
 }
 
 proptest! {
-    /// The SoA tracker is behaviorally identical to the old BTreeMap
-    /// implementation over random generate / deliver / duplicate / stray
-    /// sequences with the engine's warm-up → window → measure → close
-    /// window discipline: same counts, PDR, delay, hops and per-origin
-    /// maps.
+    /// The per-origin lane tracker is behaviorally identical to the old
+    /// BTreeMap implementation under the engine's discipline. Each
+    /// origin numbers its packets consecutively from 0, through warm-up
+    /// and window alike. The reference records from time 0 and purges
+    /// to the window when it opens; the tracker starts fresh at the
+    /// window and learns each delivery's generation time from the
+    /// delivery, as the engine's frames carry it. Deliveries hit
+    /// in-window, pre-window, duplicate and never-generated ids. Counts,
+    /// PDR, delay, hops and per-origin stats must match, and PDR stays
+    /// within [0, 100] with generated = delivered + lost.
     #[test]
     fn tracker_matches_reference(
         warmup in prop::collection::vec(arb_tracker_op(), 0..60),
-        measured in prop::collection::vec(arb_tracker_op(), 0..120),
+        measured in prop::collection::vec(arb_tracker_op(), 0..150),
     ) {
-        let window_start = SimTime::from_secs(10);
-        let mut t = PacketTracker::new();
+        // Generation time of every packet so far, per origin and seq:
+        // what the frames in flight carry.
+        let mut born: Vec<Vec<SimTime>> = vec![Vec::new(); usize::from(TRACKER_ORIGINS)];
         let mut r = ReferenceTracker::default();
-        let apply = |t: &mut PacketTracker, r: &mut ReferenceTracker,
-                         op: &(u8, u16, u64, u8), now: SimTime| {
-            let (kind, origin, seq, hops) = *op;
-            match kind {
-                // Weight generation highest so deliveries usually land.
-                // The engine never reuses a packet id, so re-generating
-                // an id that was already *delivered* is out of model
-                // (the old map impl would retroactively rewrite that
-                // packet's delay; the streaming stats cannot) —
-                // re-generating an undelivered id stays covered.
-                0..=2 => {
-                    let id = tracker_id(origin, seq);
-                    if !r.delivered.contains_key(&id) {
-                        t.record_generated(id, NodeId::new(origin), now);
-                        r.record_generated(id, NodeId::new(origin), now);
-                    }
-                }
-                3..=4 => {
-                    let id = tracker_id(origin, seq);
-                    t.record_delivered(id, now, hops);
-                    r.record_delivered(id, now, hops);
-                }
-                _ => {
-                    let id = tracker_id(origin, seq + 40); // never generated
-                    t.record_delivered(id, now, hops);
-                    r.record_delivered(id, now, hops);
-                }
+        // Warm-up: the reference sees formation traffic; the engine's
+        // tracker of that time is replaced when the window opens.
+        for (i, &(kind, origin, pick, hops)) in warmup.iter().enumerate() {
+            let now = SimTime::from_millis(i as u64 * 7);
+            let lane = &mut born[usize::from(origin)];
+            if kind < 4 {
+                r.record_generated(tracker_id(origin, lane.len() as u64), NodeId::new(origin), now);
+                lane.push(now);
+            } else if !lane.is_empty() {
+                r.record_delivered(tracker_id(origin, pick % lane.len() as u64), now, hops);
             }
-        };
-        // Warm-up: both trackers see formation traffic before any window.
-        for (i, op) in warmup.iter().enumerate() {
-            apply(&mut t, &mut r, op, SimTime::from_millis(i as u64 * 7));
         }
-        // start_measurement: purge warm-up state.
-        t.set_window(window_start, SimTime::MAX);
+        // start_measurement: a fresh tracker, the reference purges.
+        let window_start = SimTime::from_secs(10);
+        let mut t = PacketTracker::new(usize::from(TRACKER_ORIGINS));
         r.set_window(window_start, SimTime::MAX);
-        prop_assert_eq!(t.generated(), r.generated.len() as u64);
-        prop_assert_eq!(t.delivered(), r.delivered.len() as u64);
-        // Measured phase.
+        let (dups_before, strays_before) = (r.duplicates, r.stray_deliveries);
         let mut last = window_start;
-        for (i, op) in measured.iter().enumerate() {
+        for (i, &(kind, origin, pick, hops)) in measured.iter().enumerate() {
             last = window_start + gtt_sim::SimDuration::from_millis((i as u64 + 1) * 7);
-            apply(&mut t, &mut r, op, last);
+            let lane = &mut born[usize::from(origin)];
+            let (seq, generated_at) = match kind {
+                // Weight generation highest so deliveries usually land.
+                0..=3 => {
+                    let id = tracker_id(origin, lane.len() as u64);
+                    t.record_generated(id);
+                    r.record_generated(id, NodeId::new(origin), last);
+                    lane.push(last);
+                    continue;
+                }
+                // Any packet of the origin: in-window or pre-window, and
+                // a duplicate when the pick repeats.
+                4..=6 if !lane.is_empty() => {
+                    let seq = pick % lane.len() as u64;
+                    (seq, lane[seq as usize])
+                }
+                // Never generated (yet).
+                _ => (lane.len() as u64 + pick, last),
+            };
+            let id = tracker_id(origin, seq);
+            t.record_delivered(id, generated_at, last, hops);
+            r.record_delivered(id, last, hops);
         }
-        // finish_measurement: close the window just past the last event.
-        let window_end = last + gtt_sim::SimDuration::from_millis(1);
-        t.set_window(window_start, window_end);
-        r.set_window(window_start, window_end);
+        // finish_measurement: the reference closes its window just past
+        // the last event; the tracker has no window to close.
+        r.set_window(window_start, last + gtt_sim::SimDuration::from_millis(1));
 
         prop_assert_eq!(t.generated(), r.generated.len() as u64);
         prop_assert_eq!(t.delivered(), r.delivered.len() as u64);
-        prop_assert_eq!(t.duplicates(), r.duplicates);
-        prop_assert_eq!(t.stray_deliveries(), r.stray_deliveries);
+        prop_assert_eq!(t.generated(), t.delivered() + t.lost());
+        prop_assert_eq!(t.duplicates(), r.duplicates - dups_before);
+        prop_assert_eq!(t.stray_deliveries(), r.stray_deliveries - strays_before);
         prop_assert_eq!(t.pdr_percent(), r.pdr_percent());
+        prop_assert!((0.0..=100.0).contains(&t.pdr_percent()));
         prop_assert_eq!(t.mean_hops(), r.mean_hops());
         // Integer-nanosecond sum vs the old f64 running sum: equal up to
         // summation-order rounding.
         let (a, b) = (t.mean_delay_ms(), r.mean_delay_ms());
         prop_assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{} vs {}", a, b);
-        prop_assert_eq!(t.generated_by_origin(), r.by_origin(false));
-        prop_assert_eq!(t.delivered_by_origin(), r.by_origin(true));
+        for origin in 0..TRACKER_ORIGINS {
+            let origin = NodeId::new(origin);
+            prop_assert_eq!(t.origin_stats(origin), r.origin_stats(origin));
+        }
     }
 }
 
