@@ -166,6 +166,7 @@ impl MacCounters {
 #[derive(Debug, Clone)]
 struct Outgoing<P> {
     frame: Frame<P>,
+    /// Transmissions of the frame so far (counted when planned).
     attempts: u32,
     control: bool,
     /// Traffic class; `None` for data-queue frames.
@@ -999,17 +1000,11 @@ impl<P: Clone> TschMac<P> {
                     }
                     self.in_flight = Some(InFlight {
                         packet: Outgoing {
-                            attempts: 0, // set below; clarity over cleverness
-                            ..packet.clone()
+                            attempts: packet.attempts + 1,
+                            ..packet
                         },
                         shared_cell: cell.options.shared,
                     });
-                    // Keep the true attempt count (pre-increment happened
-                    // when the packet was queued? No: attempts counts
-                    // transmissions performed, incremented here).
-                    if let Some(fl) = self.in_flight.as_mut() {
-                        fl.packet.attempts = packet.attempts + 1;
-                    }
                     return SlotAction::Transmit {
                         cell: *cell,
                         channel,
