@@ -252,18 +252,18 @@ impl Scenario {
     }
 
     /// Replaces the link model (default:
-    /// [`LinkModel::default`](gtt_net::LinkModel)).
+    /// [`LinkModel::default`](gtt_net::LinkModel)), keeping placement,
+    /// range, interference factor and PRR overrides.
     pub fn with_link_model(mut self, model: LinkModel) -> Scenario {
-        // Rebuild the topology with the new model, preserving placement.
-        let positions: Vec<Position> = self
-            .topology
-            .node_ids()
-            .map(|id| self.topology.position(id))
-            .collect();
-        self.topology = TopologyBuilder::new(self.topology.range())
+        let topo = &self.topology;
+        let mut builder = TopologyBuilder::new(topo.range())
+            .interference_factor(topo.interference_factor())
             .link_model(model)
-            .nodes(positions)
-            .build();
+            .nodes(topo.node_ids().map(|id| topo.position(id)));
+        for ((a, b), prr) in topo.prr_overrides() {
+            builder = builder.link_prr(a, b, prr);
+        }
+        self.topology = builder.build();
         self
     }
 
@@ -407,6 +407,27 @@ mod tests {
         let s2 = s.with_link_model(LinkModel::Perfect);
         assert_eq!(s2.topology.position(NodeId::new(2)), p);
         assert_eq!(s2.topology.prr(NodeId::new(0), NodeId::new(1)), 1.0);
+    }
+
+    #[test]
+    fn with_link_model_keeps_interference_factor_and_overrides() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let s = Scenario {
+            name: "pair".into(),
+            topology: TopologyBuilder::new(40.0)
+                .interference_factor(2.0)
+                .node(Position::ORIGIN)
+                .node(Position::new(30.0, 0.0))
+                .link_prr(a, b, 0.25)
+                .build(),
+            roots: vec![a],
+        };
+        let s2 = s.with_link_model(LinkModel::Perfect);
+        assert_eq!(s2.topology.link_model(), LinkModel::Perfect);
+        assert_eq!(s2.topology.interference_factor(), 2.0);
+        assert_eq!(s2.topology.link_prr_override(a, b), Some(0.25));
+        assert_eq!(s2.topology.prr(a, b), 0.25);
+        assert_eq!(s2.topology.prr(b, a), 1.0);
     }
 
     #[test]
