@@ -18,7 +18,6 @@
 
 use std::fmt;
 
-use gtt_engine::AppTraffic;
 use gtt_net::{LinkModel, NodeId, Position, TopologyBuilder};
 use gtt_orchestra::OrchestraConfig;
 use gtt_sim::SimDuration;
@@ -563,8 +562,9 @@ impl Experiment {
         // The checks building and running the experiment assert.
         ensure(scenario.is_valid(), "scenario")?;
         ensure(scheduler.is_valid(), "scheduler settings")?;
-        ensure(AppTraffic::is_valid_rate(run.traffic_ppm), "traffic rate")?;
-        ensure(overlays.iter().all(Overlay::is_valid), "overlay")?;
+        ensure(run.is_valid(), "run spec")?;
+        let nodes = scenario.node_count();
+        ensure(overlays.iter().all(|o| o.is_valid(nodes)), "overlay")?;
         ensure(overlay::stacks(&overlays), "overlay combination")?;
         Ok(Experiment {
             scenario,
@@ -639,7 +639,8 @@ mod tests {
             run: RunSpec {
                 traffic_ppm: 60.0 / 7.0,
                 warmup_secs: 1,
-                measure_secs: u64::MAX,
+                // The longest window whose end, in µs, fits a u64.
+                measure_secs: u64::MAX / 1_000_000 - 1,
                 seed: 0x0123_4567_89ab_cdef,
                 low_power: true,
             },
@@ -801,6 +802,28 @@ mod tests {
             Experiment::decode(&bytes),
             Err(DecodeError::BadValue { what: "overlay" })
         );
+        // A mobility hop naming a node outside the 3-node scenario.
+        let mut far_hop = kitchen_sink();
+        far_hop.overlays[1] = Overlay::Mobility(StepMobility::new().hop(
+            SimDuration::from_secs(1),
+            NodeId::new(3),
+            Position::ORIGIN,
+        ));
+        assert_eq!(
+            Experiment::decode(&far_hop.encode()),
+            Err(DecodeError::BadValue { what: "overlay" })
+        );
+        // Run windows `Experiment::run` would panic on: an empty one, and
+        // one whose end in µs overflows (one second past the longest).
+        for measure_secs in [0, u64::MAX / 1_000_000] {
+            let mut exp = kitchen_sink();
+            exp.run.measure_secs = measure_secs;
+            assert_eq!(
+                Experiment::decode(&exp.encode()),
+                Err(DecodeError::BadValue { what: "run spec" }),
+                "measure_secs = {measure_secs}"
+            );
+        }
         assert_eq!(Experiment::decode_hex("abc"), Err(DecodeError::BadHex));
         assert_eq!(Experiment::decode_hex("zz"), Err(DecodeError::BadHex));
     }

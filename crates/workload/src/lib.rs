@@ -51,7 +51,8 @@ pub use scenario::Scenario;
 pub use schedulers::SchedulerKind;
 pub use spec::ScenarioSpec;
 
-use gtt_engine::{EngineConfig, Network, NetworkBuilder, NetworkReport};
+use gtt_engine::{AppTraffic, EngineConfig, Network, NetworkBuilder, NetworkReport};
+use gtt_mac::SLOT_DURATION;
 use gtt_sim::SimDuration;
 
 /// Parameters of one measured run: the traffic model (per-node CBR
@@ -69,7 +70,10 @@ pub struct RunSpec {
     /// Overlays do not run during warm-up — the network always forms
     /// under clean conditions.
     pub warmup_secs: u64,
-    /// Measurement window, seconds (the overlay timeline spans it).
+    /// Measurement window, seconds (the overlay timeline spans it). At
+    /// least 1, and the run's end, `warmup_secs + measure_secs` in µs
+    /// rounded up to a slot, must fit a `u64` (see
+    /// [`RunSpec::is_valid`]).
     pub measure_secs: u64,
     /// Experiment seed.
     pub seed: u64,
@@ -77,6 +81,21 @@ pub struct RunSpec {
     /// ([`EngineConfig::low_power`]) instead of the paper's
     /// experiment-accelerating ones.
     pub low_power: bool,
+}
+
+impl RunSpec {
+    /// True if the rate is valid ([`gtt_engine::AppTraffic::is_valid_rate`]),
+    /// the measurement window is at least a second long, and the run's
+    /// end in µs, rounded up to a slot, fits a `u64`.
+    /// [`Experiment::run`] asserts it; building a network does not.
+    pub fn is_valid(&self) -> bool {
+        let end_us = self
+            .warmup_secs
+            .checked_add(self.measure_secs)
+            .and_then(|secs| secs.checked_mul(1_000_000))
+            .and_then(|us| us.checked_next_multiple_of(SLOT_DURATION.as_micros()));
+        AppTraffic::is_valid_rate(self.traffic_ppm) && self.measure_secs >= 1 && end_us.is_some()
+    }
 }
 
 impl Default for RunSpec {
@@ -203,7 +222,17 @@ impl Experiment {
     /// [`Experiment::network_builder`] — e.g. with the naive-step
     /// oracle enabled, so equivalence tests drive both cores through
     /// the identical warm-up/overlay/measure sequence).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`RunSpec::is_valid`] accepts the run spec.
     pub fn run_on(&self, net: &mut Network) -> NetworkReport {
+        assert!(
+            self.run.is_valid(),
+            "invalid run spec {:?}: the measurement window needs at least 1 s, and the run's \
+             end in µs must fit a u64",
+            self.run
+        );
         net.run_for(SimDuration::from_secs(self.run.warmup_secs));
         net.start_measurement();
         overlay::drive(

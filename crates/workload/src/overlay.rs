@@ -106,9 +106,11 @@ impl StepMobility {
         self
     }
 
-    /// True if the hops are ordered by time.
-    pub(crate) fn is_valid(&self) -> bool {
+    /// True if the hops are ordered by time and each names one of a
+    /// network's `nodes` nodes.
+    pub(crate) fn is_valid(&self, nodes: usize) -> bool {
         self.hops.windows(2).all(|w| w[0].at <= w[1].at)
+            && self.hops.iter().all(|h| h.node.index() < nodes)
     }
 }
 
@@ -158,13 +160,13 @@ pub enum Overlay {
 }
 
 impl Overlay {
-    /// True if the overlay's parameters are valid for its kind
-    /// ([`NoiseBurst::is_valid`], [`StepMobility::is_valid`],
-    /// [`DutyCycleBudget::is_valid`]).
-    pub(crate) fn is_valid(&self) -> bool {
+    /// True if the overlay's parameters are valid for its kind on a
+    /// network of `nodes` nodes ([`NoiseBurst::is_valid`],
+    /// [`StepMobility::is_valid`], [`DutyCycleBudget::is_valid`]).
+    pub(crate) fn is_valid(&self, nodes: usize) -> bool {
         match self {
             Overlay::Noise(o) => o.is_valid(),
-            Overlay::Mobility(o) => o.is_valid(),
+            Overlay::Mobility(o) => o.is_valid(nodes),
             Overlay::DutyCycle(o) => o.is_valid(),
         }
     }
@@ -238,10 +240,11 @@ impl<'a> State<'a> {
     fn new(overlay: &'a Overlay, net: &Network) -> State<'a> {
         let start = net.now();
         assert!(
-            overlay.is_valid(),
-            "invalid overlay {overlay:?}: noise needs a prr_factor in [0, 1] and a positive \
-             period, mobility hops ordered by time, a duty budget positive periods and a \
-             budget in (0, 100]%"
+            overlay.is_valid(net.nodes().len()),
+            "invalid overlay {overlay:?} on {} nodes: noise needs a prr_factor in [0, 1] and a \
+             positive period, mobility hops ordered by time that each name a node of the \
+             network, a duty budget positive periods and a budget in (0, 100]%",
+            net.nodes().len()
         );
         match overlay {
             Overlay::Noise(o) => State::Noise {
@@ -388,8 +391,8 @@ impl<'a> State<'a> {
 ///
 /// # Panics
 ///
-/// Panics unless [`Overlay::is_valid`] accepts every overlay and
-/// [`stacks`] accepts their combination.
+/// Panics unless [`Overlay::is_valid`] accepts every overlay on `net`'s
+/// nodes and [`stacks`] accepts their combination.
 pub(crate) fn drive(net: &mut Network, overlays: &[Overlay], window: SimDuration) {
     if overlays.is_empty() {
         net.run_for(window);
@@ -604,6 +607,21 @@ mod tests {
                 .hop(SimDuration::from_secs(10), NodeId::new(1), Position::ORIGIN)
                 .hop(SimDuration::from_secs(5), NodeId::new(2), Position::ORIGIN),
         )]);
+        exp.run.warmup_secs = 0;
+        exp.run.measure_secs = 1;
+        let _ = exp.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "name a node of the network")]
+    fn mobility_hop_outside_the_network_rejected() {
+        // Node 9 does not exist on the 7-node star: the driver names the
+        // fault instead of indexing past the topology when the hop fires.
+        let mut exp = star_experiment(vec![Overlay::Mobility(StepMobility::new().hop(
+            SimDuration::from_secs(1),
+            NodeId::new(9),
+            Position::ORIGIN,
+        ))]);
         exp.run.warmup_secs = 0;
         exp.run.measure_secs = 1;
         let _ = exp.run();

@@ -62,7 +62,7 @@ pub enum ScenarioSpec {
     LargeStar,
     /// [`Scenario::random`].
     Random {
-        /// Node count (at most [`MAX_NODES`]).
+        /// Node count, from 1 to [`MAX_NODES`].
         n: usize,
         /// Side of the placement square, metres.
         side: f64,
@@ -143,36 +143,56 @@ impl ScenarioSpec {
         }
     }
 
+    /// The number of nodes [`ScenarioSpec::build`] places, without
+    /// building (saturating at `usize::MAX` where a size overflows).
+    pub fn node_count(&self) -> usize {
+        match self {
+            ScenarioSpec::SingleDodag { n }
+            | ScenarioSpec::Line { n, .. }
+            | ScenarioSpec::Random { n, .. } => *n,
+            ScenarioSpec::TwoDodag { nodes_per_dodag } => nodes_per_dodag.saturating_mul(2),
+            ScenarioSpec::Star { leaves } => leaves.saturating_add(1),
+            ScenarioSpec::Grid { cols, rows, .. } => cols.saturating_mul(*rows),
+            ScenarioSpec::LargeGrid | ScenarioSpec::LargeStar => 120,
+            ScenarioSpec::Custom(s) => s.topology.len(),
+            ScenarioSpec::City {
+                dodags,
+                nodes_per_dodag,
+            } => dodags.saturating_mul(*nodes_per_dodag),
+        }
+    }
+
     /// True if every parameter lies in the range its variant documents,
     /// so [`ScenarioSpec::build`] and building a network on the result
     /// do not panic on it; the [`Scenario`] constructors assert it. A
     /// random placement that never connects still panics in
     /// [`Scenario::random`]: only drawing it can tell.
     pub(crate) fn is_valid(&self) -> bool {
+        let min_nodes = match self {
+            ScenarioSpec::Line { .. } | ScenarioSpec::Star { .. } | ScenarioSpec::City { .. } => 2,
+            _ => 1,
+        };
         // Node ids are `u16`s: at most `MAX_NODES` nodes.
-        let nodes =
-            |n: Option<usize>, min: usize| n.is_some_and(|n| (min..=MAX_NODES).contains(&n));
-        match self {
-            ScenarioSpec::SingleDodag { n } | ScenarioSpec::TwoDodag { nodes_per_dodag: n } => {
-                Scenario::DODAG_SIZES.contains(n)
+        (min_nodes..=MAX_NODES).contains(&self.node_count())
+            && match self {
+                ScenarioSpec::SingleDodag { n } | ScenarioSpec::TwoDodag { nodes_per_dodag: n } => {
+                    Scenario::DODAG_SIZES.contains(n)
+                }
+                ScenarioSpec::Line { spacing, .. } => {
+                    TopologyBuilder::is_valid_range(Scenario::line_range(*spacing))
+                }
+                ScenarioSpec::Custom(s) => {
+                    NetworkBuilder::are_valid_roots(&s.roots, s.topology.len())
+                }
+                ScenarioSpec::City {
+                    nodes_per_dodag, ..
+                } => *nodes_per_dodag >= 2,
+                ScenarioSpec::Star { .. }
+                | ScenarioSpec::Grid { .. }
+                | ScenarioSpec::LargeGrid
+                | ScenarioSpec::LargeStar
+                | ScenarioSpec::Random { .. } => true,
             }
-            ScenarioSpec::Line { n, spacing } => {
-                nodes(Some(*n), 2)
-                    && TopologyBuilder::is_valid_range(Scenario::line_range(*spacing))
-            }
-            ScenarioSpec::Star { leaves } => nodes(leaves.checked_add(1), 2),
-            ScenarioSpec::Grid { cols, rows, .. } => nodes(cols.checked_mul(*rows), 1),
-            ScenarioSpec::LargeGrid | ScenarioSpec::LargeStar => true,
-            ScenarioSpec::Random { n, .. } => nodes(Some(*n), 0),
-            ScenarioSpec::Custom(s) => {
-                let n = s.topology.len();
-                nodes(Some(n), 0) && NetworkBuilder::are_valid_roots(&s.roots, n)
-            }
-            ScenarioSpec::City {
-                dodags,
-                nodes_per_dodag,
-            } => *nodes_per_dodag >= 2 && nodes(dodags.checked_mul(*nodes_per_dodag), 2),
-        }
     }
 
     /// The scenario's human-readable name, without building it.
@@ -246,6 +266,12 @@ mod tests {
         ];
         for (spec, scenario) in pairs {
             assert!(spec.is_valid(), "{}", spec.name());
+            assert_eq!(
+                spec.node_count(),
+                scenario.topology.len(),
+                "{}",
+                spec.name()
+            );
             assert_eq!(spec.build(), scenario, "{}", spec.name());
             assert_eq!(spec.name(), scenario.name);
         }
