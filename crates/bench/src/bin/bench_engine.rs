@@ -105,7 +105,7 @@ fn city_10k_row() -> City10k {
         seed: 1,
         low_power: true,
     });
-    let nodes = exp.scenario.build().topology.len();
+    let nodes = exp.scenario.node_count();
     let mut net = exp.network_builder().build();
     let start = Instant::now();
     let _ = exp.run_on(&mut net);
@@ -231,7 +231,7 @@ fn measure(case: &Case, sim: SimDuration, stats: bool) -> Measurement {
         scheduler: case.experiment.scheduler.name(),
         traffic_ppm: case.experiment.run.traffic_ppm,
         low_power: case.experiment.run.low_power,
-        nodes: case.experiment.scenario.build().topology.len(),
+        nodes: case.experiment.scenario.node_count(),
         sim_slots,
         event_slots_per_sec: sim_slots as f64 / event_secs,
         naive_slots_per_sec: sim_slots as f64 / naive_secs,
