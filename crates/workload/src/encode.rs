@@ -775,13 +775,15 @@ mod tests {
             );
         }
         // Values an experiment's constructors would assert on: generator
-        // sizes out of range (a star needs a leaf; node ids are `u16`s,
-        // also when the size overflows), a rootless custom scenario, and
-        // a noise burst's PRR factor outside [0, 1].
+        // sizes out of range (a star needs a leaf, a random placement a
+        // node; node ids are `u16`s, also when the size overflows), a
+        // rootless custom scenario, and a noise burst's PRR factor
+        // outside [0, 1].
         let mut rootless = Scenario::line(3, 25.0);
         rootless.roots.clear();
         for spec in [
             ScenarioSpec::star(0),
+            ScenarioSpec::random(0, 120.0, 5),
             ScenarioSpec::grid(usize::MAX, 2, 30.0),
             ScenarioSpec::city(700, 100),
             ScenarioSpec::custom(rootless),
