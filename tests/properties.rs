@@ -216,6 +216,33 @@ proptest! {
 
 // ------------------------------------------------------------ tracker
 
+proptest! {
+    /// PDR stays within [0, 100] and deliveries never exceed
+    /// generations, whatever the event interleaving. Each origin numbers
+    /// its packets consecutively, as the engine does; a delivery may hit
+    /// any sequence number, generated or not.
+    #[test]
+    fn tracker_invariants(
+        events in prop::collection::vec((any::<bool>(), 0u16..TRACKER_ORIGINS, 0u64..30), 1..150),
+    ) {
+        let mut t = PacketTracker::new(usize::from(TRACKER_ORIGINS));
+        let mut next_seq = [0u64; TRACKER_ORIGINS as usize];
+        for (i, (deliver, origin, seq)) in events.into_iter().enumerate() {
+            let now = SimTime::from_millis(i as u64 * 10);
+            if deliver {
+                t.record_delivered(tracker_id(origin, seq), SimTime::ZERO, now, 1);
+            } else {
+                let next = &mut next_seq[usize::from(origin)];
+                t.record_generated(tracker_id(origin, *next));
+                *next += 1;
+            }
+        }
+        prop_assert!(t.delivered() <= t.generated());
+        prop_assert!((0.0..=100.0).contains(&t.pdr_percent()));
+        prop_assert_eq!(t.generated(), t.delivered() + t.lost());
+    }
+}
+
 /// The pre-SoA `PacketTracker`: two `BTreeMap<PacketId, …>`s and a
 /// generation-time window, kept as the behavioral reference of
 /// `tracker_matches_reference`.
