@@ -1147,14 +1147,10 @@ impl NetworkBuilder {
             };
             node.eb_period = self.config.eb_period;
             let eb_phase = jitter(&mut node.rng, self.config.eb_period);
-            node.timers
-                .arm_one_shot(crate::node::TimerKind::Eb, SimTime::ZERO + eb_phase);
+            node.eb_timer.arm(SimTime::ZERO + eb_phase);
             let sf_phase = jitter(&mut node.rng, self.config.sf_period);
-            node.timers.arm_periodic(
-                crate::node::TimerKind::Sf,
-                SimTime::ZERO + sf_phase,
-                self.config.sf_period,
-            );
+            node.sf_timer
+                .arm_periodic(SimTime::ZERO + sf_phase, self.config.sf_period);
             // No RPL phase: RPL housekeeping has no period any more — the
             // layer fires at its own exact deadlines.
 

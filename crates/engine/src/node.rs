@@ -3,7 +3,7 @@
 use gtt_mac::TschMac;
 use gtt_net::{Dest, Frame, NodeId, PacketId};
 use gtt_rpl::{RplAction, RplNode};
-use gtt_sim::{Pcg32, SimDuration, SimTime, TimerWheel};
+use gtt_sim::{Pcg32, SimDuration, SimTime, Timer};
 use gtt_sixtop::{SixtopEvent, SixtopLayer};
 
 use crate::payload::Payload;
@@ -87,21 +87,6 @@ impl AppTraffic {
     }
 }
 
-/// The node-level timers multiplexed through one [`TimerWheel`]. The
-/// engine's wake heap is fed by the wheel's single `next_deadline()`
-/// instead of a hand-maintained min over per-timer struct fields; RPL
-/// housekeeping is *not* a wheel entry any more — the RPL layer reports
-/// its own exact deadline ([`RplNode::next_deadline`]).
-///
-/// Variant order is firing order for simultaneously-due timers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum TimerKind {
-    /// TSCH Enhanced Beacon (one-shot, re-armed with ±25% jitter).
-    Eb,
-    /// Scheduling-function `periodic` hook (periodic).
-    Sf,
-}
-
 /// One simulated mote.
 pub struct Node {
     /// TSCH MAC.
@@ -120,11 +105,11 @@ pub struct Node {
     /// node's wake pattern is identical throttled or not.
     pub(crate) app_throttled: bool,
     pub(crate) rng: Pcg32,
-    /// Node-level timers (EB, SF period), keyed by [`TimerKind`].
-    pub(crate) timers: TimerWheel<TimerKind>,
-    /// Drain scratch for the wheel, reused across upkeep passes so the
-    /// engine hot path never allocates for timer firing.
-    fired_timers: Vec<TimerKind>,
+    /// TSCH Enhanced Beacon timer (one-shot, re-armed with ±25%
+    /// jitter on every firing).
+    pub(crate) eb_timer: Timer,
+    /// Scheduling-function `periodic` hook timer (periodic).
+    pub(crate) sf_timer: Timer,
     /// RPL action scratch (fire_due / handle_dio out-buffer), reused so
     /// steady-state housekeeping and DIO handling never allocate.
     rpl_actions: Vec<RplAction>,
@@ -180,8 +165,8 @@ impl Node {
             app: None,
             app_throttled: false,
             rng,
-            timers: TimerWheel::new(),
-            fired_timers: Vec::new(),
+            eb_timer: Timer::disarmed(),
+            sf_timer: Timer::disarmed(),
             rpl_actions: Vec::new(),
             control_out: Vec::new(),
             eb_period: SimDuration::from_secs(2),
@@ -194,7 +179,7 @@ impl Node {
     }
 
     /// The earliest instant at which [`Node::upkeep`] would do anything:
-    /// the minimum over the node-level timer wheel (EB, SF period), the
+    /// the minimum over the node-level timers (EB, SF period), the
     /// RPL layer's own deadline (neighbor/child expiry, ETX-driven rank
     /// refresh, Trickle firing, DAO refresh), pending 6P transaction
     /// deadlines and the application's next packet. Strictly before this
@@ -202,7 +187,8 @@ impl Node {
     /// is what lets the event-driven engine skip it.
     pub(crate) fn next_timer_deadline(&self) -> Option<SimTime> {
         [
-            self.timers.next_deadline(),
+            self.eb_timer.deadline(),
+            self.sf_timer.deadline(),
             self.rpl.next_deadline(),
             self.sixtop.next_deadline(),
             self.app.as_ref().map(AppTraffic::next_due),
@@ -329,34 +315,30 @@ impl Node {
         }
     }
 
-    /// Per-slot upkeep: the node-level timer wheel (EB, SF period), RPL's
+    /// Per-slot upkeep: the node-level timers (EB, SF period), RPL's
     /// deadline-driven housekeeping, 6P retries and the application.
     /// Returns how many data packets the app generated (the network
     /// assigns their ids so they are globally unique).
     pub(crate) fn upkeep(&mut self, now: SimTime) -> UpkeepOutput {
         let mut output = UpkeepOutput::default();
 
-        // One wheel drain covers every node-level timer; the scratch Vec
-        // is reused so the hot path does not allocate.
-        let mut fired = std::mem::take(&mut self.fired_timers);
-        self.timers.fire_due_into(now, &mut fired);
+        let eb_fired = self.eb_timer.fire_due(now);
+        let sf_fired = self.sf_timer.fire_due(now);
 
         // TSCH Enhanced Beacons: only joined nodes advertise the DODAG.
         // The next beacon is re-armed with ±25% jitter (as Contiki-NG
         // randomizes TSCH_EB_PERIOD): with fixed phases, two hidden
         // senders can stay aligned on the broadcast-slot grid forever and
         // a third node between them would never decode either.
-        if fired.contains(&TimerKind::Eb) {
+        if eb_fired {
             if self.rpl.is_joined() {
                 let info = self.scheduler.eb_info(&self.mac, &self.rpl);
                 self.enqueue_control_payload(Dest::Broadcast, Payload::Eb(info), now);
             }
             let base = self.eb_period.as_micros();
             let jitter = self.rng.gen_range_u32(0, (base / 2).max(2) as u32) as u64;
-            self.timers.arm_one_shot(
-                TimerKind::Eb,
-                now + SimDuration::from_micros(base * 3 / 4 + jitter),
-            );
+            self.eb_timer
+                .arm(now + SimDuration::from_micros(base * 3 / 4 + jitter));
         }
 
         // RPL housekeeping: deadline-driven — the call is a provable
@@ -385,10 +367,9 @@ impl Node {
         }
 
         // Scheduling-function period.
-        if fired.contains(&TimerKind::Sf) {
+        if sf_fired {
             self.with_scheduler(now, |sf, ctx| sf.periodic(ctx));
         }
-        self.fired_timers = fired;
 
         // Application traffic: only joined, routed, unthrottled nodes
         // generate. `due` is drawn unconditionally so a throttled

@@ -245,7 +245,7 @@ pub struct TschMac<P> {
     /// makes this lookup a hot path. Offset-compressed: `link_stats[k]`
     /// belongs to node id `link_stats_base + k`. Peers cluster in id
     /// space (scenario generators hand out contiguous per-DODAG id
-    /// blocks), so anchoring at the lowest peer heard keeps each vector
+    /// blocks), so anchoring at the lowest peer sent to keeps each vector
     /// O(neighborhood id span) instead of O(own ids' magnitude) — at
     /// 10 000 nodes the difference between megabytes and gigabytes
     /// network-wide.
@@ -269,16 +269,90 @@ pub struct TschMac<P> {
     /// skipped ranges in closed form ([`TschMac::settle_backoff_to`])
     /// instead of waking the node once per contended shared cell.
     backoff_anchor: u64,
-    /// Scratch for the qualifying `(slot offset, frame length)`
-    /// progressions, reused so settling never allocates.
+    /// The qualifying `(slot offset, frame length)` progressions,
+    /// deduplicated, followed by the pre-solved inclusion–exclusion
+    /// terms of their union (see [`BackoffTerms`]). Reused so settling
+    /// never allocates, and rebuilt only when its key changes, so a
+    /// settlement is a handful of closed-form counts with no congruence
+    /// solving.
     backoff_progs: Vec<(u64, u64)>,
     /// Cache key for `backoff_progs`: `(schedule version, control-queue
     /// mutations, data-queue mutations)`. The qualifying set is a pure
     /// function of those, and contended nodes are probed as listeners
     /// many times between mutations.
     backoff_progs_key: Option<(u64, u64, u64)>,
+    /// How `backoff_progs` splits into progressions and terms.
+    backoff_terms: BackoffTerms,
     /// Whether the cached `backoff_progs` suppressed a duplicate.
     backoff_progs_dup: bool,
+}
+
+/// Beyond this many qualifying progressions the settlement keeps no
+/// pre-solved terms, and [`backoff_release_slot`] wakes the node at every
+/// qualifying slot instead.
+const MAX_SOLVED_PROGS: usize = 4;
+
+/// The layout of [`TschMac`]'s `backoff_progs` past its progressions:
+/// `Solved { progs, plus }` when the set has at most
+/// [`MAX_SOLVED_PROGS`] progressions. The first `progs` entries are the
+/// progressions, which are also the single-progression terms of the
+/// union's inclusion–exclusion count. The overlap classes of every
+/// larger subset follow as `(residue, modulus)` pairs: those of odd size
+/// first, so the first `plus` entries count positively and the rest
+/// negatively. `Walked` sets hold only their progressions and are
+/// counted occurrence by occurrence.
+#[derive(Debug, Clone, Copy)]
+enum BackoffTerms {
+    /// No pre-solved terms: count by walking occurrences.
+    Walked,
+    /// Progressions, then overlap terms of odd size, then of even size.
+    Solved {
+        /// Leading entries that are progressions.
+        progs: u8,
+        /// Leading entries that count positively.
+        plus: u8,
+    },
+}
+
+/// Appends the overlap terms of the union of `progs`, deduplicated
+/// `(offset, length)` progressions, and says where they start (see
+/// [`BackoffTerms`]). A subset holding two progressions of equal length
+/// has no slot in common, since equal-length progressions are distinct
+/// residues of one modulus; every other subset is one CRT system,
+/// solved here and never again while the set stands.
+fn solve_backoff_terms(progs: &mut Vec<(u64, u64)>) -> BackoffTerms {
+    let n = progs.len();
+    if n > MAX_SOLVED_PROGS {
+        return BackoffTerms::Walked;
+    }
+    let mut plus = n;
+    for odd in [true, false] {
+        for mask in 3u32..(1 << n) {
+            let size = mask.count_ones();
+            if size < 2 || (size % 2 == 1) != odd {
+                continue;
+            }
+            let chosen = |i: usize| mask & (1 << i) != 0;
+            let repeats_a_length =
+                (0..n).any(|i| chosen(i) && (0..i).any(|j| chosen(j) && progs[j].1 == progs[i].1));
+            if repeats_a_length {
+                continue;
+            }
+            let mut members = (0..n).filter(|&i| chosen(i)).map(|i| progs[i]);
+            let first = members.next().expect("a subset of two or more");
+            let class = members.try_fold(first, |(r, m), (off, len)| crt_combine(r, m, off, len));
+            if let Some(class) = class {
+                progs.push(class);
+            }
+        }
+        if odd {
+            plus = progs.len();
+        }
+    }
+    BackoffTerms::Solved {
+        progs: n as u8,
+        plus: plus as u8,
+    }
 }
 
 /// Cached `next_radio_wake` answer, keyed by everything that can move
@@ -298,36 +372,42 @@ struct RadioWakeMemo {
     answer: Option<u64>,
 }
 
-/// Number of slots in `[from, to)` covered by at least one of the
-/// arithmetic progressions `(offset, period)`: inclusion–exclusion with
-/// CRT-combined overlap classes. Only the first 4 progressions enter the
-/// exclusion terms — callers with more progressions never let the engine
-/// skip a covered slot, so every range they query is covered-slot-free
-/// and all terms are zero regardless.
-fn count_progression_union(progs: &[(u64, u64)], from: u64, to: u64) -> u64 {
-    if to <= from || progs.is_empty() {
-        return 0;
-    }
-    if let [(off, len)] = progs {
-        return count_congruent(from, to, *off, *len);
-    }
-    let n = progs.len().min(4);
-    let mut total: i64 = 0;
-    for mask in 1u32..(1 << n) {
-        let mut combined: Option<(u64, u64)> = Some((0, 1));
-        for (i, &(off, len)) in progs[..n].iter().enumerate() {
-            if mask & (1 << i) == 0 {
-                continue;
-            }
-            combined = combined.and_then(|(r, m)| crt_combine(r, m, off, len));
+/// Qualifying slots in `[from, to)` of a progression set laid out by
+/// [`solve_backoff_terms`]: inclusion–exclusion over its pre-solved
+/// terms, or for a `Walked` set its occurrences one by one, at most
+/// `limit` of them (the pending window, all a settlement can consume).
+/// The release rule wakes a node with a `Walked` set at each qualifying
+/// slot, so the engine's walks end at once.
+fn count_qualifying(
+    terms: &[(u64, u64)],
+    layout: BackoffTerms,
+    from: u64,
+    to: u64,
+    limit: u32,
+) -> u64 {
+    match layout {
+        BackoffTerms::Solved { plus, .. } => {
+            let count = |&(r, m): &(u64, u64)| count_congruent(from, to, r, m);
+            let (plus, minus) = terms.split_at(usize::from(plus));
+            let covered: u64 = plus.iter().map(count).sum();
+            let overlaps: u64 = minus.iter().map(count).sum();
+            debug_assert!(covered >= overlaps, "inclusion–exclusion went negative");
+            covered - overlaps
         }
-        let Some((r, m)) = combined else {
-            continue; // incompatible congruences: empty intersection
-        };
-        let sign: i64 = if mask.count_ones() % 2 == 1 { 1 } else { -1 };
-        total += sign * count_congruent(from, to, r, m) as i64;
+        BackoffTerms::Walked => {
+            let mut walked = 0;
+            let mut at = from;
+            while walked < u64::from(limit) {
+                let next = next_progression_occurrence(terms, at);
+                if next >= to {
+                    break;
+                }
+                walked += 1;
+                at = next + 1;
+            }
+            walked
+        }
     }
-    total.max(0) as u64
 }
 
 /// The first slot at or after `from` covered by any progression.
@@ -354,7 +434,7 @@ fn backoff_release_slot(progs: &[(u64, u64)], dup: bool, from: u64, pending: u32
             Some(next_progression_occurrence(&[(*off, *len)], from) + pending * len)
         }
         _ => {
-            if progs.len() > 4 || pending > 256 {
+            if progs.len() > MAX_SOLVED_PROGS || pending > 256 {
                 // Degenerate schedules: wake at every qualifying slot
                 // (the pre-settling behavior, always sound).
                 return Some(next_progression_occurrence(progs, from));
@@ -390,6 +470,7 @@ impl<P: Clone> TschMac<P> {
             backoff_anchor: 0,
             backoff_progs: Vec::new(),
             backoff_progs_key: None,
+            backoff_terms: BackoffTerms::Walked,
             backoff_progs_dup: false,
         }
     }
@@ -436,7 +517,7 @@ impl<P: Clone> TschMac<P> {
         if self.link_stats.is_empty() {
             self.link_stats_base = i;
         } else if i < self.link_stats_base {
-            // Rare: a peer below every id heard so far. Shift the vector
+            // Rare: a peer below every id seen so far. Shift the vector
             // right so the new peer becomes the anchor.
             let pad = self.link_stats_base - i;
             self.link_stats
@@ -702,7 +783,7 @@ impl<P: Clone> TschMac<P> {
                 });
                 self.refresh_backoff_progs();
                 let release = backoff_release_slot(
-                    &self.backoff_progs,
+                    self.backoff_prog_list(),
                     self.backoff_progs_dup,
                     from.raw(),
                     pending_backoff,
@@ -731,7 +812,8 @@ impl<P: Clone> TschMac<P> {
     /// Settles the shared-cell backoff over `[backoff_anchor, to)`:
     /// every slot of the range in which `plan_slot` would have consumed
     /// one unit of pending window — some shared Tx cell with a matching
-    /// queued frame — is counted in closed form and consumed in bulk.
+    /// queued frame — is counted in closed form, from terms pre-solved
+    /// when the qualifying set last changed, and consumed in bulk.
     ///
     /// Must run at the *start* of processing the node (before any queue
     /// or schedule mutation of the slot): the closed form relies on the
@@ -751,19 +833,30 @@ impl<P: Clone> TschMac<P> {
             return;
         }
         self.refresh_backoff_progs();
-        let progs = std::mem::take(&mut self.backoff_progs);
-        if !progs.is_empty() {
-            let q = count_progression_union(&progs, from, to);
-            if q > 0 {
-                self.backoff
-                    .on_shared_cells_skipped(q.min(u64::from(u32::MAX)) as u32);
-            }
+        let q = count_qualifying(
+            &self.backoff_progs,
+            self.backoff_terms,
+            from,
+            to,
+            self.backoff.pending(),
+        );
+        if q > 0 {
+            self.backoff
+                .on_shared_cells_skipped(q.min(u64::from(u32::MAX)) as u32);
         }
-        self.backoff_progs = progs;
     }
 
-    /// Rebuilds the cached qualifying-progression set if the schedule or
-    /// either queue changed since it was last collected.
+    /// The qualifying progressions at the front of `backoff_progs`.
+    fn backoff_prog_list(&self) -> &[(u64, u64)] {
+        match self.backoff_terms {
+            BackoffTerms::Solved { progs, .. } => &self.backoff_progs[..usize::from(progs)],
+            BackoffTerms::Walked => &self.backoff_progs,
+        }
+    }
+
+    /// Rebuilds the cached qualifying-progression set, and the terms of
+    /// its union, if the schedule or either queue changed since it was
+    /// last collected.
     fn refresh_backoff_progs(&mut self) {
         let key = (
             self.schedule.version(),
@@ -775,6 +868,7 @@ impl<P: Clone> TschMac<P> {
         }
         let mut progs = std::mem::take(&mut self.backoff_progs);
         self.backoff_progs_dup = self.collect_backoff_progs(&mut progs);
+        self.backoff_terms = solve_backoff_terms(&mut progs);
         self.backoff_progs = progs;
         self.backoff_progs_key = Some(key);
     }
@@ -1197,7 +1291,6 @@ impl<P: Clone> TschMac<P> {
         );
         self.counters.rx_busy_slots += 1;
         self.counters.rx_accepted += 1;
-        self.stats_entry(frame.src).rx_frames += 1;
     }
 }
 
@@ -1750,6 +1843,55 @@ mod tests {
         );
         assert_eq!(m.count_listen_slots(Asn::new(0), Asn::new(64)), 0);
         assert_eq!(m.listen_channel_at(Asn::new(0)), None);
+    }
+
+    /// The pre-solved terms count exactly what a slot-by-slot scan of
+    /// the progressions finds, over sets within and beyond the
+    /// pre-solving cap: equal lengths (disjoint residues), coprime and
+    /// non-coprime unequal lengths, and several progressions at one
+    /// offset.
+    #[test]
+    fn backoff_terms_count_like_a_slot_scan() {
+        let mut rng = Pcg32::new(11);
+        for case in 0..400 {
+            let n = 1 + rng.gen_range_u32(0, 6) as usize;
+            let mut progs: Vec<(u64, u64)> = Vec::new();
+            while progs.len() < n {
+                let len = [2u64, 3, 4, 6, 7, 12][rng.gen_range_u32(0, 6) as usize];
+                let prog = (u64::from(rng.gen_range_u32(0, len as u32)), len);
+                if !progs.contains(&prog) {
+                    progs.push(prog);
+                }
+            }
+            let listed = progs.clone();
+            let layout = solve_backoff_terms(&mut progs);
+            match layout {
+                BackoffTerms::Solved { progs: k, .. } => {
+                    assert!(n <= MAX_SOLVED_PROGS);
+                    assert_eq!(&progs[..usize::from(k)], &listed[..], "case {case}");
+                }
+                BackoffTerms::Walked => {
+                    assert!(n > MAX_SOLVED_PROGS);
+                    assert_eq!(progs, listed, "case {case}");
+                }
+            }
+            let covered = |x: u64| listed.iter().any(|&(off, len)| x % len == off);
+            for _ in 0..20 {
+                let from = u64::from(rng.gen_range_u32(0, 200));
+                let to = from + u64::from(rng.gen_range_u32(0, 100));
+                let expected = (from..to).filter(|&x| covered(x)).count() as u64;
+                assert_eq!(
+                    count_qualifying(&progs, layout, from, to, u32::MAX),
+                    expected,
+                    "case {case}: {listed:?} over [{from}, {to})"
+                );
+                // A window of 3 consumes at most 3, however the set counts.
+                assert_eq!(
+                    count_qualifying(&progs, layout, from, to, 3).min(3),
+                    expected.min(3)
+                );
+            }
+        }
     }
 
     #[test]

@@ -311,15 +311,20 @@ impl RxChain {
             .map(|i| self.slots[i].1)
     }
 
-    /// The first slot at or after `from` in which this chain listens.
-    /// Chains are non-empty by construction, so an answer always exists.
-    fn next_at_or_after(&self, from: u64) -> u64 {
+    /// The first slot at or after `from` in which this chain listens,
+    /// with the channel offset it listens on there: one modulo and one
+    /// `partition_point`. Chains are non-empty by construction, so an
+    /// answer always exists.
+    fn next_at_or_after(&self, from: u64) -> (u64, ChannelOffset) {
         let off = from % self.len;
         let i = self.slots.partition_point(|&(o, _)| o < off);
         match self.slots.get(i) {
-            Some(&(o, _)) => from + (o - off),
+            Some(&(o, channel)) => (from + (o - off), channel),
             // Wrap: the first offset of the next slotframe cycle.
-            None => from + (self.len - off) + self.slots[0].0,
+            None => {
+                let (o, channel) = self.slots[0];
+                (from + (self.len - off) + o, channel)
+            }
         }
     }
 
@@ -435,7 +440,7 @@ impl RxUnion {
     /// Powers the MAC's listen-miss memo: one query buys O(1) "not
     /// listening" answers for every slot up to the result.
     pub(crate) fn next_listen_at_or_after(&self, from: u64) -> Option<u64> {
-        self.chains.iter().map(|c| c.next_at_or_after(from)).min()
+        self.chains.iter().map(|c| c.next_at_or_after(from).0).min()
     }
 
     /// [`RxUnion::next_listen_at_or_after`] fused with the channel
@@ -447,14 +452,11 @@ impl RxUnion {
     pub(crate) fn next_listen_with_offset(&self, from: u64) -> Option<(u64, ChannelOffset)> {
         let mut best: Option<(u64, ChannelOffset)> = None;
         for chain in &self.chains {
-            let at = chain.next_at_or_after(from);
+            let next = chain.next_at_or_after(from);
             // Strictly-less keeps the earliest (priority-first) chain on
             // ties, matching the per-slot lookup's first-wins rule.
-            if best.map_or(true, |(b, _)| at < b) {
-                let offset = chain
-                    .channel_offset_at(at)
-                    .expect("next_at_or_after returns a listen slot of the chain");
-                best = Some((at, offset));
+            if best.map_or(true, |(b, _)| next.0 < b) {
+                best = Some(next);
             }
         }
         best
@@ -477,23 +479,8 @@ impl RxUnion {
         }
         let singles: u64 = self.chains.iter().map(|c| c.count_in(from, to)).sum();
         let mut correction: i64 = 0;
-        let span = to - from;
         for &(sign, r, m) in &self.overlaps {
-            // Settled ranges are usually far shorter than an overlap
-            // class's modulus (the lcm of ≥ 2 frame lengths): the class
-            // then contributes 0 or 1, answerable with a single division
-            // instead of the two in the closed-form count.
-            let count = if span <= m {
-                let rem = from % m;
-                let mut gap = r + m - rem;
-                if gap >= m {
-                    gap -= m;
-                }
-                i64::from(gap < span)
-            } else {
-                count_congruent(from, to, r, m) as i64
-            };
-            correction += sign as i64 * count;
+            correction += i64::from(sign) * count_congruent(from, to, r, m) as i64;
         }
         let total = singles as i64 + correction;
         debug_assert!(total >= 0, "inclusion-exclusion went negative");
@@ -529,8 +516,20 @@ fn collect_crt_tuples(
 /// Number of `x` in `[from, to)` with `x ≡ r (mod m)` (`r < m`).
 pub(crate) fn count_congruent(from: u64, to: u64, r: u64, m: u64) -> u64 {
     debug_assert!(r < m, "residue must be reduced");
+    if to <= from {
+        return 0;
+    }
+    let span = to - from;
+    if span <= m {
+        // Settled and skipped ranges are usually no longer than the
+        // modulus: the class then has 0 or 1 members, answerable with a
+        // single division instead of two.
+        let rem = from % m;
+        let gap = if r >= rem { r - rem } else { r + (m - rem) };
+        return u64::from(gap < span);
+    }
     let below = |n: u64| if n > r { (n - 1 - r) / m + 1 } else { 0 };
-    below(to).saturating_sub(below(from))
+    below(to) - below(from)
 }
 
 /// Solves `x ≡ r1 (mod m1)`, `x ≡ r2 (mod m2)` for possibly non-coprime
@@ -795,6 +794,24 @@ mod tests {
                     let expected = prefix[to as usize] - prefix[from as usize];
                     let got = union.count_in(from, to);
                     assert_eq!(got, expected, "count diverges on [{from}, {to})");
+                }
+            }
+            // The next listen from every slot, with its channel offset:
+            // the first listen of the map at or after it (the map runs
+            // one longest frame past the horizon, so every slot of the
+            // horizon has one).
+            let longest = shape.iter().map(|(l, _)| *l as u64).max().unwrap_or(0);
+            let mut next: Option<(u64, ChannelOffset)> = None;
+            for asn in (0..horizon + longest).rev() {
+                if let Some(co) = expect_co(asn) {
+                    next = Some((asn, co));
+                }
+                if asn < horizon {
+                    assert_eq!(
+                        union.next_listen_with_offset(asn),
+                        next,
+                        "next listen diverges from asn {asn}"
+                    );
                 }
             }
         }

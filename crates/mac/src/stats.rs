@@ -99,8 +99,6 @@ pub struct LinkStats {
     pub acked: u64,
     /// Packets dropped after exhausting retransmissions.
     pub tx_failures: u64,
-    /// Frames received from this neighbor.
-    pub rx_frames: u64,
     /// ETX estimate for the link.
     pub etx: EtxEstimator,
 }

@@ -8,20 +8,22 @@
 //!   whose streams never change between releases (unlike `rand`'s
 //!   `SmallRng`), so every experiment in the paper reproduction is exactly
 //!   replayable from a seed,
-//! * [`Timer`] / [`TimerWheel`] — periodic and one-shot timers whose
-//!   earliest deadline tells the engine which slot to wake next.
+//! * [`Timer`] — a periodic or one-shot timer whose deadline tells the
+//!   engine which slot to wake next.
 //!
 //! # Example
 //!
 //! ```
-//! use gtt_sim::{Pcg32, SimDuration, SimTime, TimerWheel};
+//! use gtt_sim::{Pcg32, SimDuration, SimTime, Timer};
 //!
-//! let mut timers: TimerWheel<&'static str> = TimerWheel::new();
-//! timers.arm_periodic("eb", SimTime::ZERO, SimDuration::from_secs(2));
-//! timers.arm_one_shot("dio", SimTime::ZERO + SimDuration::from_millis(15));
+//! let mut eb = Timer::periodic(SimTime::ZERO, SimDuration::from_secs(2));
+//! let mut dio = Timer::one_shot(SimTime::ZERO + SimDuration::from_millis(15));
 //! // The engine sleeps until the earliest deadline, then fires it.
-//! assert_eq!(timers.next_deadline(), Some(SimTime::from_millis(15)));
-//! assert_eq!(timers.fire_due(SimTime::from_millis(15)), vec!["dio"]);
+//! let next = [eb.deadline(), dio.deadline()].into_iter().flatten().min();
+//! assert_eq!(next, Some(SimTime::from_millis(15)));
+//! assert!(dio.fire_due(SimTime::from_millis(15)));
+//! assert!(!eb.fire_due(SimTime::from_millis(15)));
+//! assert_eq!(dio.deadline(), None, "a one-shot disarms when it fires");
 //!
 //! // Same seed, same stream: runs replay exactly.
 //! let (mut a, mut b) = (Pcg32::new(7), Pcg32::new(7));
@@ -37,4 +39,4 @@ pub mod timer;
 
 pub use rng::{Pcg32, SplitMix64};
 pub use time::{SimDuration, SimTime};
-pub use timer::{Timer, TimerWheel};
+pub use timer::Timer;

@@ -2,9 +2,8 @@
 //!
 //! TSCH simulations are slot-synchronous: the engine advances one timeslot
 //! at a time and, at each boundary, asks which timers fired. [`Timer`] is
-//! the single-timer primitive (EB period, scheduling-function period, app
-//! generation); [`TimerWheel`] multiplexes many named timers for components
-//! that juggle several (e.g. per-neighbor 6P timeouts).
+//! the single-timer primitive; each node holds one for its Enhanced
+//! Beacons and one for its scheduling function's period.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -128,114 +127,6 @@ impl Default for Timer {
     }
 }
 
-/// A collection of named timers.
-///
-/// Keys are caller-chosen identifiers (e.g. a neighbor's node id for 6P
-/// transaction timeouts). Firing order among simultaneously-due timers is
-/// the key order, keeping behaviour deterministic.
-///
-/// # Example
-///
-/// ```
-/// use gtt_sim::{TimerWheel, SimTime, SimDuration};
-///
-/// let mut wheel: TimerWheel<&'static str> = TimerWheel::new();
-/// wheel.arm_one_shot("6p-timeout", SimTime::from_secs(3));
-/// wheel.arm_periodic("sf-period", SimTime::ZERO, SimDuration::from_secs(10));
-/// let fired = wheel.fire_due(SimTime::from_secs(10));
-/// assert_eq!(fired, vec!["6p-timeout", "sf-period"]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TimerWheel<K: Ord + Clone> {
-    timers: std::collections::BTreeMap<K, Timer>,
-}
-
-impl<K: Ord + Clone> TimerWheel<K> {
-    /// Creates an empty wheel.
-    pub fn new() -> Self {
-        TimerWheel {
-            timers: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Arms (or re-arms) the one-shot timer `key` at `deadline`.
-    pub fn arm_one_shot(&mut self, key: K, deadline: SimTime) {
-        self.timers.entry(key).or_default().arm(deadline);
-    }
-
-    /// Arms (or re-arms) the periodic timer `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn arm_periodic(&mut self, key: K, now: SimTime, period: SimDuration) {
-        self.timers
-            .entry(key)
-            .or_default()
-            .arm_periodic(now, period);
-    }
-
-    /// Cancels the timer `key`, dropping its entry. Unknown keys are
-    /// ignored. (Removal, not just disarming: [`TimerWheel::fire_due_into`]
-    /// only sweeps disarmed entries when a firing produced one, so a
-    /// cancelled entry left behind would linger in the map forever.)
-    pub fn cancel(&mut self, key: &K) {
-        self.timers.remove(key);
-    }
-
-    /// True if `key` exists and is armed.
-    pub fn is_armed(&self, key: &K) -> bool {
-        self.timers.get(key).is_some_and(Timer::is_armed)
-    }
-
-    /// The deadline of `key`, if armed.
-    pub fn deadline(&self, key: &K) -> Option<SimTime> {
-        self.timers.get(key).and_then(Timer::deadline)
-    }
-
-    /// Fires every due timer and returns their keys in key order.
-    pub fn fire_due(&mut self, now: SimTime) -> Vec<K> {
-        let mut fired = Vec::new();
-        self.fire_due_into(now, &mut fired);
-        fired
-    }
-
-    /// Allocation-free variant of [`TimerWheel::fire_due`]: clears
-    /// `fired` and fills it with the due keys in key order. Callers on a
-    /// hot path (the engine fires every node's wheel on every wake-up)
-    /// keep one scratch `Vec` alive across calls instead of allocating a
-    /// fresh one per fire.
-    pub fn fire_due_into(&mut self, now: SimTime, fired: &mut Vec<K>) {
-        fired.clear();
-        let mut any_disarmed = false;
-        for (k, t) in self.timers.iter_mut() {
-            if t.fire_due(now) {
-                fired.push(k.clone());
-                any_disarmed |= !t.is_armed();
-            }
-        }
-        // Drop fully-disarmed one-shot entries to keep the map small.
-        if any_disarmed {
-            self.timers.retain(|_, t| t.is_armed());
-        }
-    }
-
-    /// Earliest armed deadline across all timers.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.timers.values().filter_map(Timer::deadline).min()
-    }
-
-    /// Number of armed timers.
-    pub fn len(&self) -> usize {
-        self.timers.values().filter(|t| t.is_armed()).count()
-    }
-
-    /// True if no timer is armed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,74 +172,5 @@ mod tests {
     #[should_panic(expected = "non-zero period")]
     fn zero_period_panics() {
         let _ = Timer::periodic(SimTime::ZERO, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn wheel_fires_in_key_order() {
-        let mut wheel: TimerWheel<u8> = TimerWheel::new();
-        wheel.arm_one_shot(3, SimTime::from_millis(1));
-        wheel.arm_one_shot(1, SimTime::from_millis(1));
-        wheel.arm_one_shot(2, SimTime::from_millis(1));
-        assert_eq!(wheel.fire_due(SimTime::from_millis(1)), vec![1, 2, 3]);
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn wheel_keeps_periodic_entries() {
-        let mut wheel: TimerWheel<&str> = TimerWheel::new();
-        wheel.arm_periodic("eb", SimTime::ZERO, SimDuration::from_secs(2));
-        assert_eq!(wheel.fire_due(SimTime::from_secs(2)), vec!["eb"]);
-        assert_eq!(wheel.len(), 1);
-        assert_eq!(wheel.next_deadline(), Some(SimTime::from_secs(4)));
-    }
-
-    #[test]
-    fn fire_due_into_reuses_scratch_and_clears_it() {
-        let mut wheel: TimerWheel<u8> = TimerWheel::new();
-        wheel.arm_one_shot(2, SimTime::from_millis(1));
-        wheel.arm_periodic(1, SimTime::ZERO, SimDuration::from_millis(1));
-        let mut scratch = vec![99, 98]; // stale content must be cleared
-        wheel.fire_due_into(SimTime::from_millis(1), &mut scratch);
-        assert_eq!(scratch, vec![1, 2]);
-        // The one-shot is gone, the periodic re-armed.
-        wheel.fire_due_into(SimTime::from_millis(2), &mut scratch);
-        assert_eq!(scratch, vec![1]);
-        wheel.fire_due_into(SimTime::from_micros(2_100), &mut scratch);
-        assert!(scratch.is_empty(), "nothing due leaves scratch empty");
-    }
-
-    #[test]
-    fn cancelled_entries_do_not_accumulate() {
-        // arm + cancel before the deadline, many times over: the map
-        // must not grow (cancel removes; firing never sweeps these).
-        let mut wheel: TimerWheel<u32> = TimerWheel::new();
-        let mut scratch = Vec::new();
-        for k in 0..1_000 {
-            wheel.arm_one_shot(k, SimTime::from_secs(100));
-            wheel.cancel(&k);
-            wheel.fire_due_into(SimTime::from_secs(1), &mut scratch);
-        }
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.next_deadline(), None);
-        // The map itself must be empty, not just free of armed timers —
-        // a thousand lingering dead entries would balloon the debug dump.
-        assert!(
-            format!("{wheel:?}").len() < 100,
-            "cancelled entries must be removed, not merely disarmed"
-        );
-        // And a live timer still works alongside.
-        wheel.arm_one_shot(7, SimTime::from_secs(2));
-        assert_eq!(wheel.len(), 1);
-    }
-
-    #[test]
-    fn wheel_cancel_and_rearm() {
-        let mut wheel: TimerWheel<&str> = TimerWheel::new();
-        wheel.arm_one_shot("x", SimTime::from_secs(1));
-        wheel.cancel(&"x");
-        assert!(!wheel.is_armed(&"x"));
-        assert!(wheel.fire_due(SimTime::from_secs(5)).is_empty());
-        wheel.arm_one_shot("x", SimTime::from_secs(6));
-        assert_eq!(wheel.deadline(&"x"), Some(SimTime::from_secs(6)));
     }
 }

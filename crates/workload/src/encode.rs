@@ -564,7 +564,11 @@ impl Experiment {
         ensure(scheduler.is_valid(), "scheduler settings")?;
         ensure(run.is_valid(), "run spec")?;
         let nodes = scenario.node_count();
-        ensure(overlays.iter().all(|o| o.is_valid(nodes)), "overlay")?;
+        let end_us = run.end_us().expect("a valid run spec ends");
+        ensure(
+            overlays.iter().all(|o| o.is_valid(nodes, end_us)),
+            "overlay",
+        )?;
         ensure(overlay::stacks(&overlays), "overlay combination")?;
         Ok(Experiment {
             scenario,
@@ -639,8 +643,10 @@ mod tests {
             run: RunSpec {
                 traffic_ppm: 60.0 / 7.0,
                 warmup_secs: 1,
-                // The longest window whose end, in µs, fits a u64.
-                measure_secs: u64::MAX / 1_000_000 - 1,
+                // The longest window whose end, in µs, leaves room on a
+                // u64 clock for the longest overlay duration below (the
+                // 60 s duty window).
+                measure_secs: u64::MAX / 1_000_000 - 61,
                 seed: 0x0123_4567_89ab_cdef,
                 low_power: true,
             },
@@ -815,8 +821,43 @@ mod tests {
             Experiment::decode(&far_hop.encode()),
             Err(DecodeError::BadValue { what: "overlay" })
         );
+        // Overlay durations the driver would add to an instant near the
+        // run's end: one per kind, each 1 µs longer than the end leaves
+        // room for (at that room exactly, each decodes).
+        let room = u64::MAX - kitchen_sink().run.end_us().expect("the run ends");
+        let kinds = |d: u64| {
+            let d = SimDuration::from_micros(d);
+            [
+                Overlay::Noise(NoiseBurst {
+                    quiet: d,
+                    ..NoiseBurst::wifi_like()
+                }),
+                Overlay::Mobility(StepMobility::new().hop(d, NodeId::new(2), Position::ORIGIN)),
+                Overlay::DutyCycle(DutyCycleBudget {
+                    window: d,
+                    check: SimDuration::from_secs(5),
+                    max_duty_percent: 2.5,
+                }),
+            ]
+        };
+        for (i, (fits, overflows)) in kinds(room).into_iter().zip(kinds(room + 1)).enumerate() {
+            let mut exp = kitchen_sink();
+            exp.overlays[i] = fits;
+            assert!(
+                Experiment::decode(&exp.encode()).is_ok(),
+                "{:?}",
+                exp.overlays[i]
+            );
+            exp.overlays[i] = overflows;
+            assert_eq!(
+                Experiment::decode(&exp.encode()),
+                Err(DecodeError::BadValue { what: "overlay" }),
+                "{:?}",
+                exp.overlays[i]
+            );
+        }
         // Run windows `Experiment::run` would panic on: an empty one, and
-        // one whose end in µs overflows (one second past the longest).
+        // one whose end in µs overflows.
         for measure_secs in [0, u64::MAX / 1_000_000] {
             let mut exp = kitchen_sink();
             exp.run.measure_secs = measure_secs;

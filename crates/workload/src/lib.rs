@@ -71,8 +71,7 @@ pub struct RunSpec {
     /// under clean conditions.
     pub warmup_secs: u64,
     /// Measurement window, seconds (the overlay timeline spans it). At
-    /// least 1, and the run's end, `warmup_secs + measure_secs` in µs
-    /// rounded up to a slot, must fit a `u64` (see
+    /// least 1, and the run's end in µs must fit a `u64` (see
     /// [`RunSpec::is_valid`]).
     pub measure_secs: u64,
     /// Experiment seed.
@@ -86,15 +85,28 @@ pub struct RunSpec {
 impl RunSpec {
     /// True if the rate is valid ([`gtt_engine::AppTraffic::is_valid_rate`]),
     /// the measurement window is at least a second long, and the run's
-    /// end in µs, rounded up to a slot, fits a `u64`.
+    /// end in µs fits a `u64`.
     /// [`Experiment::run`] asserts it; building a network does not.
     pub fn is_valid(&self) -> bool {
-        let end_us = self
+        AppTraffic::is_valid_rate(self.traffic_ppm)
+            && self.measure_secs >= 1
+            && self.end_us().is_some()
+    }
+
+    /// The instant a run of this spec ends, in µs, or `None` if it does
+    /// not fit a `u64`. Runs advance in whole slots, so the warm-up ends
+    /// on the first slot boundary at or after `warmup_secs`, and the
+    /// measurement window on the first at or after `measure_secs` later.
+    pub(crate) fn end_us(&self) -> Option<u64> {
+        let slot = SLOT_DURATION.as_micros();
+        let warmup_end = self
             .warmup_secs
-            .checked_add(self.measure_secs)
-            .and_then(|secs| secs.checked_mul(1_000_000))
-            .and_then(|us| us.checked_next_multiple_of(SLOT_DURATION.as_micros()));
-        AppTraffic::is_valid_rate(self.traffic_ppm) && self.measure_secs >= 1 && end_us.is_some()
+            .checked_mul(1_000_000)?
+            .checked_next_multiple_of(slot)?;
+        self.measure_secs
+            .checked_mul(1_000_000)?
+            .checked_add(warmup_end)?
+            .checked_next_multiple_of(slot)
     }
 }
 

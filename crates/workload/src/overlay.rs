@@ -24,7 +24,7 @@
 //! traces is fine, positions are last-write-wins).
 
 use gtt_engine::Network;
-use gtt_mac::SLOT_DURATION;
+use gtt_mac::{Asn, SLOT_DURATION};
 use gtt_net::{NodeId, Position};
 use gtt_sim::{SimDuration, SimTime};
 
@@ -162,12 +162,16 @@ pub enum Overlay {
 impl Overlay {
     /// True if the overlay's parameters are valid for its kind on a
     /// network of `nodes` nodes ([`NoiseBurst::is_valid`],
-    /// [`StepMobility::is_valid`], [`DutyCycleBudget::is_valid`]).
-    pub(crate) fn is_valid(&self, nodes: usize) -> bool {
+    /// [`StepMobility::is_valid`], [`DutyCycleBudget::is_valid`]), and
+    /// each of its durations still fits a `u64` µs clock when added to
+    /// `end_us`, the run's end in µs. Every instant the driver derives is
+    /// an instant no later than the end plus one such duration.
+    pub(crate) fn is_valid(&self, nodes: usize, end_us: u64) -> bool {
+        let fits = |d: SimDuration| end_us.checked_add(d.as_micros()).is_some();
         match self {
-            Overlay::Noise(o) => o.is_valid(),
-            Overlay::Mobility(o) => o.is_valid(nodes),
-            Overlay::DutyCycle(o) => o.is_valid(),
+            Overlay::Noise(o) => o.is_valid() && fits(o.quiet) && fits(o.burst),
+            Overlay::Mobility(o) => o.is_valid(nodes) && o.hops.iter().all(|h| fits(h.at)),
+            Overlay::DutyCycle(o) => o.is_valid() && fits(o.window) && fits(o.check),
         }
     }
 }
@@ -237,13 +241,16 @@ fn audible_links(net: &Network) -> Vec<(NodeId, NodeId)> {
 }
 
 impl<'a> State<'a> {
-    fn new(overlay: &'a Overlay, net: &Network) -> State<'a> {
+    /// The runtime state of `overlay` on `net`, over a window that ends
+    /// at `end` (a slot boundary).
+    fn new(overlay: &'a Overlay, net: &Network, end: SimTime) -> State<'a> {
         let start = net.now();
         assert!(
-            overlay.is_valid(net.nodes().len()),
-            "invalid overlay {overlay:?} on {} nodes: noise needs a prr_factor in [0, 1] and a \
-             positive period, mobility hops ordered by time that each name a node of the \
-             network, a duty budget positive periods and a budget in (0, 100]%",
+            overlay.is_valid(net.nodes().len(), end.as_micros()),
+            "invalid overlay {overlay:?} on {} nodes ending at {end}: noise needs a prr_factor \
+             in [0, 1] and a positive period, mobility hops ordered by time that each name a \
+             node of the network, a duty budget positive periods and a budget in (0, 100]%, \
+             and every duration must fit a u64 µs clock past the end",
             net.nodes().len()
         );
         match overlay {
@@ -392,7 +399,7 @@ impl<'a> State<'a> {
 /// # Panics
 ///
 /// Panics unless [`Overlay::is_valid`] accepts every overlay on `net`'s
-/// nodes and [`stacks`] accepts their combination.
+/// nodes and the window's end, and [`stacks`] accepts their combination.
 pub(crate) fn drive(net: &mut Network, overlays: &[Overlay], window: SimDuration) {
     if overlays.is_empty() {
         net.run_for(window);
@@ -404,7 +411,8 @@ pub(crate) fn drive(net: &mut Network, overlays: &[Overlay], window: SimDuration
          throttle windows do not stack)"
     );
     let end = net.now() + window;
-    let mut states: Vec<State> = overlays.iter().map(|o| State::new(o, net)).collect();
+    let last = Asn::at_or_after(end).start_time();
+    let mut states: Vec<State> = overlays.iter().map(|o| State::new(o, net, last)).collect();
     loop {
         let next = states.iter().filter_map(State::next_time).min();
         match next {
@@ -622,6 +630,21 @@ mod tests {
             NodeId::new(9),
             Position::ORIGIN,
         ))]);
+        exp.run.warmup_secs = 0;
+        exp.run.measure_secs = 1;
+        let _ = exp.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit a u64 µs clock past the end")]
+    fn duration_overflowing_the_clock_rejected() {
+        // Without the bound, the first burst's end would be computed as
+        // `now + burst`, past `u64::MAX` µs.
+        let mut exp = star_experiment(vec![Overlay::Noise(NoiseBurst {
+            quiet: SimDuration::ZERO,
+            burst: SimDuration::from_micros(u64::MAX - 1),
+            prr_factor: 0.5,
+        })]);
         exp.run.warmup_secs = 0;
         exp.run.measure_secs = 1;
         let _ = exp.run();

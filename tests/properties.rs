@@ -1,12 +1,16 @@
 //! Property-based tests (proptest) over the core data structures and
 //! algorithms: the game's optimality claim, the 6P codec, the channel
-//! allocator, queues, slotframes and the packet tracker.
+//! allocator, queues, slotframes, the MAC's bulk backoff settlement and
+//! the packet tracker.
 
 use proptest::prelude::*;
 
 use gt_tsch::game::{GameInputs, GameWeights};
 use gt_tsch::ChannelAllocator;
-use gtt_mac::{channel, Asn, ChannelOffset, HOPPING_SEQUENCE};
+use gtt_mac::{
+    channel, Asn, Cell, CellClass, CellOptions, ChannelOffset, SlotAction, SlotOffset, SlotResult,
+    Slotframe, SlotframeHandle, TrafficClass, TschMac, HOPPING_SEQUENCE,
+};
 use gtt_metrics::PacketTracker;
 use gtt_net::{
     Dest, DrawStreams, Frame, LinkModel, Listener, NodeId, PacketId, PacketQueue, PhysicalChannel,
@@ -425,6 +429,175 @@ proptest! {
         for origin in 0..TRACKER_ORIGINS {
             let origin = NodeId::new(origin);
             prop_assert_eq!(t.origin_stats(origin), r.origin_stats(origin));
+        }
+    }
+}
+
+// --------------------------------------------------- backoff settlement
+
+/// The settlement pin's MAC, its parent and a neighbour it hears.
+const BACKOFF_NODE: NodeId = NodeId::new(1);
+const BACKOFF_PARENT: NodeId = NodeId::new(0);
+const BACKOFF_NEIGHBOUR: NodeId = NodeId::new(2);
+
+/// A MAC with a random schedule of one to three slotframes. Lengths come
+/// from a small set, so frames often share a length or a factor. Most
+/// cells are shared Tx cells at random offsets (Tx-only or Tx|Rx, to the
+/// parent or to anyone, several at one offset now and then), beside
+/// dedicated Tx and Rx cells.
+fn random_backoff_mac(layout: &mut Pcg32, seed: u64) -> TschMac<u32> {
+    let mut mac = TschMac::new(BACKOFF_NODE, Pcg32::new(seed));
+    let shared_tx = CellOptions {
+        tx: true,
+        rx: false,
+        shared: true,
+    };
+    for handle in 0..1 + layout.gen_range_u32(0, 3) {
+        let len = [3u16, 4, 5, 6, 8, 9][layout.gen_range_u32(0, 6) as usize];
+        let mut frame = Slotframe::new(len);
+        for _ in 0..1 + layout.gen_range_u32(0, 4) {
+            let slot = SlotOffset::new(layout.gen_range_u32(0, u32::from(len)) as u16);
+            let co = ChannelOffset::new(layout.gen_range_u32(0, 4) as u8);
+            let parent = Dest::Unicast(BACKOFF_PARENT);
+            frame.add(match layout.gen_range_u32(0, 6) {
+                0 => Cell::broadcast(slot, co),
+                1 => Cell::new(slot, co, shared_tx, parent, CellClass::Shared),
+                2 => Cell::new(
+                    slot,
+                    co,
+                    CellOptions::TX_RX_SHARED,
+                    Dest::Broadcast,
+                    CellClass::Shared,
+                ),
+                3 => Cell::new(
+                    slot,
+                    co,
+                    CellOptions::TX_RX_SHARED,
+                    parent,
+                    CellClass::Shared,
+                ),
+                4 => Cell::data_tx(slot, co, BACKOFF_PARENT),
+                _ => Cell::data_rx(slot, co, BACKOFF_NEIGHBOUR),
+            });
+        }
+        mac.schedule_mut()
+            .add_slotframe(SlotframeHandle::new(handle as u8), frame);
+    }
+    mac
+}
+
+/// Queues up to three random frames on both MACs: data to the parent,
+/// unicast control to the parent, or broadcast control.
+fn enqueue_random_frames(rng: &mut Pcg32, next_id: &mut u64, macs: [&mut TschMac<u32>; 2]) {
+    let frames: Vec<(u32, Frame<u32>)> = (0..rng.gen_range_u32(0, 4))
+        .map(|_| {
+            let kind = rng.gen_range_u32(0, 3);
+            let dst = if kind == 2 {
+                Dest::Broadcast
+            } else {
+                Dest::Unicast(BACKOFF_PARENT)
+            };
+            *next_id += 1;
+            let frame = Frame::new(PacketId::new(*next_id), BACKOFF_NODE, dst, SimTime::ZERO, 0);
+            (kind, frame)
+        })
+        .collect();
+    for mac in macs {
+        for (kind, frame) in &frames {
+            let _ = match kind {
+                0 => mac.enqueue_data(frame.clone()),
+                1 => mac.enqueue_control(frame.clone(), TrafficClass::ControlUnicast),
+                _ => mac.enqueue_control(frame.clone(), TrafficClass::Broadcast),
+            };
+        }
+    }
+}
+
+proptest! {
+    /// Bulk backoff settlement consumes exactly what slot-by-slot
+    /// planning consumes. One MAC plans and finishes every slot; a clone
+    /// is processed the way the event-driven engine processes a node:
+    /// only at random checkpoints no later than its `next_radio_wake`,
+    /// settling the skipped range in bulk (`settle_backoff_to`, then
+    /// `plan_slot`), with a probed listen now and then settled through
+    /// `finish_probed_listen`. Frames arrive only where the engine lets
+    /// them, at checkpoints and after a probed reception, and unicast
+    /// transmissions fail at random,
+    /// so shared cells draw fresh backoff windows throughout. At every
+    /// checkpoint both MACs must plan the same action, hold the same
+    /// counters and want the same next wake-up, which moves with the
+    /// pending window. Schedules span one to three slotframes of equal
+    /// and unequal lengths, with shared cells at one offset and more than
+    /// four qualifying progressions among them.
+    #[test]
+    fn backoff_settlement_matches_per_slot_consumption(seed in 0u64..1_000_000) {
+        let mut rng = Pcg32::new(seed ^ 0xbac0_ff5e);
+        let mut step = random_backoff_mac(&mut rng, seed);
+        let mut bulk = step.clone();
+        let mut next_id = 0u64;
+        let heard = Frame::new(
+            PacketId::new(u64::MAX),
+            BACKOFF_NEIGHBOUR,
+            Dest::Broadcast,
+            SimTime::ZERO,
+            0u32,
+        );
+        // `bulk` is processed at `at`; its counters cover `[0, accounted)`.
+        let (mut at, mut stepped, mut accounted) = (0u64, 0u64, 0u64);
+        while at < 600 {
+            while stepped < at {
+                let slot = Asn::new(stepped);
+                match step.plan_slot(slot) {
+                    SlotAction::Transmit { .. } => prop_assert!(
+                        false,
+                        "slot {}: the per-slot MAC transmits where the settled one sleeps",
+                        stepped
+                    ),
+                    SlotAction::Listen { .. } if rng.gen_bool(0.1) => {
+                        step.finish_slot(SlotResult::Listened(RxOutcome::Received(heard.clone())));
+                        let listens = bulk.count_listen_slots(Asn::new(accounted), slot);
+                        bulk.account_skipped(stepped - accounted, listens);
+                        bulk.finish_probed_listen(slot, &heard);
+                        accounted = stepped + 1;
+                        // Delivering the frame may queue more (a forward,
+                        // a reply), and the engine then re-plans the wake.
+                        enqueue_random_frames(&mut rng, &mut next_id, [&mut step, &mut bulk]);
+                        if let Some(wake) = bulk.next_radio_wake(Asn::new(stepped + 1)) {
+                            at = at.min(wake.raw());
+                        }
+                    }
+                    SlotAction::Listen { .. } => {
+                        step.finish_slot(SlotResult::Listened(RxOutcome::Idle));
+                    }
+                    SlotAction::Sleep => {
+                        step.finish_slot(SlotResult::Slept);
+                    }
+                }
+                stepped += 1;
+            }
+            let slot = Asn::new(at);
+            let listens = bulk.count_listen_slots(Asn::new(accounted), slot);
+            bulk.account_skipped(at - accounted, listens);
+            bulk.settle_backoff_to(at);
+            enqueue_random_frames(&mut rng, &mut next_id, [&mut step, &mut bulk]);
+            let planned = step.plan_slot(slot);
+            let settled = bulk.plan_slot(slot);
+            prop_assert_eq!(format!("{planned:?}"), format!("{settled:?}"), "slot {}", at);
+            let result = match planned {
+                SlotAction::Transmit { frame, .. } => SlotResult::Transmitted {
+                    acked: (frame.dst != Dest::Broadcast).then(|| rng.gen_bool(0.4)),
+                },
+                SlotAction::Listen { .. } => SlotResult::Listened(RxOutcome::Idle),
+                SlotAction::Sleep => SlotResult::Slept,
+            };
+            step.finish_slot(result.clone());
+            bulk.finish_slot(result);
+            prop_assert_eq!(step.counters(), bulk.counters(), "slot {}", at);
+            (stepped, accounted) = (at + 1, at + 1);
+            let wake = bulk.next_radio_wake(Asn::new(at + 1));
+            prop_assert_eq!(step.next_radio_wake(Asn::new(at + 1)), wake, "slot {}", at);
+            let early = at + 1 + u64::from(rng.gen_range_u32(0, 40));
+            at = wake.map_or(early, |w| w.raw().min(early));
         }
     }
 }
