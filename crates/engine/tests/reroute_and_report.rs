@@ -97,13 +97,8 @@ fn unicast_accounting_is_consistent() {
             "{}: acks cannot exceed attempts",
             node.id()
         );
-        for (peer, stats) in node.mac.link_stats() {
-            assert!(
-                stats.acked <= stats.tx_attempts,
-                "{} → {peer}: per-link acks exceed attempts",
-                node.id()
-            );
-            assert!(stats.etx.value() >= 1.0);
+        for (_, etx) in node.mac.link_stats() {
+            assert!(etx.value() >= 1.0);
         }
     }
 }

@@ -14,9 +14,8 @@
 //!   with Sleep as the absence of a cell),
 //! * [`TschMac`] — the per-node MAC state machine: slot planning, queueing,
 //!   acknowledgements, retransmission (up to [`MAX_RETRIES`], Table II),
-//!   exponential backoff in shared cells, duty-cycle accounting and
-//!   per-neighbor [`LinkStats`] feeding the ETX metric of the paper's
-//!   §VII-B.
+//!   exponential backoff in shared cells, duty-cycle accounting and a
+//!   per-peer [`EtxEstimator`], the ETX metric of the paper's §VII-B.
 //!
 //! The paper fixes the MAC parameters in its Table II, and every run uses
 //! exactly those values, so they are crate constants:
@@ -62,5 +61,5 @@ pub use mac::{
     MIN_BACKOFF_EXPONENT,
 };
 pub use slotframe::{Schedule, Slotframe, SlotframeHandle};
-pub use stats::{EtxEstimator, LinkStats, ETX_ALPHA};
+pub use stats::{EtxEstimator, ETX_ALPHA};
 pub use traffic::TrafficClass;

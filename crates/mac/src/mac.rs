@@ -1,6 +1,6 @@
 //! The per-node TSCH MAC state machine.
 
-use gtt_net::{Dest, Frame, NodeId, PacketQueue, PhysicalChannel, RxOutcome};
+use gtt_net::{Dest, Frame, NodeId, PacketQueue, PeerMap, PhysicalChannel, RxOutcome};
 use gtt_sim::Pcg32;
 
 use crate::asn::Asn;
@@ -8,7 +8,7 @@ use crate::backoff::SharedCellBackoff;
 use crate::cell::{Cell, CellClass};
 use crate::hopping::{self, ChannelOffset};
 use crate::slotframe::{count_congruent, crt_combine, Schedule, SlotframeHandle};
-use crate::stats::LinkStats;
+use crate::stats::EtxEstimator;
 use crate::traffic::TrafficClass;
 
 /// Maximum retransmissions of a unicast frame before it is dropped
@@ -240,18 +240,12 @@ pub struct TschMac<P> {
     backoff: SharedCellBackoff,
     rng: Pcg32,
     in_flight: Option<InFlight<P>>,
-    /// Per-neighbor link statistics, grown on demand — the RPL layer
-    /// reads ETX for every neighbor on every housekeeping poll, which
-    /// makes this lookup a hot path. Offset-compressed: `link_stats[k]`
-    /// belongs to node id `link_stats_base + k`. Peers cluster in id
-    /// space (scenario generators hand out contiguous per-DODAG id
-    /// blocks), so anchoring at the lowest peer sent to keeps each vector
-    /// O(neighborhood id span) instead of O(own ids' magnitude) — at
-    /// 10 000 nodes the difference between megabytes and gigabytes
-    /// network-wide.
-    link_stats: Vec<Option<LinkStats>>,
-    /// Node id owning `link_stats[0]` (meaningless while empty).
-    link_stats_base: usize,
+    /// ETX per unicast peer, created at the peer's first sample (an ack,
+    /// or retries exhausted). RPL re-reads its neighbors' ETX after each
+    /// unicast the node completes, so lookups are frequent; and at
+    /// 10 000 nodes a node's few peers span thousands of ids, so the map
+    /// holds only the sampled peers.
+    link_stats: PeerMap<EtxEstimator>,
     counters: MacCounters,
     wake_cache: Option<WakeCache>,
     /// Candidate-cell scratch for `plan_slot`, reused every active slot
@@ -461,8 +455,7 @@ impl<P: Clone> TschMac<P> {
             schedule: Schedule::new(),
             rng,
             in_flight: None,
-            link_stats: Vec::new(),
-            link_stats_base: 0,
+            link_stats: PeerMap::new(),
             counters: MacCounters::default(),
             wake_cache: None,
             plan_scratch: Vec::new(),
@@ -502,43 +495,17 @@ impl<P: Clone> TschMac<P> {
         self.counters
     }
 
-    /// Per-neighbor link statistics, in node-id order.
-    pub fn link_stats(&self) -> impl Iterator<Item = (NodeId, &LinkStats)> + '_ {
-        let base = self.link_stats_base;
-        self.link_stats
-            .iter()
-            .enumerate()
-            .filter_map(move |(k, s)| s.as_ref().map(|s| (NodeId::from_index(base + k), s)))
-    }
-
-    /// The (created-on-first-touch) stats slot for `peer`.
-    fn stats_entry(&mut self, peer: NodeId) -> &mut LinkStats {
-        let i = peer.index();
-        if self.link_stats.is_empty() {
-            self.link_stats_base = i;
-        } else if i < self.link_stats_base {
-            // Rare: a peer below every id seen so far. Shift the vector
-            // right so the new peer becomes the anchor.
-            let pad = self.link_stats_base - i;
-            self.link_stats
-                .splice(0..0, std::iter::repeat_with(|| None).take(pad));
-            self.link_stats_base = i;
-        }
-        let k = i - self.link_stats_base;
-        if k >= self.link_stats.len() {
-            self.link_stats.resize_with(k + 1, || None);
-        }
-        self.link_stats[k].get_or_insert_with(LinkStats::default)
+    /// ETX estimators of the peers with at least one sample, in node-id
+    /// order.
+    pub fn link_stats(&self) -> impl Iterator<Item = (NodeId, &EtxEstimator)> + '_ {
+        self.link_stats.iter()
     }
 
     /// ETX estimate towards `neighbor` (1.0 before any sample).
     pub fn etx(&self, neighbor: NodeId) -> f64 {
-        neighbor
-            .index()
-            .checked_sub(self.link_stats_base)
-            .and_then(|k| self.link_stats.get(k))
-            .and_then(|s| s.as_ref())
-            .map_or(1.0, |s| s.etx.value())
+        self.link_stats
+            .get(neighbor)
+            .map_or(1.0, EtxEstimator::value)
     }
 
     /// Number of packets in the data queue — the paper's `q_i`.
@@ -1087,10 +1054,7 @@ impl<P: Clone> TschMac<P> {
                     self.counters.tx_slots += 1;
                     match frame.dst {
                         Dest::Broadcast => self.counters.broadcast_tx += 1,
-                        Dest::Unicast(peer) => {
-                            self.counters.unicast_tx += 1;
-                            self.stats_entry(peer).tx_attempts += 1;
-                        }
+                        Dest::Unicast(_) => self.counters.unicast_tx += 1,
                     }
                     self.in_flight = Some(InFlight {
                         packet: Outgoing {
@@ -1221,9 +1185,9 @@ impl<P: Clone> TschMac<P> {
             }
             (Dest::Unicast(peer), Some(true)) => {
                 let attempts = fl.packet.attempts;
-                let stats = self.stats_entry(peer);
-                stats.acked += 1;
-                stats.etx.record_success(attempts.max(1));
+                self.link_stats
+                    .get_or_insert_with(peer, EtxEstimator::new)
+                    .record_success(attempts.max(1));
                 self.counters.unicast_acked += 1;
                 if fl.shared_cell {
                     self.backoff.on_success();
@@ -1235,9 +1199,9 @@ impl<P: Clone> TschMac<P> {
                     self.backoff.on_failure(&mut self.rng);
                 }
                 if fl.packet.attempts > MAX_RETRIES {
-                    let stats = self.stats_entry(peer);
-                    stats.tx_failures += 1;
-                    stats.etx.record_failure();
+                    self.link_stats
+                        .get_or_insert_with(peer, EtxEstimator::new)
+                        .record_failure();
                     self.counters.drops_retry_exhausted += 1;
                 } else {
                     let control = fl.packet.control;
@@ -1401,6 +1365,49 @@ mod tests {
         assert!(m.etx(NodeId::new(0)) > 1.0);
         // Nothing left to send.
         assert!(m.plan_slot(Asn::new(21)).is_sleep());
+    }
+
+    #[test]
+    fn link_stats_hold_only_sampled_peers() {
+        // A one-slot frame whose non-shared Tx cell carries unicasts to
+        // any peer.
+        let mut m = mac();
+        let mut sf = Slotframe::new(1);
+        let any_peer = Cell::new(
+            SlotOffset::new(0),
+            ChannelOffset::new(0),
+            CellOptions::TX,
+            Dest::Broadcast,
+            CellClass::Data,
+        );
+        sf.add(any_peer);
+        m.schedule_mut().add_slotframe(SlotframeHandle::new(0), sf);
+        // Inserts land at the back, the front and the middle: acked at
+        // the second attempt, at the first, and never.
+        let mut asn = 0;
+        for (peer, acks) in [(9_999, 2), (0, 1), (5_000, 0)] {
+            m.enqueue_data(data_frame(peer, 0)).unwrap();
+            for attempt in 1..=MAX_RETRIES + 1 {
+                assert!(matches!(
+                    m.plan_slot(Asn::new(asn)),
+                    SlotAction::Transmit { .. }
+                ));
+                asn += 1;
+                let acked = attempt == acks;
+                m.finish_slot(SlotResult::Transmitted { acked: Some(acked) });
+                if acked {
+                    break;
+                }
+            }
+            assert_eq!(m.data_queue_len(), 0);
+        }
+        // One entry per sampled peer, however far apart their ids.
+        assert_eq!(m.link_stats.len(), 3);
+        let held: Vec<(u16, f64)> = m.link_stats().map(|(p, e)| (p.raw(), e.value())).collect();
+        let penalty = EtxEstimator::FAILURE_PENALTY;
+        assert_eq!(held, [(0, 1.0), (5_000, penalty), (9_999, 2.0)]);
+        assert_eq!(m.etx(NodeId::new(5_000)), penalty);
+        assert_eq!(m.etx(NodeId::new(4_999)), 1.0, "an untouched peer");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-neighbor link statistics and the ETX estimator.
+//! The ETX estimator of a directed link.
 //!
 //! The GT-TSCH game model (paper §VII-B, eq. 4) consumes
 //! `ETX_{i,p_i} = 1 / PRR_{i,p_i} ≥ 1`, estimated at the MAC from
@@ -90,36 +90,6 @@ impl Default for EtxEstimator {
     }
 }
 
-/// Counters and ETX for one directed neighbor link.
-#[derive(Debug, Clone, Default)]
-pub struct LinkStats {
-    /// Unicast transmission attempts towards this neighbor.
-    pub tx_attempts: u64,
-    /// Acknowledged transmissions.
-    pub acked: u64,
-    /// Packets dropped after exhausting retransmissions.
-    pub tx_failures: u64,
-    /// ETX estimate for the link.
-    pub etx: EtxEstimator,
-}
-
-impl LinkStats {
-    /// Creates fresh statistics.
-    pub fn new() -> Self {
-        LinkStats::default()
-    }
-
-    /// MAC-level delivery ratio (acked / attempts), or 1.0 before any
-    /// attempt — the optimistic prior mirrors [`EtxEstimator`].
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.tx_attempts == 0 {
-            1.0
-        } else {
-            self.acked as f64 / self.tx_attempts as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,14 +142,5 @@ mod tests {
     fn zero_attempts_rejected() {
         let mut etx = EtxEstimator::default();
         etx.record_success(0);
-    }
-
-    #[test]
-    fn link_stats_delivery_ratio() {
-        let mut ls = LinkStats::new();
-        assert_eq!(ls.delivery_ratio(), 1.0);
-        ls.tx_attempts = 10;
-        ls.acked = 7;
-        assert!((ls.delivery_ratio() - 0.7).abs() < 1e-12);
     }
 }

@@ -50,7 +50,7 @@ pub mod topology;
 pub use channel::PhysicalChannel;
 pub use frame::{Dest, Frame, PacketId};
 pub use geometry::Position;
-pub use id::{NodeId, MAX_NODES};
+pub use id::{NodeId, PeerMap, MAX_NODES};
 pub use medium::{DrawStreams, Listener, RadioMedium, RxOutcome, SlotOutcomes, Transmission};
 pub use queue::{PacketQueue, QueueStats};
 pub use tap::{FrameTap, TapRecord};

@@ -1,9 +1,8 @@
 //! The per-node 6P transaction engine.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use gtt_net::NodeId;
+use gtt_net::{NodeId, PeerMap};
 use gtt_sim::{SimDuration, SimTime};
 
 use crate::messages::{ReturnCode, SixpBody, SixpMessage};
@@ -84,9 +83,9 @@ struct Pending {
 pub struct SixtopLayer {
     id: NodeId,
     /// Next seqnum per neighbor.
-    seqnums: BTreeMap<NodeId, u8>,
+    seqnums: PeerMap<u8>,
     /// Outstanding transactions per neighbor.
-    pending: BTreeMap<NodeId, Pending>,
+    pending: PeerMap<Pending>,
     /// Count of completed/failed transactions (for control-overhead
     /// accounting in the experiments).
     completed: u64,
@@ -98,8 +97,8 @@ impl SixtopLayer {
     pub fn new(id: NodeId) -> Self {
         SixtopLayer {
             id,
-            seqnums: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            seqnums: PeerMap::new(),
+            pending: PeerMap::new(),
             completed: 0,
             failed: 0,
         }
@@ -122,7 +121,7 @@ impl SixtopLayer {
 
     /// True if a transaction with `peer` is in flight.
     pub fn is_busy_with(&self, peer: NodeId) -> bool {
-        self.pending.contains_key(&peer)
+        self.pending.contains(peer)
     }
 
     /// Starts a transaction with `peer`. Returns the message to enqueue
@@ -136,10 +135,10 @@ impl SixtopLayer {
         now: SimTime,
     ) -> Option<SixpMessage> {
         assert!(body.is_request(), "start_request needs a request body");
-        if self.pending.contains_key(&peer) {
+        if self.pending.contains(peer) {
             return None;
         }
-        let seq = self.seqnums.entry(peer).or_insert(0);
+        let seq = self.seqnums.get_or_insert_with(peer, || 0);
         let seqnum = *seq;
         *seq = seq.wrapping_add(1);
         self.pending.insert(
@@ -171,12 +170,12 @@ impl SixtopLayer {
             });
         }
         // A response: match it against the pending transaction.
-        let pending = self.pending.get(&from)?;
+        let pending = self.pending.get(from)?;
         if pending.seqnum != msg.seqnum {
             // Stale/duplicate response; drop silently (RFC 8480 §3.4.4).
             return None;
         }
-        let pending = self.pending.remove(&from).expect("checked above");
+        let pending = self.pending.remove(from).expect("checked above");
         match msg.body.return_code() {
             Some(rc) if rc.is_success() => {
                 self.completed += 1;
@@ -205,7 +204,7 @@ impl SixtopLayer {
     /// an event-driven engine can sleep until it (or until a message
     /// arrives) instead of polling every slot.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.pending.values().map(|p| p.deadline).min()
+        self.pending.iter().map(|(_, p)| p.deadline).min()
     }
 
     /// Drives timeouts. Returns retransmissions to enqueue and failure
@@ -215,7 +214,7 @@ impl SixtopLayer {
         let mut events = Vec::new();
         let mut drop_keys = Vec::new();
 
-        for (&peer, pending) in self.pending.iter_mut() {
+        for (peer, pending) in self.pending.iter_mut() {
             if now < pending.deadline {
                 continue;
             }
@@ -231,7 +230,7 @@ impl SixtopLayer {
             }
         }
         for peer in drop_keys {
-            let pending = self.pending.remove(&peer).expect("key collected above");
+            let pending = self.pending.remove(peer).expect("key collected above");
             self.failed += 1;
             events.push(SixtopEvent::Failed {
                 peer,
@@ -390,6 +389,33 @@ mod tests {
             }
         ));
         assert!(!l.is_busy_with(NodeId::new(1)));
+    }
+
+    #[test]
+    fn poll_visits_peers_in_id_order() {
+        let mut l = SixtopLayer::new(NodeId::new(1));
+        for peer in [9, 2, 5] {
+            l.start_request(NodeId::new(peer), add_req(1), SimTime::ZERO)
+                .unwrap();
+        }
+        let in_id_order = [2, 5, 9].map(NodeId::new);
+        let retries = u64::from(SIXP_MAX_RETRIES);
+        for k in 1..=retries {
+            let (resend, events) = l.poll(SimTime::ZERO + SIXP_TIMEOUT * k);
+            let peers: Vec<NodeId> = resend.iter().map(|&(peer, _)| peer).collect();
+            assert_eq!(peers, in_id_order, "retry {k}");
+            assert!(events.is_empty());
+        }
+        let (resend, events) = l.poll(SimTime::ZERO + SIXP_TIMEOUT * (retries + 1));
+        assert!(resend.is_empty());
+        let failed: Vec<NodeId> = events
+            .iter()
+            .map(|e| match e {
+                SixtopEvent::Failed { peer, .. } => *peer,
+                other => panic!("expected a failure, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(failed, in_id_order);
     }
 
     #[test]

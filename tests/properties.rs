@@ -1,15 +1,18 @@
 //! Property-based tests (proptest) over the core data structures and
 //! algorithms: the game's optimality claim, the 6P codec, the channel
 //! allocator, queues, slotframes, the MAC's bulk backoff settlement and
-//! the packet tracker.
+//! per-peer ETX table, and the packet tracker.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use gt_tsch::game::{GameInputs, GameWeights};
 use gt_tsch::ChannelAllocator;
 use gtt_mac::{
-    channel, Asn, Cell, CellClass, CellOptions, ChannelOffset, SlotAction, SlotOffset, SlotResult,
-    Slotframe, SlotframeHandle, TrafficClass, TschMac, HOPPING_SEQUENCE,
+    channel, Asn, Cell, CellClass, CellOptions, ChannelOffset, EtxEstimator, SlotAction,
+    SlotOffset, SlotResult, Slotframe, SlotframeHandle, TrafficClass, TschMac, HOPPING_SEQUENCE,
+    MAX_RETRIES,
 };
 use gtt_metrics::PacketTracker;
 use gtt_net::{
@@ -598,6 +601,78 @@ proptest! {
             prop_assert_eq!(step.next_radio_wake(Asn::new(at + 1)), wake, "slot {}", at);
             let early = at + 1 + u64::from(rng.gen_range_u32(0, 40));
             at = wake.map_or(early, |w| w.raw().min(early));
+        }
+    }
+}
+
+// ------------------------------------------------------- MAC peer table
+
+/// A node id drawn from the whole id range.
+fn any_node(rng: &mut Pcg32) -> NodeId {
+    NodeId::new(rng.gen_range_u32(0, 1 << 16) as u16)
+}
+
+proptest! {
+    /// The MAC's per-peer ETX table holds what a `BTreeMap` of
+    /// estimators fed the same samples holds. One non-shared Tx cell
+    /// whose peer is `Dest::Broadcast` carries a unicast to any peer in
+    /// every slot, with no shared-cell backoff. Each frame goes to a peer
+    /// from the whole id range, often one sent to before, and is sent
+    /// until it is acked or exhausts its retries, acks falling at random.
+    /// `etx` of every touched peer, of its id neighbours and of random
+    /// ids, and the ids `link_stats` yields, must equal the reference's.
+    #[test]
+    fn mac_etx_table_matches_reference(seed in any::<u64>()) {
+        let mut rng = Pcg32::new(seed);
+        let me = any_node(&mut rng);
+        let mut mac: TschMac<u32> = TschMac::new(me, Pcg32::new(seed));
+        let mut frame = Slotframe::new(1);
+        frame.add(Cell::new(
+            SlotOffset::new(0),
+            ChannelOffset::new(0),
+            CellOptions::TX,
+            Dest::Broadcast,
+            CellClass::Data,
+        ));
+        mac.schedule_mut().add_slotframe(SlotframeHandle::new(0), frame);
+        let mut reference: BTreeMap<NodeId, EtxEstimator> = BTreeMap::new();
+        let mut touched: Vec<NodeId> = Vec::new();
+        let ack_ratio = rng.gen_f64();
+        let mut asn = 0;
+        for seq in 0..rng.gen_range_u32(1, 48) {
+            let peer = if touched.is_empty() || rng.gen_bool(0.5) {
+                any_node(&mut rng)
+            } else {
+                touched[rng.gen_index(touched.len())]
+            };
+            touched.push(peer);
+            let unicast = Frame::new(PacketId::new(seq.into()), me, Dest::Unicast(peer), SimTime::ZERO, 0);
+            prop_assert!(mac.enqueue_data(unicast).is_ok());
+            for attempts in 1..=MAX_RETRIES + 1 {
+                let dst = match mac.plan_slot(Asn::new(asn)) {
+                    SlotAction::Transmit { frame, .. } => frame.dst,
+                    other => return Err(TestCaseError::fail(format!("slot {asn}: {other:?}"))),
+                };
+                prop_assert_eq!(dst, Dest::Unicast(peer));
+                asn += 1;
+                let acked = rng.gen_bool(ack_ratio);
+                mac.finish_slot(SlotResult::Transmitted { acked: Some(acked) });
+                if acked {
+                    reference.entry(peer).or_default().record_success(attempts);
+                    break;
+                }
+                if attempts > MAX_RETRIES {
+                    reference.entry(peer).or_default().record_failure();
+                }
+            }
+        }
+        let yielded: Vec<NodeId> = mac.link_stats().map(|(peer, _)| peer).collect();
+        prop_assert_eq!(yielded, reference.keys().copied().collect::<Vec<_>>());
+        let near = |p: NodeId, d: u16| NodeId::new(p.raw().wrapping_add(d));
+        let probes = touched.iter().flat_map(|&p| [p, near(p, 1), near(p, u16::MAX)]);
+        for peer in probes.chain((0..8).map(|_| any_node(&mut rng))) {
+            let want = reference.get(&peer).map_or(1.0, EtxEstimator::value);
+            prop_assert_eq!(mac.etx(peer), want, "peer {}", peer);
         }
     }
 }
