@@ -473,18 +473,20 @@ impl Network {
         // Phase 2b: planned transmissions wake the passive listeners that
         // could hear them. Only listeners with something audible can
         // touch the medium RNG or receive; everyone else's listen is an
-        // `Idle` counter update, left to lazy accounting. Active
-        // (multi-slotframe) nodes are already in `due` whenever they
-        // listen, so probing only passive nodes is exhaustive. Audibility
-        // is probed from `frame.src`, the same field the medium resolves
-        // against. Each audible peer is probed at most once per slot, no
-        // matter how many transmissions can reach it (the visited bitset
-        // dedups the neighborhood walk), and the common "peer sleeps"
-        // answer comes from the dense probe index without touching the
-        // peer at all: a row only needs recomputing when the cached
-        // listen slot has passed or the node was processed since. A peer
-        // listening this slot is matched against only the transmissions
-        // on *its* channel.
+        // `Idle` counter update, left to lazy accounting. A node beyond
+        // the MAC's cyclic-union caps (a hand-built schedule; every
+        // in-repo one, Orchestra's three slotframes included, is within
+        // them) is woken at every active slot, so it is already in `due`
+        // whenever it listens, and probing only the others is
+        // exhaustive. Audibility is probed from `frame.src`, the same
+        // field the medium resolves against. Each audible peer is probed
+        // at most once per slot, no matter how many transmissions can
+        // reach it (the visited bitset dedups the neighborhood walk), and
+        // the common "peer sleeps" answer comes from the dense probe
+        // index without touching the peer at all: a row only needs
+        // recomputing when the cached listen slot has passed or the node
+        // was processed since. A peer listening this slot is matched
+        // against only the transmissions on *its* channel.
         s.extras.clear();
         if !s.transmissions.is_empty() {
             let asn = self.asn;
@@ -514,7 +516,7 @@ impl Network {
                         // Recompute: the node was processed (schedule may
                         // have moved) or the cached listen slot passed —
                         // the latter, by far the common case, can trust
-                        // the node's wake cache without a staleness
+                        // the node's listen union without a staleness
                         // check. Dead nodes pin a NEVER row — `kill_node`
                         // marks them stale exactly once.
                         let next = if !nodes[j].alive {
@@ -670,12 +672,12 @@ impl Network {
                 self.nodes[i].mac.finish_probed_listen(self.asn, &frame);
                 self.deliver(i, frame, now);
                 // A schedule mutation also invalidates the heap entry
-                // *and* the probe-index row: the delivery may have
-                // changed the node's Rx union or even demoted it from
-                // passive to always-wake, in which case the probe stops
-                // covering its listens. Pre-existing queued traffic does
-                // neither — the standing wake entry was computed with it
-                // — so only queue *growth* re-queues.
+                // *and* the probe-index row: the delivery may have moved
+                // the node's listen slots, or pushed its listen union past
+                // the caps, after which it is woken at every active slot
+                // and the probe no longer covers its listens. Pre-existing
+                // queued traffic does neither — the standing wake entry
+                // was computed with it — so only queue *growth* re-queues.
                 let schedule_changed = self.nodes[i].mac.schedule().version() != schedule_before;
                 if schedule_changed {
                     self.probe_stale[i] = true;

@@ -4,9 +4,17 @@
 //! construction. Shared cells use a slotted CSMA/CA variant: after a
 //! failed transmission in a shared cell the node skips a random number of
 //! *shared* cells drawn from `[0, 2^BE − 1]`, with the backoff exponent BE
-//! doubling per failure between `min_be` and `max_be`.
+//! doubling per failure between [`MIN_BACKOFF_EXPONENT`] and
+//! [`MAX_BACKOFF_EXPONENT`], so a window never exceeds 2^5 − 1 = 31
+//! shared cells.
 
 use gtt_sim::Pcg32;
+
+/// Minimum backoff exponent for shared cells.
+pub const MIN_BACKOFF_EXPONENT: u8 = 1;
+
+/// Maximum backoff exponent for shared cells.
+pub const MAX_BACKOFF_EXPONENT: u8 = 5;
 
 /// Exponential backoff state for shared-cell access.
 ///
@@ -16,7 +24,7 @@ use gtt_sim::Pcg32;
 /// use gtt_mac::SharedCellBackoff;
 /// use gtt_sim::Pcg32;
 ///
-/// let mut bo = SharedCellBackoff::new(1, 5);
+/// let mut bo = SharedCellBackoff::default();
 /// let mut rng = Pcg32::new(1);
 /// assert!(bo.may_transmit()); // fresh: no backoff pending
 /// bo.on_failure(&mut rng);    // collision ⇒ draw a window
@@ -26,35 +34,22 @@ use gtt_sim::Pcg32;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedCellBackoff {
-    min_be: u8,
-    max_be: u8,
     be: u8,
     /// Shared cells still to skip before the next attempt.
     window: u32,
 }
 
-impl SharedCellBackoff {
-    /// Creates a backoff with the given exponent bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_be > max_be` or `max_be > 16`.
-    pub fn new(min_be: u8, max_be: u8) -> Self {
-        assert!(min_be <= max_be, "min_be must not exceed max_be");
-        assert!(max_be <= 16, "max_be above 16 would overflow the window");
+impl Default for SharedCellBackoff {
+    /// A fresh backoff: BE at [`MIN_BACKOFF_EXPONENT`], no window pending.
+    fn default() -> Self {
         SharedCellBackoff {
-            min_be,
-            max_be,
-            be: min_be,
+            be: MIN_BACKOFF_EXPONENT,
             window: 0,
         }
     }
+}
 
-    /// The 802.15.4 defaults (BE in [1, 5]) used by Contiki-NG's TSCH.
-    pub fn standard() -> Self {
-        SharedCellBackoff::new(1, 5)
-    }
-
+impl SharedCellBackoff {
     /// Current backoff exponent.
     pub fn exponent(&self) -> u8 {
         self.be
@@ -87,28 +82,16 @@ impl SharedCellBackoff {
     /// Called after a successful (acknowledged) shared-cell transmission:
     /// resets the exponent and clears any pending window.
     pub fn on_success(&mut self) {
-        self.be = self.min_be;
+        self.be = MIN_BACKOFF_EXPONENT;
         self.window = 0;
     }
 
     /// Called after a failed shared-cell transmission: doubles the
     /// exponent (capped) and draws a fresh window from `[0, 2^BE − 1]`.
     pub fn on_failure(&mut self, rng: &mut Pcg32) {
-        self.be = (self.be + 1).min(self.max_be);
+        self.be = (self.be + 1).min(MAX_BACKOFF_EXPONENT);
         let span = 1u32 << self.be;
         self.window = rng.gen_range_u32(0, span);
-    }
-
-    /// Resets to the freshly-constructed state.
-    pub fn reset(&mut self) {
-        self.be = self.min_be;
-        self.window = 0;
-    }
-}
-
-impl Default for SharedCellBackoff {
-    fn default() -> Self {
-        SharedCellBackoff::standard()
     }
 }
 
@@ -118,39 +101,47 @@ mod tests {
 
     #[test]
     fn fresh_backoff_transmits() {
-        let bo = SharedCellBackoff::standard();
+        let bo = SharedCellBackoff::default();
         assert!(bo.may_transmit());
         assert_eq!(bo.pending(), 0);
-        assert_eq!(bo.exponent(), 1);
+        assert_eq!(bo.exponent(), MIN_BACKOFF_EXPONENT);
     }
 
     #[test]
     fn failures_grow_exponent_to_cap() {
-        let mut bo = SharedCellBackoff::new(1, 3);
+        let mut bo = SharedCellBackoff::default();
         let mut rng = Pcg32::new(5);
-        for _ in 0..10 {
+        for failures in 1..=10u8 {
             bo.on_failure(&mut rng);
+            let expected = (MIN_BACKOFF_EXPONENT + failures).min(MAX_BACKOFF_EXPONENT);
+            assert_eq!(bo.exponent(), expected, "after {failures} failures");
         }
-        assert_eq!(bo.exponent(), 3, "exponent capped at max_be");
     }
 
+    /// A window never exceeds 2^MAX_BACKOFF_EXPONENT − 1 = 31 shared
+    /// cells, however many failures precede it: the MAC's release-slot
+    /// rule steps through at most that many qualifying slots.
     #[test]
     fn window_is_within_bounds() {
         let mut rng = Pcg32::new(11);
+        let mut widest = 0;
         for _ in 0..200 {
-            let mut bo = SharedCellBackoff::new(2, 2);
-            bo.on_failure(&mut rng);
-            assert!(bo.pending() < 8, "window must be < 2^3 after one failure");
+            let mut bo = SharedCellBackoff::default();
+            for _ in 0..8 {
+                bo.on_failure(&mut rng);
+                assert!(bo.pending() < 1 << bo.exponent());
+                widest = widest.max(bo.pending());
+            }
         }
+        assert_eq!(widest, 31);
     }
 
     #[test]
     fn skipping_cells_drains_window() {
-        let mut bo = SharedCellBackoff::new(4, 5);
+        let mut bo = SharedCellBackoff::default();
         let mut rng = Pcg32::new(3);
-        // Draw until we get a non-zero window (overwhelmingly likely).
+        // Fail until the window is non-zero (overwhelmingly likely soon).
         while {
-            bo.reset();
             bo.on_failure(&mut rng);
             bo.pending() == 0
         } {}
@@ -167,18 +158,12 @@ mod tests {
 
     #[test]
     fn success_resets() {
-        let mut bo = SharedCellBackoff::standard();
+        let mut bo = SharedCellBackoff::default();
         let mut rng = Pcg32::new(9);
         bo.on_failure(&mut rng);
         bo.on_failure(&mut rng);
         bo.on_success();
         assert!(bo.may_transmit());
-        assert_eq!(bo.exponent(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_be must not exceed")]
-    fn inverted_bounds_rejected() {
-        let _ = SharedCellBackoff::new(6, 3);
+        assert_eq!(bo.exponent(), MIN_BACKOFF_EXPONENT);
     }
 }

@@ -52,13 +52,12 @@ pub mod stats;
 pub mod traffic;
 
 pub use asn::{Asn, SlotOffset, SLOT_DURATION};
-pub use backoff::SharedCellBackoff;
+pub use backoff::{SharedCellBackoff, MAX_BACKOFF_EXPONENT, MIN_BACKOFF_EXPONENT};
 pub use cell::{Cell, CellClass, CellOptions};
 pub use hopping::{channel, ChannelOffset, HOPPING_SEQUENCE};
 pub use mac::{
     BusyListens, MacCounters, SlotAction, SlotResult, TschMac, CONTROL_QUEUE_CAPACITY,
-    DATA_QUEUE_CAPACITY, IDLE_LISTEN_FRACTION, MAX_BACKOFF_EXPONENT, MAX_RETRIES,
-    MIN_BACKOFF_EXPONENT,
+    DATA_QUEUE_CAPACITY, IDLE_LISTEN_FRACTION, MAX_RETRIES,
 };
 pub use slotframe::{Schedule, Slotframe, SlotframeHandle};
 pub use stats::{EtxEstimator, ETX_ALPHA};

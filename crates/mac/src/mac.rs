@@ -7,7 +7,7 @@ use crate::asn::Asn;
 use crate::backoff::SharedCellBackoff;
 use crate::cell::{Cell, CellClass};
 use crate::hopping::{self, ChannelOffset};
-use crate::slotframe::{count_congruent, crt_combine, Schedule, SlotframeHandle};
+use crate::slotframe::{CyclicUnion, Schedule, SlotframeHandle};
 use crate::stats::EtxEstimator;
 use crate::traffic::TrafficClass;
 
@@ -22,12 +22,6 @@ pub const DATA_QUEUE_CAPACITY: usize = 8;
 
 /// Control queue capacity (EB/DIO/6P frames).
 pub const CONTROL_QUEUE_CAPACITY: usize = 4;
-
-/// Minimum backoff exponent for shared cells.
-pub const MIN_BACKOFF_EXPONENT: u8 = 1;
-
-/// Maximum backoff exponent for shared cells.
-pub const MAX_BACKOFF_EXPONENT: u8 = 5;
 
 /// Fraction of a slot the radio stays on during an *idle* Rx listen
 /// (guard time before giving up), for duty-cycle accounting: Contiki-NG's
@@ -179,30 +173,6 @@ struct InFlight<P> {
     shared_cell: bool,
 }
 
-/// Schedule-derived wake tables, cached against [`Schedule::version`].
-#[derive(Debug, Clone)]
-struct WakeCache {
-    version: u64,
-    /// `Some` when the schedule's listen slots are exactly enumerable by
-    /// the cyclic-union Rx index — any number of prioritized slotframes
-    /// within [`RxUnion`]'s complexity caps, which covers GT-TSCH's
-    /// single slotframe and Orchestra's three alike. The node is then a
-    /// *passive listener*: an event-driven engine can account its idle
-    /// listens without waking it (see [`TschMac::next_radio_wake`]).
-    /// `None` only for pathological schedules beyond the caps, which
-    /// fall back to waking on every active slot.
-    rx_union: Option<crate::slotframe::RxUnion>,
-    /// Listen-miss memo `(covered_from, next_listen)`: the node provably
-    /// has no Rx slot in `[covered_from, next_listen)`. The engine asks
-    /// [`TschMac::sleeps_at`], and so [`TschMac::listen_channel_at`],
-    /// whenever the node is due on a timer, and across a quiet gap the
-    /// common answer — "not listening" — is O(1) instead of a union
-    /// query. (The engine's listener probe of busy slots does not come
-    /// here: it reads its own index, fed by [`TschMac::next_listen`].)
-    /// Rebuilt with the cache, so schedule changes invalidate it.
-    listen_miss_memo: (u64, u64),
-}
-
 /// The TSCH MAC for one node.
 ///
 /// Drive it slot by slot:
@@ -247,7 +217,15 @@ pub struct TschMac<P> {
     /// holds only the sampled peers.
     link_stats: PeerMap<EtxEstimator>,
     counters: MacCounters,
-    wake_cache: Option<WakeCache>,
+    /// The schedule's listen slots: the union of its Rx cells. Within
+    /// the union's caps, which covers GT-TSCH's single slotframe and
+    /// Orchestra's three alike, the node is a *passive listener*: an
+    /// event-driven engine can account its idle listens without waking
+    /// it (see [`TschMac::next_radio_wake`]). Beyond them, which only
+    /// hand-built schedules reach, it is woken at every active slot.
+    rx_union: CyclicUnion,
+    /// The [`Schedule::version`] `rx_union` was built from.
+    rx_union_version: Option<u64>,
     /// Candidate-cell scratch for `plan_slot`, reused every active slot
     /// so the per-slot hot path never allocates.
     plan_scratch: Vec<(SlotframeHandle, Cell)>,
@@ -258,95 +236,20 @@ pub struct TschMac<P> {
     /// First ASN whose shared-cell backoff consumption has *not* been
     /// applied yet. Between processings, queues and schedule are frozen,
     /// so the slots in which `plan_slot` would have consumed one backoff
-    /// unit (some shared Tx cell with a matching queued frame) form a
-    /// small union of arithmetic progressions — the engine settles whole
-    /// skipped ranges in closed form ([`TschMac::settle_backoff_to`])
-    /// instead of waking the node once per contended shared cell.
+    /// unit are fixed — the engine settles whole skipped ranges in
+    /// closed form ([`TschMac::settle_backoff_to`]) instead of waking
+    /// the node once per contended shared cell.
     backoff_anchor: u64,
-    /// The qualifying `(slot offset, frame length)` progressions,
-    /// deduplicated, followed by the pre-solved inclusion–exclusion
-    /// terms of their union (see [`BackoffTerms`]). Reused so settling
-    /// never allocates, and rebuilt only when its key changes, so a
-    /// settlement is a handful of closed-form counts with no congruence
-    /// solving.
-    backoff_progs: Vec<(u64, u64)>,
-    /// Cache key for `backoff_progs`: `(schedule version, control-queue
-    /// mutations, data-queue mutations)`. The qualifying set is a pure
-    /// function of those, and contended nodes are probed as listeners
-    /// many times between mutations.
-    backoff_progs_key: Option<(u64, u64, u64)>,
-    /// How `backoff_progs` splits into progressions and terms.
-    backoff_terms: BackoffTerms,
-    /// Whether the cached `backoff_progs` suppressed a duplicate.
-    backoff_progs_dup: bool,
-}
-
-/// Beyond this many qualifying progressions the settlement keeps no
-/// pre-solved terms, and [`backoff_release_slot`] wakes the node at every
-/// qualifying slot instead.
-const MAX_SOLVED_PROGS: usize = 4;
-
-/// The layout of [`TschMac`]'s `backoff_progs` past its progressions:
-/// `Solved { progs, plus }` when the set has at most
-/// [`MAX_SOLVED_PROGS`] progressions. The first `progs` entries are the
-/// progressions, which are also the single-progression terms of the
-/// union's inclusion–exclusion count. The overlap classes of every
-/// larger subset follow as `(residue, modulus)` pairs: those of odd size
-/// first, so the first `plus` entries count positively and the rest
-/// negatively. `Walked` sets hold only their progressions and are
-/// counted occurrence by occurrence.
-#[derive(Debug, Clone, Copy)]
-enum BackoffTerms {
-    /// No pre-solved terms: count by walking occurrences.
-    Walked,
-    /// Progressions, then overlap terms of odd size, then of even size.
-    Solved {
-        /// Leading entries that are progressions.
-        progs: u8,
-        /// Leading entries that count positively.
-        plus: u8,
-    },
-}
-
-/// Appends the overlap terms of the union of `progs`, deduplicated
-/// `(offset, length)` progressions, and says where they start (see
-/// [`BackoffTerms`]). A subset holding two progressions of equal length
-/// has no slot in common, since equal-length progressions are distinct
-/// residues of one modulus; every other subset is one CRT system,
-/// solved here and never again while the set stands.
-fn solve_backoff_terms(progs: &mut Vec<(u64, u64)>) -> BackoffTerms {
-    let n = progs.len();
-    if n > MAX_SOLVED_PROGS {
-        return BackoffTerms::Walked;
-    }
-    let mut plus = n;
-    for odd in [true, false] {
-        for mask in 3u32..(1 << n) {
-            let size = mask.count_ones();
-            if size < 2 || (size % 2 == 1) != odd {
-                continue;
-            }
-            let chosen = |i: usize| mask & (1 << i) != 0;
-            let repeats_a_length =
-                (0..n).any(|i| chosen(i) && (0..i).any(|j| chosen(j) && progs[j].1 == progs[i].1));
-            if repeats_a_length {
-                continue;
-            }
-            let mut members = (0..n).filter(|&i| chosen(i)).map(|i| progs[i]);
-            let first = members.next().expect("a subset of two or more");
-            let class = members.try_fold(first, |(r, m), (off, len)| crt_combine(r, m, off, len));
-            if let Some(class) = class {
-                progs.push(class);
-            }
-        }
-        if odd {
-            plus = progs.len();
-        }
-    }
-    BackoffTerms::Solved {
-        progs: n as u8,
-        plus: plus as u8,
-    }
+    /// The slots in which `plan_slot` consumes a unit of a pending
+    /// backoff window: the union of the shared Tx cells with a matching
+    /// queued frame. Its buffers are reused, so a rebuild does not
+    /// allocate.
+    backoff_union: CyclicUnion,
+    /// Cache key for `backoff_union`: `(schedule version, control-queue
+    /// mutations, data-queue mutations)`. The qualifying cells are a
+    /// pure function of those, and contended nodes are probed as
+    /// listeners many times between mutations.
+    backoff_union_key: Option<(u64, u64, u64)>,
 }
 
 /// Cached `next_radio_wake` answer, keyed by everything that can move
@@ -366,82 +269,24 @@ struct RadioWakeMemo {
     answer: Option<u64>,
 }
 
-/// Qualifying slots in `[from, to)` of a progression set laid out by
-/// [`solve_backoff_terms`]: inclusion–exclusion over its pre-solved
-/// terms, or for a `Walked` set its occurrences one by one, at most
-/// `limit` of them (the pending window, all a settlement can consume).
-/// The release rule wakes a node with a `Walked` set at each qualifying
-/// slot, so the engine's walks end at once.
-fn count_qualifying(
-    terms: &[(u64, u64)],
-    layout: BackoffTerms,
-    from: u64,
-    to: u64,
-    limit: u32,
-) -> u64 {
-    match layout {
-        BackoffTerms::Solved { plus, .. } => {
-            let count = |&(r, m): &(u64, u64)| count_congruent(from, to, r, m);
-            let (plus, minus) = terms.split_at(usize::from(plus));
-            let covered: u64 = plus.iter().map(count).sum();
-            let overlaps: u64 = minus.iter().map(count).sum();
-            debug_assert!(covered >= overlaps, "inclusion–exclusion went negative");
-            covered - overlaps
-        }
-        BackoffTerms::Walked => {
-            let mut walked = 0;
-            let mut at = from;
-            while walked < u64::from(limit) {
-                let next = next_progression_occurrence(terms, at);
-                if next >= to {
-                    break;
-                }
-                walked += 1;
-                at = next + 1;
-            }
-            walked
-        }
-    }
-}
-
-/// The first slot at or after `from` covered by any progression.
-fn next_progression_occurrence(progs: &[(u64, u64)], from: u64) -> u64 {
-    progs
-        .iter()
-        .map(|&(off, len)| from + ((off + len - from % len) % len))
-        .min()
-        .expect("caller checks progs is non-empty")
-}
-
-/// The slot at which a node with `pending` backoff skips left may next
-/// act on its shared cells: exactly the `(pending + 1)`-th qualifying
-/// occurrence when the qualifying slots are a single clean progression
-/// (the skips in between are provable sleeps), and conservatively the
-/// `pending`-th (the last consuming slot, where `plan_slot` re-runs the
-/// exact per-slot logic) when several progressions or co-located cells
-/// make mid-slot exhaustion possible. `None` when nothing qualifies.
-fn backoff_release_slot(progs: &[(u64, u64)], dup: bool, from: u64, pending: u32) -> Option<u64> {
+/// The slot at which a node with `pending` (at least 1) backoff units
+/// left may next act on its shared cells, given the `qualifying` slots
+/// in which it consumes one; `None` when nothing qualifies. When every
+/// qualifying slot holds one qualifying cell (one chain, one cell per
+/// offset), the window runs out in the `pending`-th and the node may
+/// transmit in the next, the `(pending + 1)`-th: the slots before it are
+/// provable sleeps or passive listens. Otherwise a second qualifying
+/// cell in the `pending`-th slot could transmit once the first has
+/// consumed the last unit, so the node wakes there, conservatively, and
+/// `plan_slot` runs the exact per-slot logic.
+fn backoff_release_slot(qualifying: &CyclicUnion, from: u64, pending: u32) -> Option<u64> {
     let pending = u64::from(pending);
-    match progs {
-        [] => None,
-        [(off, len)] if !dup => {
-            Some(next_progression_occurrence(&[(*off, *len)], from) + pending * len)
-        }
-        _ => {
-            if progs.len() > MAX_SOLVED_PROGS || pending > 256 {
-                // Degenerate schedules: wake at every qualifying slot
-                // (the pre-settling behavior, always sound).
-                return Some(next_progression_occurrence(progs, from));
-            }
-            let mut cursor = from;
-            let mut last = from;
-            for _ in 0..pending {
-                last = next_progression_occurrence(progs, cursor);
-                cursor = last + 1;
-            }
-            Some(last)
-        }
-    }
+    let n = if qualifying.is_one_clean_chain() {
+        pending + 1
+    } else {
+        pending
+    };
+    qualifying.nth_at_or_after(from, n)
 }
 
 impl<P: Clone> TschMac<P> {
@@ -451,20 +296,19 @@ impl<P: Clone> TschMac<P> {
             id,
             data_queue: PacketQueue::new(DATA_QUEUE_CAPACITY),
             control_queue: PacketQueue::new(CONTROL_QUEUE_CAPACITY),
-            backoff: SharedCellBackoff::new(MIN_BACKOFF_EXPONENT, MAX_BACKOFF_EXPONENT),
+            backoff: SharedCellBackoff::default(),
             schedule: Schedule::new(),
             rng,
             in_flight: None,
             link_stats: PeerMap::new(),
             counters: MacCounters::default(),
-            wake_cache: None,
+            rx_union: CyclicUnion::default(),
+            rx_union_version: None,
             plan_scratch: Vec::new(),
             radio_wake_memo: None,
             backoff_anchor: 0,
-            backoff_progs: Vec::new(),
-            backoff_progs_key: None,
-            backoff_terms: BackoffTerms::Walked,
-            backoff_progs_dup: false,
+            backoff_union: CyclicUnion::default(),
+            backoff_union_key: None,
         }
     }
 
@@ -670,35 +514,25 @@ impl<P: Clone> TschMac<P> {
         self.counters.rx_overheard += listens.overheard;
     }
 
-    /// Rebuilds the schedule-derived wake tables if the schedule changed.
-    fn refresh_wake_cache(&mut self) {
+    /// Rebuilds the listen union if the schedule changed.
+    fn refresh_rx_union(&mut self) {
         let version = self.schedule.version();
-        if self
-            .wake_cache
-            .as_ref()
-            .is_some_and(|c| c.version == version)
-        {
+        if self.rx_union_version == Some(version) {
             return;
         }
-        let rx_union = self.schedule.rx_union();
-        self.wake_cache = Some(WakeCache {
-            version,
-            rx_union,
-            // Empty interval: no slot is covered until the first miss.
-            listen_miss_memo: (1, 0),
-        });
+        self.rx_union
+            .rebuild(&self.schedule, |cell| cell.options.rx);
+        self.rx_union_version = Some(version);
     }
 
     /// True when the node's Rx slots are exactly enumerable by the
-    /// cyclic-union index (single- and multi-slotframe schedules alike)
-    /// so the engine may treat it as a *passive listener*: skip its idle
+    /// cyclic union (single- and multi-slotframe schedules alike) so the
+    /// engine may treat it as a *passive listener*: skip its idle
     /// listens and wake it only for transmissions it could hear, timers,
     /// or its own pending traffic.
     pub fn is_passive_listener(&mut self) -> bool {
-        self.refresh_wake_cache();
-        self.wake_cache
-            .as_ref()
-            .is_some_and(|c| c.rx_union.is_some())
+        self.refresh_rx_union();
+        self.rx_union.exact().is_some()
     }
 
     /// The next slot at or after `from` for which the *engine* must wake
@@ -708,9 +542,10 @@ impl<P: Clone> TschMac<P> {
     /// only its transmission opportunities: the next slot where a Tx cell
     /// has a matching queued frame (`None` with empty queues — idle
     /// listens are accounted lazily, and audible traffic wakes the node
-    /// through the transmitter's side). Only schedules beyond the Rx
-    /// index's complexity caps fall back to
-    /// [`TschMac::next_active_asn`], i.e. every listen slot is a wake-up.
+    /// through the transmitter's side). A node whose listen union, or
+    /// whose backoff union while a window is pending, is beyond the
+    /// cyclic union's caps falls back to [`TschMac::next_active_asn`]:
+    /// every listen slot and every qualifying shared cell is a wake-up.
     pub fn next_radio_wake(&mut self, from: Asn) -> Option<Asn> {
         // Memo fast path: the answer only moves on a schedule, queue or
         // backoff mutation, and a cached `Some(a)` covers every query in
@@ -731,39 +566,37 @@ impl<P: Clone> TschMac<P> {
                 return memo.answer.map(Asn::new);
             }
         }
-        let answer = if self.is_passive_listener() {
-            if self.data_queue.is_empty() && self.control_queue.is_empty() {
-                None
-            } else if pending_backoff == 0 {
-                self.schedule
-                    .next_active_asn(from, |cell| cell.options.tx && self.has_frame_for(cell))
-            } else {
-                // A backoff window is pending: blocked shared Tx-only
-                // cells are provable sleeps (their consumption is
-                // settled in closed form — `settle_backoff_to`), and
-                // blocked shared Tx+Rx cells fall back to passive
-                // listens the probe already covers. Wake at the earlier
-                // of the next contention-free transmission and the slot
-                // where the window releases the shared cells.
-                let dedicated = self.schedule.next_active_asn(from, |cell| {
-                    cell.options.tx && !cell.options.shared && self.has_frame_for(cell)
-                });
-                self.refresh_backoff_progs();
-                let release = backoff_release_slot(
-                    self.backoff_prog_list(),
-                    self.backoff_progs_dup,
-                    from.raw(),
-                    pending_backoff,
-                );
-                match (dedicated.map(Asn::raw), release) {
-                    (Some(d), Some(r)) => Some(Asn::new(d.min(r))),
-                    (Some(d), None) => Some(Asn::new(d)),
-                    (None, Some(r)) => Some(Asn::new(r)),
-                    (None, None) => None,
+        let answer = if !self.is_passive_listener() {
+            self.next_active_asn(from)
+        } else if self.data_queue.is_empty() && self.control_queue.is_empty() {
+            None
+        } else if pending_backoff == 0 {
+            self.schedule
+                .next_active_asn(from, |cell| cell.options.tx && self.has_frame_for(cell))
+        } else {
+            // A backoff window is pending: blocked shared Tx-only cells
+            // are provable sleeps (their consumption is settled in
+            // closed form — `settle_backoff_to`), and blocked shared
+            // Tx+Rx cells fall back to passive listens the probe already
+            // covers. Wake at the earlier of the next contention-free
+            // transmission and the slot where the window releases the
+            // shared cells.
+            self.refresh_backoff_union();
+            match self.backoff_union.exact() {
+                None => self.next_active_asn(from),
+                Some(qualifying) => {
+                    let dedicated = self.schedule.next_active_asn(from, |cell| {
+                        cell.options.tx && !cell.options.shared && self.has_frame_for(cell)
+                    });
+                    let release = backoff_release_slot(qualifying, from.raw(), pending_backoff);
+                    match (dedicated.map(Asn::raw), release) {
+                        (Some(d), Some(r)) => Some(Asn::new(d.min(r))),
+                        (Some(d), None) => Some(Asn::new(d)),
+                        (None, Some(r)) => Some(Asn::new(r)),
+                        (None, None) => None,
+                    }
                 }
             }
-        } else {
-            self.next_active_asn(from)
         };
         self.radio_wake_memo = Some(RadioWakeMemo {
             sched_version,
@@ -779,8 +612,9 @@ impl<P: Clone> TschMac<P> {
     /// Settles the shared-cell backoff over `[backoff_anchor, to)`:
     /// every slot of the range in which `plan_slot` would have consumed
     /// one unit of pending window — some shared Tx cell with a matching
-    /// queued frame — is counted in closed form, from terms pre-solved
-    /// when the qualifying set last changed, and consumed in bulk.
+    /// queued frame — is counted in closed form over the backoff union,
+    /// built when the qualifying cells last changed, and consumed in
+    /// bulk.
     ///
     /// Must run at the *start* of processing the node (before any queue
     /// or schedule mutation of the slot): the closed form relies on the
@@ -799,71 +633,37 @@ impl<P: Clone> TschMac<P> {
         {
             return;
         }
-        self.refresh_backoff_progs();
-        let q = count_qualifying(
-            &self.backoff_progs,
-            self.backoff_terms,
-            from,
-            to,
-            self.backoff.pending(),
-        );
+        self.refresh_backoff_union();
+        let Some(qualifying) = self.backoff_union.exact() else {
+            // Beyond the caps, `next_radio_wake` wakes the node at every
+            // active slot, so it was processed at every qualifying slot
+            // and the range holds none to count.
+            return;
+        };
+        let q = qualifying.count_in(from, to);
         if q > 0 {
             self.backoff
                 .on_shared_cells_skipped(q.min(u64::from(u32::MAX)) as u32);
         }
     }
 
-    /// The qualifying progressions at the front of `backoff_progs`.
-    fn backoff_prog_list(&self) -> &[(u64, u64)] {
-        match self.backoff_terms {
-            BackoffTerms::Solved { progs, .. } => &self.backoff_progs[..usize::from(progs)],
-            BackoffTerms::Walked => &self.backoff_progs,
-        }
-    }
-
-    /// Rebuilds the cached qualifying-progression set, and the terms of
-    /// its union, if the schedule or either queue changed since it was
-    /// last collected.
-    fn refresh_backoff_progs(&mut self) {
+    /// Rebuilds the backoff union if the schedule or either queue
+    /// changed since it was last built.
+    fn refresh_backoff_union(&mut self) {
         let key = (
             self.schedule.version(),
             self.control_queue.mutations(),
             self.data_queue.mutations(),
         );
-        if self.backoff_progs_key == Some(key) {
+        if self.backoff_union_key == Some(key) {
             return;
         }
-        let mut progs = std::mem::take(&mut self.backoff_progs);
-        self.backoff_progs_dup = self.collect_backoff_progs(&mut progs);
-        self.backoff_terms = solve_backoff_terms(&mut progs);
-        self.backoff_progs = progs;
-        self.backoff_progs_key = Some(key);
-    }
-
-    /// Collects the `(slot offset, frame length)` progressions of the
-    /// node's *qualifying* slots — slots holding at least one shared Tx
-    /// cell with a matching queued frame — into `out` (deduplicated).
-    /// Returns `true` when a duplicate progression was suppressed, i.e.
-    /// one slot can hold several qualifying cells (the release-slot
-    /// computation must then stay conservative: a second shared cell in
-    /// the window-exhausting slot could transmit in it).
-    fn collect_backoff_progs(&self, out: &mut Vec<(u64, u64)>) -> bool {
-        out.clear();
-        let mut dup = false;
-        for (_, frame) in self.schedule.iter() {
-            let len = u64::from(frame.length());
-            for cell in frame.cells() {
-                if cell.options.tx && cell.options.shared && self.has_frame_for(cell) {
-                    let prog = (u64::from(cell.slot.raw()), len);
-                    if out.contains(&prog) {
-                        dup = true;
-                    } else {
-                        out.push(prog);
-                    }
-                }
-            }
-        }
-        dup
+        let mut union = std::mem::take(&mut self.backoff_union);
+        union.rebuild(&self.schedule, |cell| {
+            cell.options.tx && cell.options.shared && self.has_frame_for(cell)
+        });
+        self.backoff_union = union;
+        self.backoff_union_key = Some(key);
     }
 
     /// The physical channel this node would listen on in slot `asn`, or
@@ -877,22 +677,9 @@ impl<P: Clone> TschMac<P> {
     /// opportunity (the engine guarantees this: such slots are wake-ups,
     /// not probes).
     pub fn listen_channel_at(&mut self, asn: Asn) -> Option<PhysicalChannel> {
-        self.refresh_wake_cache();
-        let cache = self.wake_cache.as_mut()?;
-        let union = cache.rx_union.as_ref()?;
-        let a = asn.raw();
-        let (covered_from, next_listen) = cache.listen_miss_memo;
-        if covered_from <= a && a < next_listen {
-            return None;
-        }
-        if let Some(offset) = union.channel_offset_at(a) {
-            return Some(hopping::channel(asn, offset));
-        }
-        // Not listening at `a`: memoize the whole quiet gap, so later
-        // queries answer in O(1) until its next actual Rx slot.
-        let next = union.next_listen_at_or_after(a + 1).unwrap_or(u64::MAX);
-        cache.listen_miss_memo = (a, next);
-        None
+        self.refresh_rx_union();
+        let offset = self.rx_union.exact()?.channel_offset_at(asn.raw())?;
+        Some(hopping::channel(asn, offset))
     }
 
     /// The first slot at or after `from` in which this passive listener
@@ -906,27 +693,24 @@ impl<P: Clone> TschMac<P> {
     /// every slot strictly before the returned one, and resolve the
     /// physical channel at that slot from the shared hopping sequence.
     pub fn next_listen(&mut self, from: Asn) -> Option<(Asn, ChannelOffset)> {
-        self.refresh_wake_cache();
+        self.refresh_rx_union();
         self.next_listen_cached(from)
     }
 
-    /// [`TschMac::next_listen`] without the wake-cache staleness check:
+    /// [`TschMac::next_listen`] without the listen union's staleness check:
     /// for callers that track schedule changes themselves (the engine's
     /// probe index marks rows stale on any schedule mutation and only
     /// takes this path on rows it knows are fresh).
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the wake cache really is current.
+    /// Debug-asserts that the listen union really is current.
     pub fn next_listen_cached(&self, from: Asn) -> Option<(Asn, ChannelOffset)> {
         debug_assert!(
-            self.wake_cache
-                .as_ref()
-                .is_some_and(|c| c.version == self.schedule.version()),
-            "next_listen_cached on a stale wake cache"
+            self.rx_union_version == Some(self.schedule.version()),
+            "next_listen_cached on a stale listen union"
         );
-        let union = self.wake_cache.as_ref()?.rx_union.as_ref()?;
-        let (next, offset) = union.next_listen_with_offset(from.raw())?;
+        let (next, offset) = self.rx_union.exact()?.next_with_offset(from.raw())?;
         Some((Asn::new(next), offset))
     }
 
@@ -976,7 +760,7 @@ impl<P: Clone> TschMac<P> {
     /// active nodes, which are woken on every listen slot and therefore
     /// never skip one).
     ///
-    /// Pure cyclic arithmetic over the cached Rx index: closed-form per
+    /// Pure cyclic arithmetic over the cached listen union: closed-form per
     /// slotframe, inclusion–exclusion with exact CRT overlap counts
     /// across slotframes — never per-slot work, however long the skipped
     /// range.
@@ -984,11 +768,10 @@ impl<P: Clone> TschMac<P> {
         if to.raw() <= from.raw() {
             return 0;
         }
-        self.refresh_wake_cache();
-        let Some(union) = self.wake_cache.as_ref().and_then(|c| c.rx_union.as_ref()) else {
-            return 0;
-        };
-        union.count_in(from.raw(), to.raw())
+        self.refresh_rx_union();
+        self.rx_union
+            .exact()
+            .map_or(0, |union| union.count_in(from.raw(), to.raw()))
     }
 
     /// Plans the node's action for slot `asn`.
@@ -1788,46 +1571,6 @@ mod tests {
     }
 
     #[test]
-    fn listen_miss_memo_is_order_independent() {
-        // The listen-miss memo inside the wake cache is an interval, not
-        // a cursor: probing slots in ascending, descending or strided
-        // order must give identical answers. A fresh clone per query is
-        // the memo-free reference.
-        let mut m = mac();
-        install_schedule(&mut m); // 4-slot frame, listens at offsets 0, 2
-        let mut sf2 = Slotframe::new(7);
-        sf2.add(Cell::data_rx(
-            SlotOffset::new(5),
-            ChannelOffset::new(2),
-            NodeId::new(3),
-        ));
-        m.schedule_mut().add_slotframe(SlotframeHandle::new(1), sf2);
-
-        let expected: Vec<_> = (0..56u64)
-            .map(|raw| m.clone().listen_channel_at(Asn::new(raw)))
-            .collect();
-        let ascending: Vec<_> = (0..56u64)
-            .map(|raw| m.listen_channel_at(Asn::new(raw)))
-            .collect();
-        assert_eq!(ascending, expected);
-        let mut descending: Vec<_> = (0..56u64)
-            .rev()
-            .map(|raw| m.listen_channel_at(Asn::new(raw)))
-            .collect();
-        descending.reverse();
-        assert_eq!(descending, expected);
-        for stride in [3u64, 5, 11] {
-            for raw in (0..56).step_by(stride as usize) {
-                assert_eq!(
-                    m.listen_channel_at(Asn::new(raw)),
-                    expected[raw as usize],
-                    "stride {stride}, slot {raw}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn beyond_caps_schedule_falls_back_to_always_wake() {
         // Five Rx-bearing slotframes exceed the union's chain cap; the
         // node degrades to the pre-index behavior: woken for every
@@ -1850,55 +1593,6 @@ mod tests {
         );
         assert_eq!(m.count_listen_slots(Asn::new(0), Asn::new(64)), 0);
         assert_eq!(m.listen_channel_at(Asn::new(0)), None);
-    }
-
-    /// The pre-solved terms count exactly what a slot-by-slot scan of
-    /// the progressions finds, over sets within and beyond the
-    /// pre-solving cap: equal lengths (disjoint residues), coprime and
-    /// non-coprime unequal lengths, and several progressions at one
-    /// offset.
-    #[test]
-    fn backoff_terms_count_like_a_slot_scan() {
-        let mut rng = Pcg32::new(11);
-        for case in 0..400 {
-            let n = 1 + rng.gen_range_u32(0, 6) as usize;
-            let mut progs: Vec<(u64, u64)> = Vec::new();
-            while progs.len() < n {
-                let len = [2u64, 3, 4, 6, 7, 12][rng.gen_range_u32(0, 6) as usize];
-                let prog = (u64::from(rng.gen_range_u32(0, len as u32)), len);
-                if !progs.contains(&prog) {
-                    progs.push(prog);
-                }
-            }
-            let listed = progs.clone();
-            let layout = solve_backoff_terms(&mut progs);
-            match layout {
-                BackoffTerms::Solved { progs: k, .. } => {
-                    assert!(n <= MAX_SOLVED_PROGS);
-                    assert_eq!(&progs[..usize::from(k)], &listed[..], "case {case}");
-                }
-                BackoffTerms::Walked => {
-                    assert!(n > MAX_SOLVED_PROGS);
-                    assert_eq!(progs, listed, "case {case}");
-                }
-            }
-            let covered = |x: u64| listed.iter().any(|&(off, len)| x % len == off);
-            for _ in 0..20 {
-                let from = u64::from(rng.gen_range_u32(0, 200));
-                let to = from + u64::from(rng.gen_range_u32(0, 100));
-                let expected = (from..to).filter(|&x| covered(x)).count() as u64;
-                assert_eq!(
-                    count_qualifying(&progs, layout, from, to, u32::MAX),
-                    expected,
-                    "case {case}: {listed:?} over [{from}, {to})"
-                );
-                // A window of 3 consumes at most 3, however the set counts.
-                assert_eq!(
-                    count_qualifying(&progs, layout, from, to, 3).min(3),
-                    expected.min(3)
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Slotframes and per-node schedules, plus the cyclic-union Rx index
-//! that lets the event-driven engine treat multi-slotframe schedules
-//! (Orchestra) as passive listeners: per-frame listen chains merged by
-//! exact cyclic arithmetic (CRT over the frame lengths), honoring the
-//! slotframe priority rule (EB < common < unicast).
+//! Slotframes and per-node schedules, plus the cyclic union the MAC
+//! indexes its schedule with: per-frame chains of the slots holding a
+//! selected cell, merged by exact cyclic arithmetic (CRT over the frame
+//! lengths), honoring the slotframe priority rule (EB < common <
+//! unicast). The MAC builds one over its Rx cells, which lets the
+//! event-driven engine treat multi-slotframe schedules (Orchestra) as
+//! passive listeners, and one over the shared Tx cells its backoff
+//! window drains in.
 
 use std::fmt;
 
@@ -258,51 +261,45 @@ impl Schedule {
     pub fn num_slotframes(&self) -> usize {
         self.frames.len()
     }
-
-    /// Builds the schedule's cyclic-union Rx index, if its listen slots
-    /// are exactly enumerable within the [`RxUnion`] complexity caps.
-    /// See [`RxUnion::build`]; chains inherit the schedule's priority
-    /// order, so lookups honor the same EB < common < unicast rule as
-    /// [`Schedule::cells_at`].
-    pub(crate) fn rx_union(&self) -> Option<RxUnion> {
-        RxUnion::build(self.frames.iter().map(|(_, f)| f))
-    }
 }
 
-/// One slotframe's *listen chain*: the sorted slot offsets at which the
-/// frame schedules an Rx cell, each with the channel offset of the first
-/// Rx cell at that offset — exactly the listen cell
-/// [`plan_slot`](crate::TschMac::plan_slot) picks when no transmission
-/// takes priority.
-#[derive(Debug, Clone)]
-pub(crate) struct RxChain {
+/// One slotframe's *chain*: the sorted slot offsets at which the frame
+/// holds a cell the union selects, each with the channel offset of the
+/// first such cell there. For the listen union that is exactly the
+/// listen cell [`plan_slot`](crate::TschMac::plan_slot) picks when no
+/// transmission takes priority.
+#[derive(Debug, Clone, Default)]
+struct Chain {
     /// Slotframe length in slots.
     len: u64,
     /// `(slot offset, channel offset)`, sorted by offset, deduplicated.
     slots: Vec<(u64, ChannelOffset)>,
 }
 
-impl RxChain {
-    /// Extracts the listen chain of one slotframe.
-    fn of(frame: &Slotframe) -> RxChain {
-        let mut slots: Vec<(u64, ChannelOffset)> = Vec::new();
+impl Chain {
+    /// Refills the chain with the cells of `frame` that satisfy
+    /// `selects`, reusing its buffer. Returns `true` when some offset
+    /// holds more than one of them.
+    fn refill(&mut self, frame: &Slotframe, selects: &impl Fn(&Cell) -> bool) -> bool {
+        self.len = u64::from(frame.length());
+        self.slots.clear();
+        let mut stacked = false;
         for cell in frame.cells() {
-            if cell.options.rx {
-                let off = cell.slot.raw() as u64;
-                // First Rx cell per offset wins, like plan_slot.
-                if !slots.iter().any(|&(o, _)| o == off) {
-                    slots.push((off, cell.channel_offset));
+            if selects(cell) {
+                let off = u64::from(cell.slot.raw());
+                // First selected cell per offset wins, like plan_slot.
+                if self.slots.iter().any(|&(o, _)| o == off) {
+                    stacked = true;
+                } else {
+                    self.slots.push((off, cell.channel_offset));
                 }
             }
         }
-        slots.sort_unstable_by_key(|&(o, _)| o);
-        RxChain {
-            len: frame.length() as u64,
-            slots,
-        }
+        self.slots.sort_unstable_by_key(|&(o, _)| o);
+        stacked
     }
 
-    /// The channel offset this chain listens on at `asn_raw`, if any.
+    /// The channel offset of this chain's slot at `asn_raw`, if any.
     fn channel_offset_at(&self, asn_raw: u64) -> Option<ChannelOffset> {
         let off = asn_raw % self.len;
         self.slots
@@ -311,10 +308,9 @@ impl RxChain {
             .map(|i| self.slots[i].1)
     }
 
-    /// The first slot at or after `from` in which this chain listens,
-    /// with the channel offset it listens on there: one modulo and one
-    /// `partition_point`. Chains are non-empty by construction, so an
-    /// answer always exists.
+    /// The first slot of this chain at or after `from`, with its channel
+    /// offset: one modulo and one `partition_point`. Chains are
+    /// non-empty by construction, so an answer always exists.
     fn next_at_or_after(&self, from: u64) -> (u64, ChannelOffset) {
         let off = from % self.len;
         let i = self.slots.partition_point(|&(o, _)| o < off);
@@ -328,7 +324,18 @@ impl RxChain {
         }
     }
 
-    /// How many slots in `[from, to)` this chain listens in. Pure cyclic
+    /// The `n`-th slot (counting from 1) of this chain at or after
+    /// `from`, in closed form: the chain repeats its offsets every
+    /// slotframe, so the answer is a whole number of cycles past one of
+    /// them.
+    fn nth_at_or_after(&self, from: u64, n: u64) -> u64 {
+        let k = self.slots.len() as u64;
+        let off = from % self.len;
+        let index = self.slots.partition_point(|&(o, _)| o < off) as u64 + (n - 1);
+        from - off + index / k * self.len + self.slots[(index % k) as usize].0
+    }
+
+    /// How many slots in `[from, to)` this chain holds. Pure cyclic
     /// arithmetic: O(log slots), no per-slot work.
     fn count_in(&self, from: u64, to: u64) -> u64 {
         if to <= from {
@@ -359,99 +366,128 @@ impl RxChain {
     }
 }
 
-/// The cyclic union of a schedule's per-frame listen chains, in priority
-/// order: the event-driven engine's exact answer to "when would this
-/// (possibly multi-slotframe) node listen, and on which channel?" without
-/// materializing the `lcm`-length hyperperiod.
+/// The cyclic union of a schedule's per-frame chains, in priority order:
+/// the exact answer to "in which slots does some frame hold a selected
+/// cell, and which cell comes first there?" without materializing the
+/// `lcm`-length hyperperiod. The MAC keeps two, built with two cell
+/// predicates: its listens (Rx cells), and the slots where its
+/// shared-cell backoff consumes a unit (shared Tx cells with a matching
+/// queued frame).
 ///
-/// Counting listens over a skipped range uses inclusion–exclusion across
-/// chains: per-chain counts are closed-form ([`RxChain::count_in`]), and
-/// every cross-chain overlap is a simultaneous congruence solved exactly
-/// by the Chinese Remainder Theorem over the (not necessarily coprime)
-/// frame lengths.
-#[derive(Debug, Clone)]
-pub(crate) struct RxUnion {
-    /// Rx-bearing chains in slotframe priority order (frames without Rx
-    /// cells can never supply a listen and are dropped at build time).
-    chains: Vec<RxChain>,
+/// Counting over a range uses inclusion–exclusion across chains:
+/// per-chain counts are closed-form ([`Chain::count_in`]), and every
+/// cross-chain overlap is a simultaneous congruence solved exactly by the
+/// Chinese Remainder Theorem over the (not necessarily coprime) frame
+/// lengths. A union beyond [`MAX_CHAINS`] or [`MAX_TUPLE_WORK`] answers
+/// nothing (see [`CyclicUnion::exact`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CyclicUnion {
+    /// Chains in slotframe priority order. The first `live` are the
+    /// union's (frames without a selected cell add none); the rest are
+    /// spare buffers, kept so that a rebuild does not allocate.
+    chains: Vec<Chain>,
+    live: usize,
     /// Precomputed inclusion–exclusion correction terms for cross-chain
     /// overlaps: `(sign, residue, modulus)` per solvable CRT system of a
     /// ≥2-chain subset. Solving the congruences once at build time keeps
-    /// [`RxUnion::count_in`] — the engine's per-wake lazy-accounting hot
-    /// path — to one closed-form count per chain plus one per overlap
-    /// class, with no per-call gcd/inverse work.
+    /// [`CyclicUnion::count_in`] — the engine's per-wake lazy-accounting
+    /// hot path — to one closed-form count per chain plus one per
+    /// overlap class, with no per-call gcd/inverse work.
     overlaps: Vec<(i8, u64, u64)>,
+    /// Whether some chain offset holds more than one selected cell.
+    stacked: bool,
+    /// Whether the last build fit the caps.
+    within_caps: bool,
 }
 
 /// Inclusion–exclusion enumerates one CRT system per combination of one
-/// Rx offset per chain subset; schedules whose combination count exceeds
-/// this bound (or with more than [`MAX_CHAINS`] Rx-bearing frames) fall
-/// back to always-wake semantics instead. Orchestra's three frames with a
-/// handful of Rx cells each sit orders of magnitude below both caps.
+/// offset per chain subset; a union whose combination count exceeds this
+/// bound (or with more than [`MAX_CHAINS`] chains) is beyond the caps,
+/// and the MAC wakes its node at every active slot instead. Orchestra's
+/// three frames with a handful of cells each sit orders of magnitude
+/// below both caps; only hand-built schedules reach them.
 const MAX_TUPLE_WORK: u64 = 4096;
 /// Chain-count cap: 2^4 − 1 = 15 subsets at most.
 const MAX_CHAINS: usize = 4;
 
-impl RxUnion {
-    /// Builds the union over `frames` (must be in priority order), or
-    /// `None` when the schedule exceeds the complexity caps and the
-    /// caller should treat the node as always-waking instead.
-    fn build<'a>(frames: impl Iterator<Item = &'a Slotframe>) -> Option<RxUnion> {
-        let mut chains = Vec::new();
+impl CyclicUnion {
+    /// Rebuilds the union over the slotframes of `schedule`, in priority
+    /// order, from the cells that satisfy `selects`. Refills the
+    /// existing buffers, so once they have grown a rebuild does not
+    /// allocate.
+    pub(crate) fn rebuild(&mut self, schedule: &Schedule, selects: impl Fn(&Cell) -> bool) {
+        self.live = 0;
+        self.overlaps.clear();
+        self.stacked = false;
         let mut tuple_work: u64 = 1;
-        for frame in frames {
-            let chain = RxChain::of(frame);
+        for (_, frame) in schedule.iter() {
+            if self.live == self.chains.len() {
+                // Grow by one: most unions hold one chain, and every
+                // node keeps two unions.
+                self.chains.reserve_exact(1);
+                self.chains.push(Chain::default());
+            }
+            let chain = &mut self.chains[self.live];
+            self.stacked |= chain.refill(frame, &selects);
             if chain.slots.is_empty() {
                 continue;
             }
             tuple_work = tuple_work.saturating_mul(chain.slots.len() as u64 + 1);
-            chains.push(chain);
+            self.live += 1;
         }
-        if chains.len() > MAX_CHAINS || tuple_work > MAX_TUPLE_WORK {
-            return None;
+        self.within_caps = self.live <= MAX_CHAINS && tuple_work <= MAX_TUPLE_WORK;
+        if !self.within_caps {
+            return;
         }
-        // Pre-solve every ≥2-chain CRT system (schedules change rarely,
-        // counts run on every wake).
-        let mut overlaps = Vec::new();
-        if chains.len() > 1 {
-            let full = (1u32 << chains.len()) - 1;
-            for mask in 1..=full {
-                if mask.count_ones() < 2 {
-                    continue;
-                }
-                let sign: i8 = if mask.count_ones() % 2 == 1 { 1 } else { -1 };
-                collect_crt_tuples(&chains, mask, 0, 1, &mut |r, m| overlaps.push((sign, r, m)));
+        // Pre-solve every ≥2-chain CRT system: counts run far more often
+        // than rebuilds.
+        let chains = &self.chains[..self.live];
+        let overlaps = &mut self.overlaps;
+        for mask in 1u32..1 << chains.len() {
+            if mask.count_ones() < 2 {
+                continue;
             }
+            let sign: i8 = if mask.count_ones() % 2 == 1 { 1 } else { -1 };
+            collect_crt_tuples(chains, mask, 0, 1, &mut |r, m| overlaps.push((sign, r, m)));
         }
-        Some(RxUnion { chains, overlaps })
     }
 
-    /// The channel offset the node would listen on at `asn_raw`, or
-    /// `None` when no chain schedules an Rx there. The first chain in
-    /// priority order wins, matching `plan_slot`'s candidate scan.
+    /// The union, when its last build fit the caps; `None` when it is
+    /// beyond them and its answers would not be exact.
+    pub(crate) fn exact(&self) -> Option<&CyclicUnion> {
+        self.within_caps.then_some(self)
+    }
+
+    /// The union's chains.
+    fn live_chains(&self) -> &[Chain] {
+        &self.chains[..self.live]
+    }
+
+    /// True for one chain with one selected cell per offset: no slot of
+    /// the union holds two selected cells. (Several chains may still
+    /// never coincide; this says nothing about them.)
+    pub(crate) fn is_one_clean_chain(&self) -> bool {
+        self.live == 1 && !self.stacked
+    }
+
+    /// The channel offset of the union's slot at `asn_raw`, or `None`
+    /// when no chain holds it. The first chain in priority order wins,
+    /// matching `plan_slot`'s candidate scan.
     pub(crate) fn channel_offset_at(&self, asn_raw: u64) -> Option<ChannelOffset> {
-        self.chains
+        self.live_chains()
             .iter()
             .find_map(|c| c.channel_offset_at(asn_raw))
     }
 
-    /// The first slot at or after `from` in which *any* chain listens,
-    /// or `None` for a union with no chains (the node never listens).
-    /// Powers the MAC's listen-miss memo: one query buys O(1) "not
-    /// listening" answers for every slot up to the result.
-    pub(crate) fn next_listen_at_or_after(&self, from: u64) -> Option<u64> {
-        self.chains.iter().map(|c| c.next_at_or_after(from).0).min()
-    }
-
-    /// [`RxUnion::next_listen_at_or_after`] fused with the channel
-    /// lookup: the first listen slot at or after `from` together with
-    /// the channel offset used there (first chain in priority order wins
-    /// on ties, matching [`RxUnion::channel_offset_at`]). One pass over
-    /// the chains — this runs once per listen slot per probed node, the
-    /// engine's densest recurring query.
-    pub(crate) fn next_listen_with_offset(&self, from: u64) -> Option<(u64, ChannelOffset)> {
+    /// The first slot of the union at or after `from`, with the channel
+    /// offset of its first selected cell there (first chain in priority
+    /// order wins on ties, matching [`CyclicUnion::channel_offset_at`]),
+    /// or `None` for a union with no chains. One pass over the chains —
+    /// this runs once per listen slot per probed node, the engine's
+    /// densest recurring query.
+    pub(crate) fn next_with_offset(&self, from: u64) -> Option<(u64, ChannelOffset)> {
         let mut best: Option<(u64, ChannelOffset)> = None;
-        for chain in &self.chains {
+        for chain in self.live_chains() {
             let next = chain.next_at_or_after(from);
             // Strictly-less keeps the earliest (priority-first) chain on
             // ties, matching the per-slot lookup's first-wins rule.
@@ -462,12 +498,30 @@ impl RxUnion {
         best
     }
 
-    /// Exact number of slots in `[from, to)` in which at least one chain
-    /// listens: inclusion–exclusion with the single-chain terms in
-    /// closed form and the pre-solved cross-chain overlap classes from
-    /// build time. Chains within a subset contribute one CRT system per
-    /// offset tuple; offsets within one chain are disjoint residues of
-    /// the same modulus, so no finer splitting is needed.
+    /// The `n`-th slot (counting from 1) of the union at or after
+    /// `from`, or `None` for a union with no chains: in closed form for
+    /// one chain, by stepping through next occurrences otherwise.
+    pub(crate) fn nth_at_or_after(&self, from: u64, n: u64) -> Option<u64> {
+        debug_assert!(n >= 1, "slots are counted from 1");
+        match self.live_chains() {
+            [] => None,
+            [chain] => Some(chain.nth_at_or_after(from, n)),
+            _ => {
+                let mut at = from;
+                for _ in 1..n {
+                    at = self.next_with_offset(at)?.0 + 1;
+                }
+                self.next_with_offset(at).map(|(slot, _)| slot)
+            }
+        }
+    }
+
+    /// Exact number of slots in `[from, to)` held by at least one chain:
+    /// inclusion–exclusion with the single-chain terms in closed form and
+    /// the pre-solved cross-chain overlap classes from build time. Chains
+    /// within a subset contribute one CRT system per offset tuple;
+    /// offsets within one chain are disjoint residues of the same
+    /// modulus, so no finer splitting is needed.
     pub(crate) fn count_in(&self, from: u64, to: u64) -> u64 {
         if to <= from {
             return 0;
@@ -477,7 +531,11 @@ impl RxUnion {
             // membership probe beats the inclusion–exclusion sums.
             return u64::from(self.channel_offset_at(from).is_some());
         }
-        let singles: u64 = self.chains.iter().map(|c| c.count_in(from, to)).sum();
+        let singles: u64 = self
+            .live_chains()
+            .iter()
+            .map(|c| c.count_in(from, to))
+            .sum();
         let mut correction: i64 = 0;
         for &(sign, r, m) in &self.overlaps {
             correction += i64::from(sign) * count_congruent(from, to, r, m) as i64;
@@ -488,17 +546,11 @@ impl RxUnion {
     }
 }
 
-/// Walks every combination of one Rx offset per chain indexed by a set
-/// bit of `mask`, calling `out(r, m)` for each solvable simultaneous
+/// Walks every combination of one offset per chain indexed by a set bit
+/// of `mask`, calling `out(r, m)` for each solvable simultaneous
 /// congruence system — the build-time half of the inclusion–exclusion in
-/// [`RxUnion::count_in`].
-fn collect_crt_tuples(
-    chains: &[RxChain],
-    mask: u32,
-    r: u64,
-    m: u64,
-    out: &mut impl FnMut(u64, u64),
-) {
+/// [`CyclicUnion::count_in`].
+fn collect_crt_tuples(chains: &[Chain], mask: u32, r: u64, m: u64, out: &mut impl FnMut(u64, u64)) {
     if mask == 0 {
         out(r, m);
         return;
@@ -585,6 +637,7 @@ mod tests {
     use crate::cell::{CellClass, CellOptions};
     use crate::hopping::ChannelOffset;
     use gtt_net::{Dest, NodeId};
+    use gtt_sim::Pcg32;
 
     fn cell(slot: u16, co: u8) -> Cell {
         Cell::new(
@@ -743,10 +796,73 @@ mod tests {
         )
     }
 
-    /// The whole point of the cyclic-union index: its closed-form counts
-    /// and priority-resolved channel lookups must agree, slot by slot,
-    /// with brute-force enumeration of the schedule — including
-    /// non-coprime frame lengths where CRT systems can be incompatible.
+    /// The listen union of `sched`, when it fits the caps.
+    fn rx_union(sched: &Schedule) -> Option<CyclicUnion> {
+        let mut union = CyclicUnion::default();
+        union.rebuild(sched, |c| c.options.rx);
+        union.exact().cloned()
+    }
+
+    /// Checks `union`, built over `sched` from the cells `selects`
+    /// picks, against a slot scan of the schedule over `[0, horizon)`:
+    /// the channel offset of the first selected cell per slot, counts
+    /// over ranges starting every 7th slot, the next slot with its
+    /// channel offset from every slot, the `n`-th slot for every `n` a
+    /// backoff window can ask for (1 to 32) from every 7th slot, and
+    /// whether no slot holds two selected cells of a single chain.
+    fn check_against_scan(
+        sched: &Schedule,
+        union: &CyclicUnion,
+        selects: impl Fn(&Cell) -> bool,
+        horizon: u64,
+    ) {
+        // The scan runs 33 longest frames past the horizon, so every slot
+        // of the horizon has 32 union slots after it, if any at all.
+        let longest = sched.iter().map(|(_, f)| f.length()).max().unwrap_or(1);
+        let end = horizon + 33 * u64::from(longest);
+        let mut first = Vec::new();
+        let mut most_in_a_slot = 0;
+        for asn in 0..end {
+            let cells = sched.cells_at(Asn::new(asn));
+            let selected: Vec<_> = cells.iter().filter(|(_, c)| selects(c)).collect();
+            most_in_a_slot = most_in_a_slot.max(selected.len());
+            first.push(selected.first().map(|(_, c)| c.channel_offset));
+        }
+        let slots: Vec<u64> = (0..end).filter(|&a| first[a as usize].is_some()).collect();
+        let below = |asn: u64| slots.partition_point(|&x| x < asn);
+        for asn in 0..horizon {
+            let co = first[asn as usize];
+            assert_eq!(union.channel_offset_at(asn), co, "lookup diverges at {asn}");
+            let next = slots
+                .get(below(asn))
+                .map(|&x| (x, first[x as usize].unwrap()));
+            assert_eq!(union.next_with_offset(asn), next, "next from {asn}");
+        }
+        for from in (0..horizon).step_by(7) {
+            for to in [from, from + 1, from + 13, from + 97, horizon] {
+                let to = to.min(horizon);
+                let expected = (below(to) - below(from)) as u64;
+                let got = union.count_in(from, to);
+                assert_eq!(got, expected, "count diverges on [{from}, {to})");
+            }
+            for n in 1..=32 {
+                let expected = slots.get(below(from) + n - 1).copied();
+                let got = union.nth_at_or_after(from, n as u64);
+                assert_eq!(got, expected, "{n}-th slot from {from}");
+            }
+        }
+        let chains = sched
+            .iter()
+            .filter(|(_, f)| f.cells().iter().any(&selects))
+            .count();
+        let clean = chains == 1 && most_in_a_slot <= 1;
+        assert_eq!(union.is_one_clean_chain(), clean);
+    }
+
+    /// The whole point of the cyclic union: its closed-form counts and
+    /// priority-resolved lookups must agree, slot by slot, with
+    /// brute-force enumeration of the schedule — including non-coprime
+    /// frame lengths where CRT systems can be incompatible.
     #[test]
     fn rx_union_matches_brute_force_enumeration() {
         /// One slotframe: (length, [(rx slot, channel offset)]).
@@ -767,53 +883,52 @@ mod tests {
                 }
                 sched.add_slotframe(SlotframeHandle::new(i as u8), f);
             }
-            let union = sched.rx_union().expect("within caps");
-            // Brute-force listen map over a few hyperperiods.
+            let union = rx_union(&sched).expect("within caps");
             let horizon = 3 * shape.iter().map(|(l, _)| *l as u64).product::<u64>();
-            let expect_co = |asn: u64| {
-                sched
-                    .cells_at(Asn::new(asn))
-                    .into_iter()
-                    .find(|(_, c)| c.options.rx)
-                    .map(|(_, c)| c.channel_offset)
-            };
-            // prefix[a] = number of listen slots in [0, a).
-            let mut prefix = vec![0u64; horizon as usize + 1];
-            for asn in 0..horizon {
-                let co = expect_co(asn);
-                assert_eq!(
-                    union.channel_offset_at(asn),
-                    co,
-                    "channel lookup diverges at asn {asn}"
-                );
-                prefix[asn as usize + 1] = prefix[asn as usize] + u64::from(co.is_some());
-            }
-            for from in (0..horizon).step_by(7) {
-                for to in [from, from + 1, from + 13, from + 97, horizon] {
-                    let to = to.min(horizon);
-                    let expected = prefix[to as usize] - prefix[from as usize];
-                    let got = union.count_in(from, to);
-                    assert_eq!(got, expected, "count diverges on [{from}, {to})");
+            check_against_scan(&sched, &union, |c| c.options.rx, horizon);
+        }
+        // Random schedules whose selected cells are the shared Tx cells,
+        // as in the MAC's backoff union: one to four frames of equal and
+        // mixed lengths, several selected offsets per chain, now and then
+        // two selected cells at one offset, beside Tx cells the predicate
+        // skips. One union is rebuilt in place across the cases, as the
+        // MAC rebuilds its own.
+        let shared_tx = |c: &Cell| c.options.tx && c.options.shared;
+        let kinds = [
+            CellOptions::TX,
+            CellOptions::TX_RX_SHARED,
+            CellOptions {
+                tx: true,
+                rx: false,
+                shared: true,
+            },
+        ];
+        let mut rng = Pcg32::new(11);
+        let mut union = CyclicUnion::default();
+        for _ in 0..300 {
+            let mut sched = Schedule::new();
+            let mut hyperperiod = 1;
+            for handle in 0..1 + rng.gen_range_u32(0, 4) {
+                let len = [2u16, 3, 4, 6, 7, 12][rng.gen_range_u32(0, 6) as usize];
+                hyperperiod = hyperperiod / gcd(hyperperiod, u64::from(len)) * u64::from(len);
+                let mut f = Slotframe::new(len);
+                for _ in 0..rng.gen_range_u32(0, 5) {
+                    let slot = SlotOffset::new(rng.gen_range_u32(0, u32::from(len)) as u16);
+                    let co = ChannelOffset::new(rng.gen_range_u32(0, 8) as u8);
+                    let options = kinds[rng.gen_range_u32(0, 3) as usize];
+                    f.add(Cell::new(
+                        slot,
+                        co,
+                        options,
+                        Dest::Broadcast,
+                        CellClass::Shared,
+                    ));
                 }
+                sched.add_slotframe(SlotframeHandle::new(handle as u8), f);
             }
-            // The next listen from every slot, with its channel offset:
-            // the first listen of the map at or after it (the map runs
-            // one longest frame past the horizon, so every slot of the
-            // horizon has one).
-            let longest = shape.iter().map(|(l, _)| *l as u64).max().unwrap_or(0);
-            let mut next: Option<(u64, ChannelOffset)> = None;
-            for asn in (0..horizon + longest).rev() {
-                if let Some(co) = expect_co(asn) {
-                    next = Some((asn, co));
-                }
-                if asn < horizon {
-                    assert_eq!(
-                        union.next_listen_with_offset(asn),
-                        next,
-                        "next listen diverges from asn {asn}"
-                    );
-                }
-            }
+            union.rebuild(&sched, shared_tx);
+            let exact = union.exact().expect("four short frames fit the caps");
+            check_against_scan(&sched, exact, shared_tx, 2 * hyperperiod);
         }
     }
 
@@ -828,7 +943,7 @@ mod tests {
         lo.add(rx_cell(0, 9));
         sched.add_slotframe(SlotframeHandle::new(1), lo);
         sched.add_slotframe(SlotframeHandle::new(0), hi);
-        let union = sched.rx_union().expect("within caps");
+        let union = rx_union(&sched).expect("within caps");
         assert_eq!(union.channel_offset_at(0), Some(ChannelOffset::new(7)));
         // ASN 2: only the length-2 frame listens.
         assert_eq!(union.channel_offset_at(2), Some(ChannelOffset::new(9)));
@@ -845,7 +960,7 @@ mod tests {
             f.add(rx_cell(0, i));
             sched.add_slotframe(SlotframeHandle::new(i), f);
         }
-        assert!(sched.rx_union().is_none(), "cap exceeded ⇒ always-wake");
+        assert!(rx_union(&sched).is_none(), "cap exceeded ⇒ always-wake");
         // Rx-less frames do not count against the caps.
         let mut sparse = Schedule::new();
         for i in 0..6u8 {
@@ -853,7 +968,7 @@ mod tests {
             f.add(cell(0, i)); // Tx-only
             sparse.add_slotframe(SlotframeHandle::new(i), f);
         }
-        let union = sparse.rx_union().expect("tx-only frames are free");
+        let union = rx_union(&sparse).expect("tx-only frames are free");
         assert_eq!(union.count_in(0, 1_000), 0, "never listens");
         assert_eq!(union.channel_offset_at(0), None);
     }

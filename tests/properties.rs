@@ -443,11 +443,15 @@ const BACKOFF_NODE: NodeId = NodeId::new(1);
 const BACKOFF_PARENT: NodeId = NodeId::new(0);
 const BACKOFF_NEIGHBOUR: NodeId = NodeId::new(2);
 
-/// A MAC with a random schedule of one to three slotframes. Lengths come
-/// from a small set, so frames often share a length or a factor. Most
-/// cells are shared Tx cells at random offsets (Tx-only or Tx|Rx, to the
-/// parent or to anyone, several at one offset now and then), beside
-/// dedicated Tx and Rx cells.
+/// A MAC with a random schedule. Most schedules hold one to three
+/// slotframes; one in four holds four to six, past the cyclic union's
+/// four-chain cap, so some nodes listen beyond the caps and are woken at
+/// every active slot, and some passive listeners drain their backoff in
+/// more slotframes than the caps allow. Lengths come from a small set, so
+/// frames often share a length or a factor. Most cells are shared Tx
+/// cells at random offsets (Tx-only or Tx|Rx, to the parent or to
+/// anyone, several at one offset now and then), beside dedicated Tx and
+/// Rx cells.
 fn random_backoff_mac(layout: &mut Pcg32, seed: u64) -> TschMac<u32> {
     let mut mac = TschMac::new(BACKOFF_NODE, Pcg32::new(seed));
     let shared_tx = CellOptions {
@@ -455,7 +459,12 @@ fn random_backoff_mac(layout: &mut Pcg32, seed: u64) -> TschMac<u32> {
         rx: false,
         shared: true,
     };
-    for handle in 0..1 + layout.gen_range_u32(0, 3) {
+    let frames = if layout.gen_bool(0.25) {
+        4 + layout.gen_range_u32(0, 3)
+    } else {
+        1 + layout.gen_range_u32(0, 3)
+    };
+    for handle in 0..frames {
         let len = [3u16, 4, 5, 6, 8, 9][layout.gen_range_u32(0, 6) as usize];
         let mut frame = Slotframe::new(len);
         for _ in 0..1 + layout.gen_range_u32(0, 4) {
@@ -529,9 +538,12 @@ proptest! {
     /// so shared cells draw fresh backoff windows throughout. At every
     /// checkpoint both MACs must plan the same action, hold the same
     /// counters and want the same next wake-up, which moves with the
-    /// pending window. Schedules span one to three slotframes of equal
-    /// and unequal lengths, with shared cells at one offset and more than
-    /// four qualifying progressions among them.
+    /// pending window. Schedules span one to six slotframes of equal and
+    /// unequal lengths, with shared cells at one offset among them, so the
+    /// qualifying slots form one chain or several, and both fallbacks
+    /// beyond the cyclic union's caps are reached: a node whose listens
+    /// are beyond them, and a passive listener whose qualifying shared
+    /// cells are.
     #[test]
     fn backoff_settlement_matches_per_slot_consumption(seed in 0u64..1_000_000) {
         let mut rng = Pcg32::new(seed ^ 0xbac0_ff5e);
