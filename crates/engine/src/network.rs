@@ -17,16 +17,19 @@
 //! [`Topology::audible_neighbors`] and reads each peer's next listen
 //! slot and channel offset from a dense probe index, which
 //! [`TschMac::next_listen`] refills only once that slot has passed or
-//! the peer was processed. Every skipped slot's sleeps *and* idle
-//! listens are accounted lazily and exactly
-//! ([`TschMac::count_listen_slots`]). A woken listen
-//! that decodes nothing for its node (a collision, a fade, or a unicast
-//! for another node, [`RxOutcome::Overheard`]) is lazy too: it adds one
-//! to a dense per-node count and never touches the node, and
+//! the peer was processed. The MAC owns the accounting of every slot
+//! the engine skips: its counters and its shared-cell backoff window
+//! cover the slots up to a watermark, and [`TschMac::settle_to`]
+//! advances it over skipped sleeps, idle listens and backoff drains in
+//! closed form. `plan_slot` and `finish_probed_listen` settle first;
+//! the engine settles a due node before upkeep can mutate its queues or
+//! schedule, and every alive node at a sync. A woken listen that
+//! decodes nothing for its node (a collision, a fade, or a unicast for
+//! another node, [`RxOutcome::Overheard`]) is lazy too: it adds one to
+//! a dense per-node count and never touches the node, and
 //! [`Network::sync_accounting`] moves those listens from idle to busy
-//! ([`TschMac::account_busy_listens`]). So the MAC counters' idle/busy
-//! split and their collision and overheard counts are exact only after
-//! a sync, which every public stepping call runs on return.
+//! ([`TschMac::account_busy_listens`]). So the MAC counters are exact
+//! only after a sync, which every public stepping call runs on return.
 //! Multi-slotframe schedules (Orchestra) are covered by the same
 //! machinery: the Rx index merges the per-frame wake chains by exact
 //! cyclic arithmetic, so Orchestra nodes sleep through inaudible Rx
@@ -416,23 +419,21 @@ impl Network {
     /// audible to. Leaves the processed nodes that need a fresh wake-up
     /// queued in `s.resched` (see phase 5). Nodes not processed at all
     /// provably either sleep or idle-listen this slot — both are pure
-    /// counter updates, accounted lazily by [`Network::settle_node`].
+    /// counter updates, settled lazily by [`TschMac::settle_to`].
     fn process_slot(&mut self, s: &mut SlotScratch) {
         let now = self.now();
         let asn_raw = self.asn.raw();
         debug_assert!(s.due.windows(2).all(|w| w[0] < w[1]), "due not sorted");
 
-        // Phase 0+1: catch up lazy accounting, then run timers, control
+        // Phase 0+1: settle the skipped slots, then run timers, control
         // plane and application for the due nodes (in node order — packet
         // ids are handed out here).
         s.due_versions.clear();
         for &i in &s.due {
             s.due_versions.push(self.nodes[i].mac.schedule().version());
-            self.settle_node(i, asn_raw);
-            self.nodes[i].accounted_asn = asn_raw + 1;
-            // Catch up skipped-range backoff consumption before upkeep
-            // can mutate the queues the closed form relies on.
-            self.nodes[i].mac.settle_backoff_to(asn_raw);
+            // Before upkeep can mutate the queues and schedule the
+            // settlement's closed forms count over.
+            self.nodes[i].mac.settle_to(self.asn);
             // Upkeep is a provable no-op strictly before the node's
             // earliest deadline (every layer early-outs; no RNG draw, no
             // state change), so pure radio wake-ups skip the whole pass
@@ -446,20 +447,13 @@ impl Network {
             }
         }
 
-        // Phase 2: every due MAC plans its slot. Probed listeners never
-        // transmit, so the transmission vec — built in due (= node)
-        // order — is already in its final order here. In the event core,
-        // a due node that provably sleeps (timer-only wake-up) settles
-        // its counters directly instead of a plan/finish round-trip; the
-        // oracle keeps calling `plan_slot` exhaustively.
+        // Phase 2: every due MAC plans its slot, timer-only wake-ups
+        // included. Probed listeners never transmit, so the transmission
+        // vec — built in due (= node) order — is already in its final
+        // order here.
         s.transmissions.clear();
         s.pre_due.clear();
         for &i in &s.due {
-            if !self.naive && self.nodes[i].mac.sleeps_at(self.asn) {
-                self.nodes[i].mac.account_skipped(1, 0);
-                s.pre_due.push((i, Pre::Sleep));
-                continue;
-            }
             match self.nodes[i].mac.plan_slot(self.asn) {
                 SlotAction::Sleep => s.pre_due.push((i, Pre::Sleep)),
                 SlotAction::Transmit { channel, frame, .. } => {
@@ -663,8 +657,6 @@ impl Network {
                 // A received frame settles the node and delivers; only a
                 // delivery that left traffic queued or moved a timer
                 // deadline invalidates its existing heap entry.
-                self.settle_node(i, asn_raw);
-                self.nodes[i].accounted_asn = asn_raw + 1;
                 let deadline_before = self.nodes[i].next_timer_deadline();
                 let schedule_before = self.nodes[i].mac.schedule().version();
                 let queued_before =
@@ -780,18 +772,9 @@ impl Network {
             return;
         }
         let mac = self.nodes[i].mac.next_radio_wake(self.asn).map(Asn::raw);
-        let timer = self.nodes[i].next_timer_deadline().map(|d| {
-            let memo = &mut self.nodes[i].timer_wake_memo;
-            let asn = match *memo {
-                Some((at, asn)) if at == d => asn,
-                _ => {
-                    let asn = Asn::at_or_after(d).raw();
-                    *memo = Some((d, asn));
-                    asn
-                }
-            };
-            asn.max(self.asn.raw())
-        });
+        let timer = self.nodes[i]
+            .next_timer_deadline()
+            .map(|d| Asn::at_or_after(d).raw().max(self.asn.raw()));
         self.timer_wake[i] = timer.unwrap_or(u64::MAX);
         let wake = match (mac, timer) {
             (Some(m), Some(t)) => m.min(t),
@@ -806,22 +789,6 @@ impl Network {
         self.wake.push(Reverse((wake, i as u32)));
     }
 
-    /// Catches node `i`'s lazily-accounted counters up to `upto_raw`:
-    /// every skipped slot was a sleep or (for passive listeners with a
-    /// scheduled Rx cell) an idle listen, counted exactly from the MAC's
-    /// Rx index.
-    fn settle_node(&mut self, i: usize, upto_raw: u64) {
-        let node = &mut self.nodes[i];
-        let from = node.accounted_asn;
-        if upto_raw > from {
-            let listens = node
-                .mac
-                .count_listen_slots(Asn::new(from), Asn::new(upto_raw));
-            node.mac.account_skipped(upto_raw - from, listens);
-            node.accounted_asn = upto_raw;
-        }
-    }
-
     /// Folds node `i`'s pending busy listens into its MAC. Lazy
     /// accounting has counted them as idle listens, so the node must be
     /// settled past the last of them first: both callers settle it to
@@ -833,17 +800,16 @@ impl Network {
         }
     }
 
-    /// Brings every alive node's MAC counters up to the current ASN by
-    /// accounting the sleep and idle-listen slots the event core skipped,
-    /// and folding in the probed listens that decoded nothing for their
-    /// node. Idempotent; called at the end of every public stepping call
-    /// and at measurement boundaries so external observers never see
-    /// stale duty-cycle numbers.
+    /// Brings every alive node's MAC counters and backoff window up to
+    /// the current ASN by settling the slots the event core skipped
+    /// ([`TschMac::settle_to`]), and folds in the probed listens that
+    /// decoded nothing for their node. Idempotent; called at the end of
+    /// every public stepping call and at measurement boundaries so
+    /// external observers never see stale duty-cycle numbers.
     pub fn sync_accounting(&mut self) {
-        let asn_raw = self.asn.raw();
         for i in 0..self.nodes.len() {
             if self.nodes[i].alive {
-                self.settle_node(i, asn_raw);
+                self.nodes[i].mac.settle_to(self.asn);
                 self.fold_busy_listens(i);
             }
         }
@@ -905,7 +871,7 @@ impl Network {
         // loop would have counted every slot up to (excluding) the
         // current one while the node was still alive.
         if self.nodes[i].alive {
-            self.settle_node(i, self.asn.raw());
+            self.nodes[i].mac.settle_to(self.asn);
             self.fold_busy_listens(i);
         }
         self.nodes[i].alive = false;

@@ -65,13 +65,8 @@ impl AppTraffic {
         }
     }
 
-    /// Number of packets due at or before `now`; advances the phase.
-    pub fn due_packets(&mut self, now: SimTime) -> u32 {
-        self.due(now)
-    }
-
-    /// When the next packet becomes due (always in the future of the last
-    /// [`AppTraffic::due_packets`] query).
+    /// When the next packet becomes due (always later than the instant
+    /// the due packets were last drawn at).
     pub fn next_due(&self) -> SimTime {
         self.next
     }
@@ -129,14 +124,6 @@ pub struct Node {
     /// network-global counter, so id assignment is independent of which
     /// other nodes a core processes in the same slot.
     pub(crate) generated_total: u64,
-    /// First ASN not yet reflected in the MAC's slot counters: the
-    /// event-driven engine accounts skipped sleep slots lazily, and this
-    /// is the low-water mark (see `Network::sync_accounting`).
-    pub(crate) accounted_asn: u64,
-    /// Memo of the last timer-deadline → wake-slot conversion, so
-    /// rescheduling a node whose deadlines did not move skips the
-    /// division (deadlines change on timer fires, not on every wake).
-    pub(crate) timer_wake_memo: Option<(SimTime, u64)>,
 }
 
 /// What a node wants transmitted / recorded after an upkeep pass.
@@ -173,8 +160,6 @@ impl Node {
             alive: true,
             routing_drops: 0,
             generated_total: 0,
-            accounted_asn: 0,
-            timer_wake_memo: None,
         }
     }
 

@@ -233,13 +233,12 @@ pub struct TschMac<P> {
     /// [`RadioWakeMemo`]): the engine re-asks after every processed slot,
     /// and between queue/schedule mutations the answer cannot change.
     radio_wake_memo: Option<RadioWakeMemo>,
-    /// First ASN whose shared-cell backoff consumption has *not* been
-    /// applied yet. Between processings, queues and schedule are frozen,
-    /// so the slots in which `plan_slot` would have consumed one backoff
-    /// unit are fixed — the engine settles whole skipped ranges in
-    /// closed form ([`TschMac::settle_backoff_to`]) instead of waking
-    /// the node once per contended shared cell.
-    backoff_anchor: u64,
+    /// The watermark: the first slot the counters and the backoff window
+    /// do not yet cover. [`TschMac::settle_to`] advances it over slots
+    /// nobody planned, which between two plans can only be sleeps, idle
+    /// listens and shared cells that drain the window, all fixed by the
+    /// frozen queues and schedule, so they are counted in closed form.
+    settled: u64,
     /// The slots in which `plan_slot` consumes a unit of a pending
     /// backoff window: the union of the shared Tx cells with a matching
     /// queued frame. Its buffers are reused, so a rebuild does not
@@ -306,7 +305,7 @@ impl<P: Clone> TschMac<P> {
             rx_union_version: None,
             plan_scratch: Vec::new(),
             radio_wake_memo: None,
-            backoff_anchor: 0,
+            settled: 0,
             backoff_union: CyclicUnion::default(),
             backoff_union_key: None,
         }
@@ -327,10 +326,12 @@ impl<P: Clone> TschMac<P> {
         &mut self.schedule
     }
 
-    /// Counters accumulated so far.
+    /// Counters accumulated so far. They cover every slot up to the last
+    /// one planned, or up to the slot [`TschMac::settle_to`] last
+    /// reached, whichever is later.
     ///
-    /// Under an event-driven engine that accounts skipped slots lazily
-    /// (`gtt_engine::Network`), the counts are exact only after the
+    /// An event-driven engine (`gtt_engine::Network`) settles the slots
+    /// it skips lazily, so there the counts are exact only after the
     /// engine's `Network::sync_accounting`, which every public stepping
     /// call runs on return. Between syncs, slot totals lag, and a
     /// listen that decoded nothing for the node may still count as
@@ -458,45 +459,60 @@ impl<P: Clone> TschMac<P> {
         cell.options.rx || (cell.options.tx && self.has_frame_for(cell))
     }
 
-    /// Bulk-accounts `slots` skipped slots, of which `listens` were
-    /// scheduled listens and the rest were sleeps. Every listen is
-    /// counted as [`RxOutcome::Idle`] (nothing audible).
+    /// Settles the slots from the watermark up to (excluding) `to`, which
+    /// nobody planned, and moves the watermark to `to`; a no-op when the
+    /// counters already reach `to`.
     ///
-    /// Equivalent to `slots` consecutive `plan_slot`/`finish_slot` rounds
-    /// in which the node either slept or idle-listened: both touch only
-    /// the duty-cycle counters — no queue, backoff, link-stat or RNG
-    /// state — which is what makes them safe to skip. The caller (the
-    /// event-driven engine) is responsible for the count being exact;
-    /// [`TschMac::count_listen_slots`] computes it for passive listeners.
-    /// A listen in the range that heard energy but decoded nothing for
-    /// the node is still counted idle here, and moved to busy by
+    /// Each such slot counts as an idle listen where the listen union
+    /// schedules one ([`RxOutcome::Idle`]: nothing audible) and as a
+    /// sleep elsewhere, and each slot with a shared Tx cell holding a
+    /// matching queued frame drains one unit of a pending backoff window:
+    /// exactly what `plan_slot` and `finish_slot` would do there, as long
+    /// as the node transmits in none of them and its queues and schedule
+    /// stay as they are. An event-driven engine skips only such slots and
+    /// settles a node before anything mutates its queues or schedule. A
+    /// listen in the range that heard energy but decoded nothing for the
+    /// node is still counted idle here, and moved to busy by
     /// [`TschMac::account_busy_listens`].
-    pub fn account_skipped(&mut self, slots: u64, listens: u64) {
+    ///
+    /// Settling `[a, s)` and then `[s, b)` equals settling `[a, b)`: the
+    /// window shrinks by a saturating subtraction of the qualifying slots
+    /// counted. A node beyond the listen union's caps is woken at every
+    /// active slot, so the slots it skips are all sleeps.
+    pub fn settle_to(&mut self, to: Asn) {
+        let (from, to) = (self.settled, to.raw());
+        if to <= from {
+            return;
+        }
         debug_assert!(
             self.in_flight.is_none(),
-            "cannot skip slots with a packet in flight"
+            "cannot settle slots with a packet in flight"
         );
-        debug_assert!(listens <= slots, "more listens than slots");
-        self.counters.slots += slots;
+        self.settled = to;
+        self.refresh_rx_union();
+        let listens = self
+            .rx_union
+            .exact()
+            .map_or(0, |union| union.count_in(from, to));
+        self.counters.slots += to - from;
         self.counters.rx_idle_slots += listens;
-        self.counters.sleep_slots += slots - listens;
+        self.counters.sleep_slots += to - from - listens;
+        self.drain_backoff(from, to);
     }
 
     /// Folds in listens that heard energy but decoded nothing for the
     /// node, which an event-driven engine resolved without touching the
     /// MAC: moves them from `rx_idle_slots`, where
-    /// [`TschMac::account_skipped`] counted them, to `rx_busy_slots`,
-    /// and adds the collision and overheard counts.
+    /// [`TschMac::settle_to`] counted them, to `rx_busy_slots`, and adds
+    /// the collision and overheard counts.
     ///
-    /// Together with `account_skipped`, equivalent to `finish_slot`
-    /// with `Listened(outcome)` for each such listen: those outcomes
-    /// touch only these counters. Their backoff settlement needs no
-    /// extra step: the shared-cell window shrinks by a saturating
-    /// subtraction, so [`TschMac::settle_backoff_to`] over the whole
-    /// range consumes exactly what per-slot settling would have.
+    /// Together with `settle_to`, equivalent to `finish_slot` with
+    /// `Listened(outcome)` for each such listen: those outcomes touch
+    /// only these counters, and `settle_to` has already drained the
+    /// backoff unit a blocked shared Tx+Rx cell consumes in the slot.
     ///
-    /// The listens must already be accounted: call it after
-    /// `account_skipped` has covered every slot they happened in.
+    /// The listens must already be accounted: call it after `settle_to`
+    /// has passed every slot they happened in.
     ///
     /// # Panics
     ///
@@ -576,7 +592,7 @@ impl<P: Clone> TschMac<P> {
         } else {
             // A backoff window is pending: blocked shared Tx-only cells
             // are provable sleeps (their consumption is settled in
-            // closed form — `settle_backoff_to`), and blocked shared
+            // closed form — `settle_to`), and blocked shared
             // Tx+Rx cells fall back to passive listens the probe already
             // covers. Wake at the earlier of the next contention-free
             // transmission and the slot where the window releases the
@@ -609,25 +625,11 @@ impl<P: Clone> TschMac<P> {
         answer
     }
 
-    /// Settles the shared-cell backoff over `[backoff_anchor, to)`:
-    /// every slot of the range in which `plan_slot` would have consumed
-    /// one unit of pending window — some shared Tx cell with a matching
-    /// queued frame — is counted in closed form over the backoff union,
-    /// built when the qualifying cells last changed, and consumed in
-    /// bulk.
-    ///
-    /// Must run at the *start* of processing the node (before any queue
-    /// or schedule mutation of the slot): the closed form relies on the
-    /// state having been frozen since the anchor, which is exactly the
-    /// event-driven engine's skipped-range invariant. No-op on the naive
-    /// oracle core, where every slot is processed and the range is
-    /// always empty.
-    pub fn settle_backoff_to(&mut self, to: u64) {
-        if to <= self.backoff_anchor {
-            return;
-        }
-        let from = self.backoff_anchor;
-        self.backoff_anchor = to;
+    /// Drains the pending backoff window by the slots of `[from, to)` in
+    /// which `plan_slot` would have consumed one unit of it: those where
+    /// some shared Tx cell has a matching queued frame, counted in
+    /// closed form over the backoff union.
+    fn drain_backoff(&mut self, from: u64, to: u64) {
         if self.backoff.may_transmit()
             || (self.data_queue.is_empty() && self.control_queue.is_empty())
         {
@@ -666,25 +668,10 @@ impl<P: Clone> TschMac<P> {
         self.backoff_union_key = Some(key);
     }
 
-    /// The physical channel this node would listen on in slot `asn`, or
-    /// `None` when it would not listen (no Rx cell there, or not a
-    /// passive listener — the rare beyond-caps nodes are heap-woken for
-    /// every listen slot, so the engine never needs to probe them).
-    /// Priority across slotframes follows `plan_slot`'s candidate scan
-    /// (lower handle first — Orchestra's EB < common < unicast rule).
-    ///
-    /// Only valid for slots in which the node has no transmission
-    /// opportunity (the engine guarantees this: such slots are wake-ups,
-    /// not probes).
-    pub fn listen_channel_at(&mut self, asn: Asn) -> Option<PhysicalChannel> {
-        self.refresh_rx_union();
-        let offset = self.rx_union.exact()?.channel_offset_at(asn.raw())?;
-        Some(hopping::channel(asn, offset))
-    }
-
     /// The first slot at or after `from` in which this passive listener
-    /// would listen, with the channel *offset* of that listen (chain
-    /// priority resolved like [`TschMac::listen_channel_at`]). `None`
+    /// would listen, with the channel *offset* of that listen. Priority
+    /// across slotframes follows `plan_slot`'s candidate scan (lower
+    /// handle first — Orchestra's EB < common < unicast rule). `None`
     /// when the node never listens on its own (no Rx cells, or a
     /// beyond-caps schedule, which is always-wake and never probed).
     ///
@@ -714,64 +701,31 @@ impl<P: Clone> TschMac<P> {
         Some((Asn::new(next), offset))
     }
 
-    /// True when `plan_slot(asn)` would provably return
-    /// [`SlotAction::Sleep`] with no side effect beyond the sleep
-    /// counters: the node is a passive listener, both queues are empty
-    /// (no transmission, no backoff consumption) and no Rx cell is
-    /// scheduled at `asn`. The engine uses this to settle a timer-only
-    /// wake-up with [`TschMac::account_skipped`]`(1, 0)` instead of a
-    /// plan/finish round-trip.
-    pub fn sleeps_at(&mut self, asn: Asn) -> bool {
-        self.is_passive_listener()
-            && self.data_queue.is_empty()
-            && self.control_queue.is_empty()
-            && self.listen_channel_at(asn).is_none()
-    }
-
     /// Completes a probed listen slot that received `frame`, a frame
     /// addressed to this node, in one call: exactly
-    /// [`TschMac::plan_slot`] selecting the slot's listen cell (which
-    /// only increments the slot counter and settles backoff, including
-    /// this slot's own consumption if a blocked shared Tx+Rx cell with a
-    /// queued frame is what schedules the listen) followed by
-    /// [`TschMac::finish_slot`] with `Listened(Received(frame))`, except
-    /// that the caller keeps the frame to deliver it.
+    /// [`TschMac::plan_slot`] selecting the slot's listen cell followed
+    /// by [`TschMac::finish_slot`] with `Listened(Received(frame))`,
+    /// except that the caller keeps the frame to deliver it.
     ///
     /// Only valid when the node would listen at slot `asn` (its
-    /// [`TschMac::next_listen`] from `asn` is `asn` itself) — the
-    /// engine's listener probe guarantees it. A probed listen that
-    /// decodes nothing for the node never comes here: the engine records
-    /// it in [`BusyListens`] for [`TschMac::account_busy_listens`].
+    /// [`TschMac::next_listen`] from `asn` is `asn` itself) and has not
+    /// been settled past it — the engine's listener probe guarantees
+    /// both. A probed listen that decodes nothing for the node never
+    /// comes here: the engine records it in [`BusyListens`] for
+    /// [`TschMac::account_busy_listens`].
     pub fn finish_probed_listen(&mut self, asn: Asn, frame: &Frame<P>) {
         debug_assert!(
-            self.in_flight.is_none(),
-            "probed listen with a packet in flight"
+            self.settled <= asn.raw(),
+            "probed listen in a slot already settled"
         );
         // Settle *through* this slot before the delivery that follows
-        // can touch the queues: a probed node never transmits here, so
-        // its consumption (if any) is pure closed-form arithmetic.
-        self.settle_backoff_to(asn.raw() + 1);
-        self.counters.slots += 1;
+        // can touch the queues. That counts the slot as an idle listen,
+        // and drains its backoff unit if a blocked shared Tx+Rx cell
+        // with a queued frame is what schedules the listen; the listen
+        // received `frame` instead.
+        self.settle_to(asn.next());
+        self.counters.rx_idle_slots -= 1;
         self.count_received(frame);
-    }
-
-    /// How many slots in `[from, to)` this passive listener would listen
-    /// in, assuming it is never woken inside the range (0 for beyond-caps
-    /// active nodes, which are woken on every listen slot and therefore
-    /// never skip one).
-    ///
-    /// Pure cyclic arithmetic over the cached listen union: closed-form per
-    /// slotframe, inclusion–exclusion with exact CRT overlap counts
-    /// across slotframes — never per-slot work, however long the skipped
-    /// range.
-    pub fn count_listen_slots(&mut self, from: Asn, to: Asn) -> u64 {
-        if to.raw() <= from.raw() {
-            return 0;
-        }
-        self.refresh_rx_union();
-        self.rx_union
-            .exact()
-            .map_or(0, |union| union.count_in(from.raw(), to.raw()))
     }
 
     /// Plans the node's action for slot `asn`.
@@ -782,6 +736,10 @@ impl<P: Clone> TschMac<P> {
     /// otherwise the node sleeps. Shared cells consult the backoff state
     /// before transmitting.
     ///
+    /// The slots between the watermark and `asn` are settled first
+    /// ([`TschMac::settle_to`]), so a MAC's counters always cover every
+    /// slot up to the last one planned.
+    ///
     /// # Panics
     ///
     /// Panics if the previous slot's [`TschMac::finish_slot`] was skipped.
@@ -790,11 +748,11 @@ impl<P: Clone> TschMac<P> {
             self.in_flight.is_none(),
             "finish_slot() must be called before planning the next slot"
         );
+        self.settle_to(asn);
+        // This slot's accounting and backoff consumption are the
+        // candidate scan's job.
+        self.settled = self.settled.max(asn.raw() + 1);
         self.counters.slots += 1;
-        // Catch up any backoff consumption the engine skipped over;
-        // this slot's own consumption is the candidate scan's job, and
-        // the anchor advance below marks it as handled.
-        self.settle_backoff_to(asn.raw());
 
         // Candidate cells land in the reused scratch, taken out for the
         // scan so the queue/backoff mutations below can borrow `self`.
@@ -802,7 +760,6 @@ impl<P: Clone> TschMac<P> {
         self.schedule.cells_at_into(asn, &mut candidates);
         let action = self.plan_slot_from(asn, &candidates);
         self.plan_scratch = candidates;
-        self.backoff_anchor = self.backoff_anchor.max(asn.raw() + 1);
         action
     }
 
@@ -987,16 +944,12 @@ impl<P: Clone> TschMac<P> {
                         .record_failure();
                     self.counters.drops_retry_exhausted += 1;
                 } else {
+                    // Head-of-line requeue preserves delivery order. A
+                    // queue that filled up while the packet was in
+                    // flight rejects it and counts the drop as queue
+                    // loss, like a tail drop.
                     let control = fl.packet.control;
-                    // Head-of-line requeue preserves delivery order; the
-                    // queue cannot be full because this packet's slot was
-                    // freed when it was popped and pushes during flight
-                    // target the tail.
-                    if self.queue_for(control).requeue_front(fl.packet).is_err() {
-                        // The queue filled up while the packet was in
-                        // flight; treat as a tail drop.
-                        self.counters.drops_retry_exhausted += 1;
-                    }
+                    let _ = self.queue_for(control).requeue_front(fl.packet);
                 }
             }
         }
@@ -1100,7 +1053,11 @@ mod tests {
         let action = m.plan_slot(Asn::new(3));
         assert!(action.is_sleep());
         m.finish_slot(SlotResult::Slept);
-        assert_eq!(m.counters().sleep_slots, 1);
+        // Planning slot 3 settled the skipped slots 0..3 first: idle
+        // listens at 0 (broadcast) and 2 (data Rx), a sleep at 1 (a Tx
+        // cell with nothing queued), then slot 3's own sleep.
+        let c = m.counters();
+        assert_eq!((c.slots, c.rx_idle_slots, c.sleep_slots), (4, 2, 2));
     }
 
     #[test]
@@ -1126,6 +1083,26 @@ mod tests {
         assert_eq!(m.data_queue_len(), 0);
         assert_eq!(m.counters().unicast_acked, 1);
         assert_eq!(m.etx(NodeId::new(0)), 1.0);
+    }
+
+    #[test]
+    fn requeue_into_a_full_queue_is_queue_loss() {
+        let mut m = mac();
+        install_schedule(&mut m);
+        m.enqueue_data(data_frame(0, 1)).unwrap();
+        assert!(matches!(
+            m.plan_slot(Asn::new(1)),
+            SlotAction::Transmit { .. }
+        ));
+        // The queue fills up, the frame's freed place included, while
+        // the frame is in flight; then it is not acknowledged.
+        for i in 0..m.data_queue_capacity() {
+            m.enqueue_data(data_frame(0, 10 + i as u32)).unwrap();
+        }
+        m.finish_slot(SlotResult::Transmitted { acked: Some(false) });
+        assert_eq!(m.data_queue_len(), m.data_queue_capacity());
+        assert_eq!(m.queue_loss(), 1, "the retry found no room");
+        assert_eq!(m.counters().drops_retry_exhausted, 0, "retries were left");
     }
 
     #[test]
@@ -1248,9 +1225,12 @@ mod tests {
         m.plan_slot(Asn::new(6));
         m.finish_slot(SlotResult::Listened(RxOutcome::Collision(2)));
         let c = m.counters();
-        assert_eq!(c.rx_idle_slots, 1);
+        // Idle: the listen planned at 2 and the skipped ones at 0 and 4;
+        // the skipped slots 1, 3 and 5 slept.
+        assert_eq!(c.rx_idle_slots, 3);
         assert_eq!(c.rx_busy_slots, 1);
         assert_eq!(c.collisions_heard, 1);
+        assert_eq!((c.slots, c.sleep_slots), (7, 3));
     }
 
     #[test]
@@ -1424,7 +1404,8 @@ mod tests {
         // a: plan/finish slots 2..18 — even slots listen (data Rx at 2
         // mod 4, broadcast at 0 mod 4), odd slots are cell-free or an
         // empty Tx. The listens hear nothing, fade, collide or overhear,
-        // and `pending` records the same outcomes for b.
+        // and `pending` records the same outcomes for b. Planning slot 2
+        // settles the skipped slots 0 (an idle listen) and 1 (a sleep).
         let mut pending = BusyListens::default();
         let heard = [
             RxOutcome::Idle,
@@ -1451,12 +1432,12 @@ mod tests {
             }
         }
         assert!(heard.next().is_none(), "every outcome was heard");
-        // b: bulk-account the same sixteen slots (8 listens, 8 sleeps) —
-        // count_listen_slots must agree with what plan_slot did — then
-        // fold in the listens that heard something.
-        let listens = b.count_listen_slots(Asn::new(2), Asn::new(18));
-        assert_eq!(listens, 8);
-        b.account_skipped(16, listens);
+        // b: settle the same eighteen slots (9 listens, 9 sleeps) in
+        // bulk — the listen union must agree with what plan_slot did —
+        // then fold in the listens that heard something.
+        b.settle_to(Asn::new(18));
+        let c = b.counters();
+        assert_eq!((c.slots, c.rx_idle_slots, c.sleep_slots), (18, 9, 9));
         assert_eq!(
             pending,
             BusyListens {
@@ -1467,7 +1448,7 @@ mod tests {
         );
         b.account_busy_listens(pending);
         assert_eq!(a.counters(), b.counters());
-        assert_eq!(b.counters().rx_idle_slots, 2);
+        assert_eq!(b.counters().rx_idle_slots, 3);
         assert_eq!(b.counters().rx_busy_slots, 6);
     }
 
@@ -1476,16 +1457,35 @@ mod tests {
         let mut m = mac();
         install_schedule(&mut m);
         // Listens at offsets 0 (broadcast) and 2 (data Rx) of a 4-slot
-        // frame.
-        assert_eq!(m.count_listen_slots(Asn::new(0), Asn::new(4)), 2);
-        assert_eq!(m.count_listen_slots(Asn::new(0), Asn::new(40)), 20);
-        assert_eq!(m.count_listen_slots(Asn::new(1), Asn::new(3)), 1);
-        assert_eq!(m.count_listen_slots(Asn::new(3), Asn::new(5)), 1);
-        assert_eq!(m.count_listen_slots(Asn::new(3), Asn::new(9)), 3);
-        assert_eq!(m.count_listen_slots(Asn::new(5), Asn::new(5)), 0);
+        // frame: settling `[from, to)` counts them as idle listens and
+        // the other slots as sleeps.
+        let listens = |from: u64, to: u64| {
+            let mut m = m.clone();
+            m.settle_to(Asn::new(from));
+            let before = m.counters();
+            m.settle_to(Asn::new(to));
+            let after = m.counters();
+            assert_eq!(after.slots - before.slots, to - from);
+            let idle = after.rx_idle_slots - before.rx_idle_slots;
+            assert_eq!(after.sleep_slots - before.sleep_slots, to - from - idle);
+            idle
+        };
+        assert_eq!(listens(0, 4), 2);
+        assert_eq!(listens(0, 40), 20);
+        assert_eq!(listens(1, 3), 1);
+        assert_eq!(listens(3, 5), 1);
+        assert_eq!(listens(3, 9), 3);
+        assert_eq!(listens(5, 5), 0);
+        // Settling to a slot already covered changes nothing.
+        m.settle_to(Asn::new(9));
+        let settled = m.counters();
+        m.settle_to(Asn::new(5));
+        assert_eq!(m.counters(), settled);
         // Empty schedule: never listens.
         let mut empty = mac();
-        assert_eq!(empty.count_listen_slots(Asn::new(0), Asn::new(100)), 0);
+        empty.settle_to(Asn::new(100));
+        assert_eq!(empty.counters().rx_idle_slots, 0);
+        assert_eq!(empty.counters().sleep_slots, 100);
     }
 
     #[test]
@@ -1506,13 +1506,22 @@ mod tests {
         assert_eq!(m2.next_radio_wake(Asn::new(0)), None);
     }
 
+    /// The channel the engine's listener probe reads for `m` at `asn`
+    /// from [`TschMac::next_listen`], or `None` when `m` does not listen
+    /// there.
+    fn probed_channel(m: &mut TschMac<u32>, asn: Asn) -> Option<PhysicalChannel> {
+        m.next_listen(asn)
+            .filter(|&(next, _)| next == asn)
+            .map(|(_, offset)| hopping::channel(asn, offset))
+    }
+
     #[test]
     fn listen_channel_matches_plan_slot() {
         let mut m = mac();
         install_schedule(&mut m);
         for raw in 0..8u64 {
             let asn = Asn::new(raw);
-            let probed = m.listen_channel_at(asn);
+            let probed = probed_channel(&mut m, asn);
             match m.plan_slot(asn) {
                 SlotAction::Listen { channel, .. } => {
                     assert_eq!(probed, Some(channel), "slot {raw}");
@@ -1550,7 +1559,7 @@ mod tests {
         let mut listens = 0u64;
         for raw in 0..56u64 {
             let asn = Asn::new(raw);
-            let probed = m.listen_channel_at(asn);
+            let probed = probed_channel(&mut m, asn);
             match reference.plan_slot(asn) {
                 SlotAction::Listen { channel, .. } => {
                     assert_eq!(probed, Some(channel), "slot {raw}");
@@ -1564,9 +1573,9 @@ mod tests {
                 other => panic!("unexpected action {other:?}"),
             }
         }
-        assert_eq!(m.count_listen_slots(Asn::new(0), Asn::new(56)), listens);
-        // Bulk accounting matches the slot-by-slot reference exactly.
-        m.account_skipped(56, listens);
+        // Bulk settlement matches the slot-by-slot reference exactly.
+        m.settle_to(Asn::new(56));
+        assert_eq!(m.counters().rx_idle_slots, listens);
         assert_eq!(m.counters(), reference.counters());
     }
 
@@ -1591,8 +1600,12 @@ mod tests {
             m.next_radio_wake(Asn::new(0)),
             m.next_active_asn(Asn::new(0))
         );
-        assert_eq!(m.count_listen_slots(Asn::new(0), Asn::new(64)), 0);
-        assert_eq!(m.listen_channel_at(Asn::new(0)), None);
+        // Without a listen index the probe never sees the node, and
+        // settling counts no listen: every one is a wake-up.
+        assert_eq!(m.next_listen(Asn::new(0)), None);
+        m.settle_to(Asn::new(64));
+        assert_eq!(m.counters().rx_idle_slots, 0);
+        assert_eq!(m.counters().sleep_slots, 64);
     }
 
     #[test]

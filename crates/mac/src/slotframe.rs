@@ -184,13 +184,6 @@ impl Schedule {
         self.frames.sort_by_key(|(h, _)| *h);
     }
 
-    /// Removes the slotframe under `handle`, returning it if present.
-    pub fn remove_slotframe(&mut self, handle: SlotframeHandle) -> Option<Slotframe> {
-        let idx = self.frames.iter().position(|(h, _)| *h == handle)?;
-        self.version += 1;
-        Some(self.frames.remove(idx).1)
-    }
-
     /// The slotframe under `handle`.
     pub fn frame(&self, handle: SlotframeHandle) -> Option<&Slotframe> {
         self.frames
@@ -473,7 +466,7 @@ impl CyclicUnion {
     /// The channel offset of the union's slot at `asn_raw`, or `None`
     /// when no chain holds it. The first chain in priority order wins,
     /// matching `plan_slot`'s candidate scan.
-    pub(crate) fn channel_offset_at(&self, asn_raw: u64) -> Option<ChannelOffset> {
+    fn channel_offset_at(&self, asn_raw: u64) -> Option<ChannelOffset> {
         self.live_chains()
             .iter()
             .find_map(|c| c.channel_offset_at(asn_raw))
@@ -718,17 +711,6 @@ mod tests {
         let mut sched = Schedule::new();
         sched.add_slotframe(SlotframeHandle::new(0), Slotframe::new(4));
         sched.add_slotframe(SlotframeHandle::new(0), Slotframe::new(8));
-    }
-
-    #[test]
-    fn remove_slotframe_round_trip() {
-        let mut sched = Schedule::new();
-        sched.add_slotframe(SlotframeHandle::new(3), Slotframe::new(4));
-        assert!(sched.frame(SlotframeHandle::new(3)).is_some());
-        let f = sched.remove_slotframe(SlotframeHandle::new(3)).unwrap();
-        assert_eq!(f.length(), 4);
-        assert!(sched.frame(SlotframeHandle::new(3)).is_none());
-        assert_eq!(sched.num_slotframes(), 0);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Position {
     pub fn offset(self, dx: f64, dy: f64) -> Position {
         Position::new(self.x + dx, self.y + dy)
     }
-
-    /// Midpoint between this position and `other`.
-    pub fn midpoint(self, other: Position) -> Position {
-        Position::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
 }
 
 impl fmt::Display for Position {
@@ -88,10 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn offset_and_midpoint() {
+    fn offset_translates() {
         let p = Position::ORIGIN.offset(10.0, 0.0);
         assert_eq!(p, Position::new(10.0, 0.0));
-        assert_eq!(Position::ORIGIN.midpoint(p), Position::new(5.0, 0.0));
+        assert_eq!(p.offset(-2.5, 4.0), Position::new(7.5, 4.0));
     }
 
     #[test]

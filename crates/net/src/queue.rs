@@ -158,19 +158,23 @@ impl<T> PacketQueue<T> {
         self.items.iter()
     }
 
-    /// Puts a packet back at the *front* of the queue, bypassing statistics.
+    /// Puts a packet back at the *front* of the queue.
     ///
     /// Used by the MAC to return an unacknowledged packet to the head of
     /// the line for retransmission: the packet was never really "gone", so
-    /// neither the enqueue counter nor the drop counter moves. To keep the
-    /// bound honest the packet is still rejected when the queue is full
-    /// (which cannot happen in the MAC's pop-then-requeue pattern).
+    /// the enqueue counter does not move and the matching pop's dequeue
+    /// is undone. To keep the bound honest the packet is still rejected
+    /// when the queue is full, which happens only if pushes took the
+    /// place its pop freed while it was in flight.
     ///
     /// # Errors
     ///
-    /// Returns `Err(item)` when the queue is full.
+    /// Returns `Err(item)` (handing the packet back) when the queue is
+    /// full; the drop is counted as queue loss, as [`PacketQueue::push`]
+    /// counts it.
     pub fn requeue_front(&mut self, item: T) -> Result<(), T> {
         if self.is_full() {
+            self.stats.dropped += 1;
             return Err(item);
         }
         self.items.push_front(item);
@@ -279,6 +283,7 @@ mod tests {
         let mut q = PacketQueue::new(1);
         q.push(1).unwrap();
         assert_eq!(q.requeue_front(2), Err(2));
+        assert_eq!(q.stats().dropped, 1, "the rejection is queue loss");
     }
 
     #[test]

@@ -494,7 +494,12 @@ mod tests {
         let hyper = 41 * 31 * 7u64;
         for raw in 0..hyper {
             let asn = Asn::new(raw);
-            let probed = h.mac.listen_channel_at(asn);
+            // What the engine's listener probe reads.
+            let probed = h
+                .mac
+                .next_listen(asn)
+                .filter(|&(next, _)| next == asn)
+                .map(|(_, offset)| gtt_mac::channel(asn, offset));
             match reference.plan_slot(asn) {
                 SlotAction::Listen { channel, .. } => {
                     assert_eq!(probed, Some(channel), "slot {raw}");
@@ -508,11 +513,13 @@ mod tests {
                 other => panic!("queues are empty, got {other:?}"),
             }
         }
+        h.mac.settle_to(Asn::new(hyper));
         assert_eq!(
-            h.mac.count_listen_slots(Asn::new(0), Asn::new(hyper)),
+            h.mac.counters().rx_idle_slots,
             listens,
             "cyclic-union count must match the exhaustive walk"
         );
+        assert_eq!(h.mac.counters(), reference.counters());
         assert!(listens > 0, "orchestra nodes do listen");
 
         // A sender-based root with several per-child Rx cells stays

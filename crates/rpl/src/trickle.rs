@@ -61,13 +61,6 @@ impl TrickleTimer {
         }
     }
 
-    /// The Contiki-NG-style defaults scaled to the paper's Table II:
-    /// `I_min` = 4.096 s, 6 doublings (`I_max` ≈ 262 s ≈ the paper's
-    /// "minimum DIO interval 300 s" steady state), k = 10.
-    pub fn paper_default() -> Self {
-        TrickleTimer::new(SimDuration::from_micros(4_096_000), 6, 10)
-    }
-
     /// True once [`TrickleTimer::start`] has been called.
     pub fn is_running(&self) -> bool {
         self.running

@@ -16,8 +16,9 @@
 //! ```
 //! use gtt_sim::{Pcg32, SimDuration, SimTime, Timer};
 //!
-//! let mut eb = Timer::periodic(SimTime::ZERO, SimDuration::from_secs(2));
-//! let mut dio = Timer::one_shot(SimTime::ZERO + SimDuration::from_millis(15));
+//! let (mut eb, mut dio) = (Timer::disarmed(), Timer::disarmed());
+//! eb.arm_periodic(SimTime::ZERO, SimDuration::from_secs(2));
+//! dio.arm(SimTime::ZERO + SimDuration::from_millis(15));
 //! // The engine sleeps until the earliest deadline, then fires it.
 //! let next = [eb.deadline(), dio.deadline()].into_iter().flatten().min();
 //! assert_eq!(next, Some(SimTime::from_millis(15)));

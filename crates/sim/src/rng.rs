@@ -171,39 +171,6 @@ impl Pcg32 {
             self.gen_f64() < p
         }
     }
-
-    /// Exponentially distributed value with the given mean.
-    ///
-    /// Used by the Poisson traffic generator (inter-arrival times).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not finite and positive.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "exponential mean must be positive, got {mean}"
-        );
-        // Inverse-CDF; (1 - u) avoids ln(0).
-        -mean * (1.0 - self.gen_f64()).ln()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_index(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of `slice`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.gen_index(slice.len())])
-        }
-    }
 }
 
 impl Default for Pcg32 {
@@ -300,41 +267,6 @@ mod tests {
         let hits = (0..20_000).filter(|_| rng.gen_bool(0.3)).count();
         let freq = hits as f64 / 20_000.0;
         assert!((freq - 0.3).abs() < 0.02, "freq {freq} too far from 0.3");
-    }
-
-    #[test]
-    fn gen_exp_mean_is_close() {
-        let mut rng = Pcg32::new(13);
-        let n = 50_000;
-        let total: f64 = (0..n).map(|_| rng.gen_exp(4.0)).sum();
-        let mean = total / n as f64;
-        assert!(
-            (mean - 4.0).abs() < 0.1,
-            "sample mean {mean} too far from 4"
-        );
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Pcg32::new(17);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle should move something"
-        );
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = Pcg32::new(19);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert!(rng.choose(&[1, 2, 3]).is_some());
     }
 
     #[test]

@@ -76,13 +76,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    ///
-    /// Returns `None` when `earlier` is later than `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -146,16 +139,6 @@ impl SimDuration {
     /// Saturating subtraction of two durations.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// How many whole `rhs` periods fit into this duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is zero.
-    pub fn div_duration(self, rhs: SimDuration) -> u64 {
-        assert!(!rhs.is_zero(), "cannot divide by a zero duration");
-        self.0 / rhs.0
     }
 }
 
@@ -276,20 +259,6 @@ mod tests {
         let b = SimTime::from_millis(20);
         assert_eq!(b.saturating_since(a), SimDuration::from_millis(10));
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
-    }
-
-    #[test]
-    fn div_duration_counts_periods() {
-        let frame = SimDuration::from_millis(15) * 32;
-        let minute = SimDuration::from_secs(60);
-        assert_eq!(minute.div_duration(frame), 125);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero duration")]
-    fn div_by_zero_duration_panics() {
-        let _ = SimDuration::from_secs(1).div_duration(SimDuration::ZERO);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 /// use gtt_sim::{Timer, SimTime, SimDuration};
 ///
-/// let mut eb = Timer::periodic(SimTime::ZERO, SimDuration::from_secs(2));
+/// let mut eb = Timer::disarmed();
+/// eb.arm_periodic(SimTime::ZERO, SimDuration::from_secs(2));
 /// assert!(!eb.fire_due(SimTime::from_secs(1)));
 /// assert!(eb.fire_due(SimTime::from_secs(2)));
 /// // After firing, it re-arms one period later.
@@ -29,41 +30,14 @@ pub struct Timer {
 }
 
 impl Timer {
-    /// Creates a one-shot timer firing at `deadline`.
-    pub fn one_shot(deadline: SimTime) -> Self {
-        Timer {
-            deadline,
-            period: None,
-            armed: true,
-        }
-    }
-
-    /// Creates a periodic timer whose first deadline is `start + period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn periodic(start: SimTime, period: SimDuration) -> Self {
-        assert!(!period.is_zero(), "periodic timer needs a non-zero period");
-        Timer {
-            deadline: start + period,
-            period: Some(period),
-            armed: true,
-        }
-    }
-
-    /// Creates a disarmed timer; arm it later with [`Timer::arm`].
+    /// Creates a disarmed timer; arm it with [`Timer::arm`] or
+    /// [`Timer::arm_periodic`].
     pub fn disarmed() -> Self {
         Timer {
             deadline: SimTime::MAX,
             period: None,
             armed: false,
         }
-    }
-
-    /// True if the timer is armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed
     }
 
     /// The next deadline, or `None` if disarmed.
@@ -131,19 +105,27 @@ impl Default for Timer {
 mod tests {
     use super::*;
 
+    /// A timer armed periodically at `start`, as nodes arm theirs.
+    fn periodic(start: SimTime, period: SimDuration) -> Timer {
+        let mut t = Timer::disarmed();
+        t.arm_periodic(start, period);
+        t
+    }
+
     #[test]
     fn one_shot_fires_once() {
-        let mut t = Timer::one_shot(SimTime::from_millis(10));
+        let mut t = Timer::disarmed();
+        t.arm(SimTime::from_millis(10));
         assert!(!t.fire_due(SimTime::from_millis(9)));
         assert!(t.fire_due(SimTime::from_millis(10)));
         assert!(!t.fire_due(SimTime::from_millis(11)));
-        assert!(!t.is_armed());
+        assert_eq!(t.deadline(), None);
     }
 
     #[test]
     fn periodic_does_not_drift() {
         let p = SimDuration::from_millis(100);
-        let mut t = Timer::periodic(SimTime::ZERO, p);
+        let mut t = periodic(SimTime::ZERO, p);
         // Poll late by 30ms each time; deadlines stay on the 100ms grid.
         assert!(t.fire_due(SimTime::from_millis(130)));
         assert_eq!(t.deadline(), Some(SimTime::from_millis(200)));
@@ -154,7 +136,7 @@ mod tests {
     #[test]
     fn periodic_coalesces_missed_periods() {
         let p = SimDuration::from_millis(10);
-        let mut t = Timer::periodic(SimTime::ZERO, p);
+        let mut t = periodic(SimTime::ZERO, p);
         // Jump far ahead: fires once, re-arms past `now`.
         assert!(t.fire_due(SimTime::from_millis(95)));
         assert_eq!(t.deadline(), Some(SimTime::from_millis(100)));
@@ -162,7 +144,7 @@ mod tests {
 
     #[test]
     fn cancel_disarms() {
-        let mut t = Timer::periodic(SimTime::ZERO, SimDuration::from_millis(5));
+        let mut t = periodic(SimTime::ZERO, SimDuration::from_millis(5));
         t.cancel();
         assert!(!t.fire_due(SimTime::from_secs(100)));
         assert_eq!(t.deadline(), None);
@@ -171,6 +153,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero period")]
     fn zero_period_panics() {
-        let _ = Timer::periodic(SimTime::ZERO, SimDuration::ZERO);
+        Timer::disarmed().arm_periodic(SimTime::ZERO, SimDuration::ZERO);
     }
 }

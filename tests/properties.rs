@@ -526,20 +526,22 @@ fn enqueue_random_frames(rng: &mut Pcg32, next_id: &mut u64, macs: [&mut TschMac
 }
 
 proptest! {
-    /// Bulk backoff settlement consumes exactly what slot-by-slot
-    /// planning consumes. One MAC plans and finishes every slot; a clone
-    /// is processed the way the event-driven engine processes a node:
-    /// only at random checkpoints no later than its `next_radio_wake`,
-    /// settling the skipped range in bulk (`settle_backoff_to`, then
-    /// `plan_slot`), with a probed listen now and then settled through
-    /// `finish_probed_listen`. Frames arrive only where the engine lets
-    /// them, at checkpoints and after a probed reception, and unicast
-    /// transmissions fail at random,
-    /// so shared cells draw fresh backoff windows throughout. At every
-    /// checkpoint both MACs must plan the same action, hold the same
-    /// counters and want the same next wake-up, which moves with the
-    /// pending window. Schedules span one to six slotframes of equal and
-    /// unequal lengths, with shared cells at one offset among them, so the
+    /// Settling skipped slots in bulk counts and consumes exactly what
+    /// slot-by-slot planning does. One MAC plans and finishes every
+    /// slot; a clone is processed the way the event-driven engine
+    /// processes a node: only at random checkpoints no later than its
+    /// `next_radio_wake`, where it is settled (`settle_to`) before frames
+    /// arrive and then plans the slot, with a probed listen now and then
+    /// completed through `finish_probed_listen`, and settled mid-range on
+    /// 5% of the skipped slots, as a sync settles it. Frames arrive only
+    /// where the engine lets them, at checkpoints and after a probed
+    /// reception, and unicast transmissions fail at random, so shared
+    /// cells draw fresh backoff windows throughout. At every checkpoint
+    /// both MACs must plan the same action, hold the same counters and
+    /// want the same next wake-up, which moves with the pending window;
+    /// after every mid-range settle they must hold the same counters.
+    /// Schedules span one to six slotframes of equal and unequal
+    /// lengths, with shared cells at one offset among them, so the
     /// qualifying slots form one chain or several, and both fallbacks
     /// beyond the cyclic union's caps are reached: a node whose listens
     /// are beyond them, and a passive listener whose qualifying shared
@@ -557,8 +559,9 @@ proptest! {
             SimTime::ZERO,
             0u32,
         );
-        // `bulk` is processed at `at`; its counters cover `[0, accounted)`.
-        let (mut at, mut stepped, mut accounted) = (0u64, 0u64, 0u64);
+        // `bulk` is processed at `at`; `step` has planned every slot
+        // before `stepped`.
+        let (mut at, mut stepped) = (0u64, 0u64);
         while at < 600 {
             while stepped < at {
                 let slot = Asn::new(stepped);
@@ -570,10 +573,7 @@ proptest! {
                     ),
                     SlotAction::Listen { .. } if rng.gen_bool(0.1) => {
                         step.finish_slot(SlotResult::Listened(RxOutcome::Received(heard.clone())));
-                        let listens = bulk.count_listen_slots(Asn::new(accounted), slot);
-                        bulk.account_skipped(stepped - accounted, listens);
                         bulk.finish_probed_listen(slot, &heard);
-                        accounted = stepped + 1;
                         // Delivering the frame may queue more (a forward,
                         // a reply), and the engine then re-plans the wake.
                         enqueue_random_frames(&mut rng, &mut next_id, [&mut step, &mut bulk]);
@@ -589,11 +589,13 @@ proptest! {
                     }
                 }
                 stepped += 1;
+                if rng.gen_bool(0.05) {
+                    bulk.settle_to(Asn::new(stepped));
+                    prop_assert_eq!(step.counters(), bulk.counters(), "sync at slot {}", stepped);
+                }
             }
             let slot = Asn::new(at);
-            let listens = bulk.count_listen_slots(Asn::new(accounted), slot);
-            bulk.account_skipped(at - accounted, listens);
-            bulk.settle_backoff_to(at);
+            bulk.settle_to(slot);
             enqueue_random_frames(&mut rng, &mut next_id, [&mut step, &mut bulk]);
             let planned = step.plan_slot(slot);
             let settled = bulk.plan_slot(slot);
@@ -608,7 +610,7 @@ proptest! {
             step.finish_slot(result.clone());
             bulk.finish_slot(result);
             prop_assert_eq!(step.counters(), bulk.counters(), "slot {}", at);
-            (stepped, accounted) = (at + 1, at + 1);
+            stepped = at + 1;
             let wake = bulk.next_radio_wake(Asn::new(at + 1));
             prop_assert_eq!(step.next_radio_wake(Asn::new(at + 1)), wake, "slot {}", at);
             let early = at + 1 + u64::from(rng.gen_range_u32(0, 40));
